@@ -126,7 +126,6 @@ mod tests {
             dynamics_seed: 1,
             config: &config,
             cache: &cache,
-            shared: None,
         };
         let via_backend = ExactBackend.evaluate(&ctx).unwrap();
         let direct = engine::anonymity_degree(&model, &dist).unwrap();

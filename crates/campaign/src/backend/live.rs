@@ -36,10 +36,7 @@ use std::time::Duration;
 
 use anonroute_core::SystemModel;
 use anonroute_relay::budget::ClusterBudget;
-use anonroute_relay::{
-    run_cluster_budgeted_observed, ClusterConfig, ClusterOutcome, PhaseCell, SharedCellSpec,
-    SharedCluster,
-};
+use anonroute_relay::{run_cluster_budgeted_observed, ClusterConfig, ClusterOutcome, PhaseCell};
 use anonroute_sim::traffic::{SessionTraffic, UniformTraffic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,8 +88,7 @@ impl EvalBackend for LiveBackend {
         .generate(n, &mut StdRng::seed_from_u64(ctx.seed ^ WORKLOAD_SALT));
 
         let evaluate = phase_timer("cell.evaluate");
-        let outcome = run_cell_cluster(
-            ctx.shared,
+        let outcome = run_watchdogged(
             cluster,
             arrivals,
             Duration::from_millis(ctx.config.live_timeout_ms),
@@ -146,8 +142,7 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
         cluster.cell_size = ctx.config.live_cell_size;
         let (arrivals, session_of) =
             traffic.epoch_arrivals(&senders, |u| view.local_of(u), &mut rng);
-        let outcome = run_cell_cluster(
-            ctx.shared,
+        let outcome = run_watchdogged(
             cluster,
             arrivals,
             Duration::from_millis(ctx.config.live_timeout_ms),
@@ -174,41 +169,9 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
     Ok(metrics)
 }
 
-/// Runs one cell's cluster workload: against the sweep's standing
-/// [`SharedCluster`] when the runner booted one that fits (`--shared`
-/// mode; circuits are re-keyed per cell/epoch by the
-/// [`SharedCellSpec`]'s seed/epoch, and the cell's delivery wait is
-/// bounded by the same per-cell deadline), else through a fresh
-/// watchdogged cluster. A shared cell needs no watchdog thread: the
-/// wedge-prone phase — boot — already happened once at sweep start, and
-/// sending/draining are bounded by the spec's `deliver_timeout`.
-fn run_cell_cluster(
-    shared: Option<&SharedCluster>,
-    config: ClusterConfig,
-    arrivals: Vec<anonroute_sim::traffic::Arrival>,
-    deadline: Duration,
-) -> Result<ClusterOutcome, String> {
-    match shared {
-        Some(cluster) if config.n <= cluster.n() => {
-            let spec = SharedCellSpec {
-                n: config.n,
-                dist: config.dist.clone(),
-                path_kind: config.path_kind,
-                seed: config.seed,
-                epoch: config.epoch,
-                deliver_timeout: deadline,
-            };
-            cluster
-                .run_cell(&spec, &arrivals)
-                .map_err(|e| e.to_string())
-        }
-        _ => run_watchdogged(config, arrivals, deadline),
-    }
-}
-
 /// Runs the cluster on a helper thread under the per-cell watchdog. The
 /// helper acquires the global budget itself (via
-/// [`run_cluster_budgeted_unless`], the single slot-accounting path), so
+/// [`run_cluster_budgeted_observed`], the single slot-accounting path), so
 /// waiting for free relay slots counts against the deadline too — a
 /// sweep can never hang on a permit a wedged cluster will never return.
 /// A cell abandoned by its watchdog while still queued on the budget
@@ -280,8 +243,7 @@ fn run_watchdogged(
 /// runner calls this at the end of every sweep — including drained and
 /// aborted ones — so abandoned threads don't pile up across a campaign.
 ///
-/// The registry itself is the process-wide [`anonroute_sim::reaper`],
-/// shared with the sim runtime's own deadline-bounded runs.
+/// The registry itself is the process-wide [`anonroute_sim::reaper`].
 pub(crate) fn join_abandoned(deadline: Duration) -> (usize, usize) {
     anonroute_sim::reaper::global().join_abandoned(deadline)
 }
@@ -351,7 +313,6 @@ mod tests {
             dynamics_seed: 33,
             config: &config,
             cache: &cache,
-            shared: None,
         };
         let metrics = LiveBackend.evaluate(&ctx).unwrap();
         let exact = engine::anonymity_degree(&model, &dist).unwrap();
@@ -378,7 +339,6 @@ mod tests {
             dynamics_seed: 1,
             config: &config,
             cache: &cache,
-            shared: None,
         };
         let err = LiveBackend.evaluate(&ctx).unwrap_err();
         assert!(err.contains("live_max_n"), "{err}");

@@ -93,12 +93,6 @@ pub struct CellCtx<'a> {
     pub config: &'a CampaignConfig,
     /// Shared memoized exact-evaluator tables.
     pub cache: &'a EvaluatorCache,
-    /// The sweep's long-running shared relay network, when the runner
-    /// booted one (`CampaignConfig::live_shared`): live cells that fit
-    /// re-key circuits over its standing relays instead of booting a
-    /// fresh cluster each. `None` in the default per-cell mode and for
-    /// every non-live engine.
-    pub shared: Option<&'a anonroute_relay::SharedCluster>,
 }
 
 /// Where one cell's wall-clock went, phase by phase, in microseconds.

@@ -266,7 +266,6 @@ mod tests {
             dynamics_seed: 1,
             config: &config,
             cache: &cache,
-            shared: None,
         };
         let err = SimulatedBackend.evaluate(&ctx).unwrap_err();
         assert!(err.contains("sim_max_n"), "{err}");

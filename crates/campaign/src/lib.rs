@@ -37,7 +37,8 @@
 //! determinism contract in [`backend`]). [`report`] renders JSON Lines
 //! and CSV; [`manifest`] writes a machine-readable run manifest next to
 //! them; [`spec`] parses grids from compact flag values or a TOML-subset
-//! file. [`progress`] carries live sweep progress to a stderr ticker and
+//! file; [`settings`] is the one table of run settings those and the
+//! CLI share. [`progress`] carries live sweep progress to a stderr ticker and
 //! the `anonroute-obs` metrics endpoint — strictly write-only from the
 //! runner's side, so observability never perturbs results.
 //!
@@ -72,6 +73,7 @@ pub mod manifest;
 pub mod progress;
 pub mod report;
 pub mod runner;
+pub mod settings;
 pub mod spec;
 
 pub use anonroute_core::epochs::{ChurnModel, EpochSchedule, RotationPolicy};
@@ -83,3 +85,4 @@ pub use progress::{ObsSession, SweepProgress};
 pub use runner::{
     cell_seed, run, run_controlled, CampaignConfig, CampaignOutcome, CellResult, SweepStatus,
 };
+pub use settings::{RunSetting, RUN_SETTINGS};

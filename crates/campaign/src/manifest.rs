@@ -21,9 +21,12 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use anonroute_obs::json_escape;
+
 use crate::grid::ScenarioGrid;
-use crate::report::{json_escape, json_f64};
+use crate::report::json_f64;
 use crate::runner::{CampaignConfig, CampaignOutcome};
+use crate::settings::{Access, RUN_SETTINGS};
 
 /// The manifest format identifier; bump the suffix on breaking change.
 ///
@@ -32,9 +35,11 @@ use crate::runner::{CampaignConfig, CampaignOutcome};
 /// present), `outcome.profile` (per-phase second totals over ok cells),
 /// and `config.trace_out`.
 ///
-/// v3 adds `config.live_shared` (whether live cells attached to one
-/// long-running shared relay network instead of booting per cell).
-pub const MANIFEST_SCHEMA: &str = "anonroute-campaign-manifest/v3";
+/// v3 added a switch for a sweep-wide shared relay network. v4 drops
+/// it again (every live cell boots its own cluster) and renders
+/// `config` from the run-settings table ([`RUN_SETTINGS`]), which adds
+/// `config.progress` and `config.metrics_addr`.
+pub const MANIFEST_SCHEMA: &str = "anonroute-campaign-manifest/v4";
 
 fn json_str_array<T: std::fmt::Display>(items: &[T]) -> String {
     let rendered: Vec<String> = items
@@ -81,25 +86,16 @@ pub fn render_manifest(
     writeln!(out, "    \"cells\": {}", grid.len()).expect("write to String");
     out.push_str("  },\n");
     out.push_str("  \"config\": {\n");
-    writeln!(out, "    \"seed\": {},", config.seed).expect("write to String");
-    writeln!(out, "    \"threads\": {},", config.threads).expect("write to String");
-    writeln!(out, "    \"mc_samples\": {},", config.mc_samples).expect("write to String");
-    writeln!(out, "    \"sim_messages\": {},", config.sim_messages).expect("write to String");
-    writeln!(out, "    \"sim_max_n\": {},", config.sim_max_n).expect("write to String");
-    writeln!(out, "    \"live_messages\": {},", config.live_messages).expect("write to String");
-    writeln!(out, "    \"live_timeout_ms\": {},", config.live_timeout_ms).expect("write to String");
-    writeln!(out, "    \"live_max_n\": {},", config.live_max_n).expect("write to String");
-    writeln!(out, "    \"live_cell_size\": {},", config.live_cell_size).expect("write to String");
-    writeln!(out, "    \"live_shared\": {},", config.live_shared).expect("write to String");
-    writeln!(
-        out,
-        "    \"trace_out\": {}",
-        config.trace_out.as_ref().map_or_else(
-            || "null".to_string(),
-            |p| format!("\"{}\"", json_escape(&p.display().to_string()))
+    for (i, setting) in RUN_SETTINGS.iter().enumerate() {
+        let comma = if i + 1 < RUN_SETTINGS.len() { "," } else { "" };
+        writeln!(
+            out,
+            "    \"{}\": {}{comma}",
+            setting.key,
+            setting.render_json(config)
         )
-    )
-    .expect("write to String");
+        .expect("write to String");
+    }
     out.push_str("  },\n");
     out.push_str("  \"outcome\": {\n");
     writeln!(out, "    \"status\": \"{}\",", outcome.status.as_str()).expect("write to String");
@@ -241,29 +237,21 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
     get(grid, "cells")?.as_number("grid.cells")?;
 
     let config = get(top, "config")?.as_object("config")?;
-    for key in [
-        "seed",
-        "threads",
-        "mc_samples",
-        "sim_messages",
-        "sim_max_n",
-        "live_messages",
-        "live_timeout_ms",
-        "live_max_n",
-        "live_cell_size",
-    ] {
-        get(config, key)?.as_number(key)?;
-    }
-    match get(config, "live_shared")? {
-        json::Value::Bool(_) => {}
-        other => return Err(format!("live_shared: expected a boolean, found {other:?}")),
-    }
-    match get(config, "trace_out")? {
-        json::Value::Null | json::Value::String(_) => {}
-        other => {
+    for setting in RUN_SETTINGS {
+        let value = get(config, setting.key)?;
+        let (typed, expected) = match setting.access {
+            Access::Count(..) => (matches!(value, json::Value::Number(_)), "a number"),
+            Access::Switch(..) => (matches!(value, json::Value::Bool(_)), "a boolean"),
+            Access::Text(..) => (
+                matches!(value, json::Value::Null | json::Value::String(_)),
+                "a string or null",
+            ),
+        };
+        if !typed {
             return Err(format!(
-                "trace_out: expected a string or null, found {other:?}"
-            ))
+                "{}: expected {expected}, found {value:?}",
+                setting.key
+            ));
         }
     }
 
@@ -599,6 +587,45 @@ mod tests {
         assert!(text.contains("\"ok\": 1"));
         assert!(text.contains("\"errors\": 1"));
         assert!(text.contains("\"exact\": {\"cells\": 2"));
+    }
+
+    #[test]
+    fn every_run_setting_round_trips_from_spec_to_a_validated_manifest() {
+        let (grid, _, outcome) = swept();
+        let defaults = CampaignConfig::default();
+        for setting in RUN_SETTINGS {
+            let key = setting.key;
+            // a non-default value, written as a spec-file literal (which
+            // is also its JSON rendering)
+            let literal = match setting.access {
+                Access::Count(get, _) => (get(&defaults) + 1).to_string(),
+                Access::Switch(get, _) => (!get(&defaults)).to_string(),
+                Access::Text(..) => "\"127.0.0.1:9464\"".to_string(),
+            };
+            let spec = format!(
+                "[grid]\nn = 10\nc = 1\nstrategies = \"fixed:3\"\n[run]\n{key} = {literal}\n"
+            );
+            let (_, config) =
+                crate::spec::parse_spec(&spec, &defaults).unwrap_or_else(|e| panic!("{key}: {e}"));
+            assert_ne!(config, defaults, "{key} never reached CampaignConfig");
+
+            let text = render_manifest(&grid, &config, &outcome);
+            validate_manifest(&text).unwrap_or_else(|e| panic!("{key}: {e}"));
+            let doc = json::parse(&text).unwrap();
+            let rendered = get(doc.as_object("manifest").unwrap(), "config")
+                .unwrap()
+                .as_object("config")
+                .unwrap();
+            assert_eq!(
+                get(rendered, key).unwrap(),
+                &json::parse(&literal).unwrap(),
+                "{key}"
+            );
+            // the config section is the first place every key appears
+            let gutted = text.replacen(&format!("\"{key}\":"), "\"renamed\":", 1);
+            let err = validate_manifest(&gutted).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
+        }
     }
 
     #[test]

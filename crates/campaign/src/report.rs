@@ -11,6 +11,8 @@ use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
+use anonroute_obs::json_escape;
+
 use crate::runner::{CampaignOutcome, CellResult};
 
 /// Renders one cell as a JSON object (one line, no trailing newline).
@@ -272,24 +274,6 @@ fn csv_sanitize(s: &str) -> String {
         .replace(['\r', '\n'], " ")
 }
 
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 pub(crate) fn json_f64(v: f64) -> String {
     if v.is_finite() {
         let text = v.to_string();
@@ -375,8 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+    fn non_finite_floats_render_as_null() {
         assert_eq!(json_f64(f64::NAN), "null");
         assert_eq!(json_f64(1.5), "1.5");
     }

@@ -68,13 +68,6 @@ pub struct CampaignConfig {
     /// Fixed relay-cell size for live cells, in bytes (bounds the
     /// longest onion route at ~64 bytes of overhead per hop).
     pub live_cell_size: usize,
-    /// Attach live cells to one long-running shared relay network booted
-    /// once for the whole sweep (sized to the largest live cell) instead
-    /// of booting a fresh cluster per cell. Cells re-key their circuits
-    /// per cell/epoch over the standing relays; trace *shape* per seed is
-    /// identical to per-cell mode, but timestamps differ — the default
-    /// per-cell mode remains the byte-identical-per-seed path.
-    pub live_shared: bool,
     /// Emit a ~1 Hz progress ticker (done/errors/in-flight/ETA) on
     /// stderr while the sweep runs. Observability only — never touches
     /// the evaluation path, so artifacts stay byte-identical per seed.
@@ -101,7 +94,6 @@ impl Default for CampaignConfig {
             live_timeout_ms: 120_000,
             live_max_n: 64,
             live_cell_size: 1_024,
-            live_shared: false,
             progress: false,
             metrics_addr: None,
             trace_out: None,
@@ -213,11 +205,6 @@ pub fn run_controlled(
         sink.drain(); // discard stale events from any earlier sweep
         sink.enable();
     }
-    // with --shared, the whole sweep's live cells attach to one standing
-    // network booted here (one boot, one budget acquisition) instead of
-    // booting a cluster per cell; a boot failure degrades to the default
-    // per-cell mode rather than failing the sweep
-    let shared = boot_shared_cluster(config, &scenarios);
     // progress is tracked unconditionally (a few atomic stores per cell);
     // the ticker thread and the /metrics endpoint only exist on request
     let progress = Arc::new(SweepProgress::new(scenarios.len()));
@@ -250,7 +237,7 @@ pub fn run_controlled(
                         ("epochs", scenario.dynamics.epochs as u64),
                     ],
                 );
-                let outcome = run_cell(&scenario, seed, config, &cache, shared.as_ref());
+                let outcome = run_cell(&scenario, seed, config, &cache);
                 drop(cell_span);
                 // rayon pool threads outlive the sweep; hand buffered
                 // events to the sink at this natural quiescence point
@@ -279,11 +266,6 @@ pub fn run_controlled(
     // reap watchdog helpers abandoned by timed-out live cells (bounded;
     // truly wedged helpers stay registered rather than hanging the sweep)
     backend::live::join_abandoned(Duration::from_millis(config.live_timeout_ms.min(5_000)));
-    if let Some(cluster) = shared {
-        if let Err(e) = cluster.shutdown() {
-            eprintln!("[campaign] shared live cluster teardown: {e}");
-        }
-    }
     let outcome = CampaignOutcome {
         cells,
         wall: start.elapsed(),
@@ -301,43 +283,6 @@ pub fn run_controlled(
         }
     }
     outcome
-}
-
-/// Boots the sweep-wide shared relay network when `--shared` asked for
-/// one and the grid has live cells that fit `live_max_n`: sized to the
-/// largest such cell (smaller cells route over a prefix sub-directory),
-/// seeded by the campaign seed, booted exactly once against the global
-/// [`anonroute_relay::ClusterBudget`]. Returns `None` — falling back to
-/// per-cell clusters — when shared mode is off, no live cell fits, or
-/// the boot itself fails (which is reported, not fatal).
-fn boot_shared_cluster(
-    config: &CampaignConfig,
-    scenarios: &[Scenario],
-) -> Option<anonroute_relay::SharedCluster> {
-    if !config.live_shared {
-        return None;
-    }
-    let max_n = scenarios
-        .iter()
-        .filter(|s| s.engine == EngineKind::Live && s.n <= config.live_max_n)
-        .map(|s| s.n)
-        .max()?;
-    let mut cluster = anonroute_relay::ClusterConfig::new(
-        max_n,
-        anonroute_core::PathLengthDist::fixed(1), // cells bring their own dist
-    );
-    cluster.seed = config.seed;
-    cluster.cell_size = config.live_cell_size;
-    match anonroute_relay::SharedCluster::boot(&cluster) {
-        Ok(shared) => Some(shared),
-        Err(e) => {
-            eprintln!(
-                "[campaign] shared live cluster failed to boot ({e}); \
-                 falling back to per-cell clusters"
-            );
-            None
-        }
-    }
 }
 
 /// Below this many cells, an auto-threaded (`threads == 0`) sweep of
@@ -398,7 +343,6 @@ fn run_cell(
     seed: u64,
     config: &CampaignConfig,
     cache: &EvaluatorCache,
-    shared: Option<&anonroute_relay::SharedCluster>,
 ) -> Result<CellMetrics, String> {
     let setup = phase_timer("cell.setup");
     let model = SystemModel::with_path_kind(scenario.n, scenario.c, scenario.path_kind)
@@ -440,7 +384,6 @@ fn run_cell(
         dynamics_seed: dyn_seed,
         config,
         cache,
-        shared,
     })?;
     metrics.profile.setup_us = setup_us;
     Ok(metrics)

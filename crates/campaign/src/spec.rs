@@ -14,18 +14,17 @@
 //! subset parsed in-tree — this build environment is offline, so no TOML
 //! crate is available. Supported: `[grid]` / `[run]` (alias `[config]`)
 //! tables, `#` comments, integer / float / boolean / quoted-string
-//! scalars, and flat arrays thereof. The run section accepts every
-//! sampling knob (`mc_samples`, `sim_messages`, `sim_max_n`,
-//! `live_messages`, `live_timeout_ms`, `live_max_n`, `live_cell_size`,
-//! `live_shared`) plus the
-//! observability switches (`progress = true`,
-//! `metrics_addr = "127.0.0.1:9464"`), so a grid file fully describes a
-//! run without CLI flags.
+//! scalars, and flat arrays thereof. The run section accepts every key
+//! of the run-settings table ([`crate::settings::RUN_SETTINGS`]) —
+//! sample counts, live-cluster sizing, and observability switches such
+//! as `progress = true` or `metrics_addr = "127.0.0.1:9464"` — so a grid
+//! file fully describes a run without CLI flags.
 
 use anonroute_core::epochs::{ChurnModel, RotationPolicy};
 
 use crate::grid::{parse_path_kind, EngineKind, ScenarioGrid, StrategySpec};
 use crate::runner::CampaignConfig;
+use crate::settings::{Access, RunSetting};
 
 /// Parses a list of non-negative integers: comma-separated values and/or
 /// `a..b` (exclusive) / `a..=b` (inclusive) ranges, e.g. `1,2,8..=10`.
@@ -369,34 +368,17 @@ pub fn parse_spec(
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(at)?;
             }
-            ("run", "threads") => config.threads = value.as_u64(key).map_err(at)? as usize,
-            ("run", "seed") => config.seed = value.as_u64(key).map_err(at)?,
-            ("run", "mc_samples") => config.mc_samples = value.as_u64(key).map_err(at)? as usize,
-            ("run", "sim_messages") => {
-                config.sim_messages = value.as_u64(key).map_err(at)? as usize
-            }
-            ("run", "sim_max_n") => config.sim_max_n = value.as_u64(key).map_err(at)? as usize,
-            ("run", "live_messages") => {
-                config.live_messages = value.as_u64(key).map_err(at)? as usize
-            }
-            ("run", "live_timeout_ms") => config.live_timeout_ms = value.as_u64(key).map_err(at)?,
-            ("run", "live_max_n") => config.live_max_n = value.as_u64(key).map_err(at)? as usize,
-            ("run", "live_cell_size") => {
-                config.live_cell_size = value.as_u64(key).map_err(at)? as usize
-            }
-            ("run", "live_shared") => config.live_shared = value.as_bool(key).map_err(at)?,
-            ("run", "progress") => config.progress = value.as_bool(key).map_err(at)?,
-            ("run", "trace_out") => {
-                config.trace_out =
-                    Some(std::path::PathBuf::from(value.as_one_str(key).map_err(at)?));
-            }
-            ("run", "metrics_addr") => {
-                let addr = value.as_one_str(key).map_err(at)?;
-                config.metrics_addr = Some(addr.parse().map_err(|e| {
-                    at(format!(
-                        "metrics_addr: `{addr}` is not a socket address ({e})"
-                    ))
-                })?);
+            ("run", _) => {
+                let setting = RunSetting::by_key(key)
+                    .ok_or_else(|| at(format!("unknown key `{key}` in section [run]")))?;
+                let text = match setting.access {
+                    Access::Count(..) => value.as_u64(key).map_err(at)?.to_string(),
+                    Access::Switch(..) => value.as_bool(key).map_err(at)?.to_string(),
+                    Access::Text(..) => value.as_one_str(key).map_err(at)?.to_string(),
+                };
+                setting
+                    .apply(&mut config, &text)
+                    .map_err(|e| at(format!("{key}: {e}")))?;
             }
             ("", _) => return Err(at(format!("key `{key}` outside [grid]/[run] section"))),
             (_, _) => return Err(at(format!("unknown key `{key}` in section [{section}]"))),
@@ -502,7 +484,9 @@ sim_messages = 800
     }
 
     #[test]
-    fn config_section_aliases_run_and_carries_live_settings() {
+    fn config_section_aliases_run() {
+        // every run key's parsing is covered by the run-settings table's
+        // round-trip test in manifest.rs; this pins the section alias
         let text = r#"
 [grid]
 n = 10
@@ -512,26 +496,12 @@ engines = ["exact", "live"]
 
 [config]
 seed = 5
-mc_samples = 1234
-sim_messages = 567
-sim_max_n = 200000
 live_messages = 89
-live_timeout_ms = 2500
-live_max_n = 12
-live_cell_size = 512
-live_shared = true
 "#;
         let (grid, config) = parse_spec(text, &CampaignConfig::default()).unwrap();
         assert_eq!(grid.engines, vec![EngineKind::Exact, EngineKind::Live]);
         assert_eq!(config.seed, 5);
-        assert_eq!(config.mc_samples, 1234);
-        assert_eq!(config.sim_messages, 567);
-        assert_eq!(config.sim_max_n, 200_000);
         assert_eq!(config.live_messages, 89);
-        assert_eq!(config.live_timeout_ms, 2500);
-        assert_eq!(config.live_max_n, 12);
-        assert_eq!(config.live_cell_size, 512);
-        assert!(config.live_shared);
     }
 
     #[test]

@@ -126,7 +126,6 @@ fn every_registered_backend_scores_through_the_trait_object() {
             dynamics_seed: 17,
             config: &config,
             cache: &cache,
-            shared: None,
         };
         let metrics = backend::backend(kind).evaluate(&ctx).unwrap();
         match metrics.sampled() {

@@ -1,7 +1,7 @@
-//! Acceptance: a sweep with several live cells in `--shared` mode boots
-//! the relay network exactly once (asserted via the process-wide
-//! `anonroute_cluster_boots_total` counter), and every cell still agrees
-//! with the closed-form engine.
+//! Acceptance: every live cell of a sweep boots its own relay cluster
+//! (asserted via the process-wide `anonroute_cluster_boots_total`
+//! counter), reports that boot in its profile, and still agrees with
+//! the closed-form engine.
 //!
 //! This lives in its own integration-test binary on purpose: the boot
 //! counter is process-global, so sharing a process with other live-cell
@@ -13,17 +13,15 @@ use anonroute_core::{engine, SystemModel};
 use anonroute_relay::ClusterMetrics;
 
 #[test]
-fn shared_sweep_boots_the_cluster_exactly_once() {
-    // 4 ns × 1 strategy = 4 live cells of different sub-network sizes
+fn every_live_cell_boots_its_own_cluster() {
+    // 4 ns × 1 strategy = 4 live cells of different network sizes
     let grid = ScenarioGrid::new()
         .ns([5, 6, 7, 8])
         .cs([1])
         .strategies([StrategySpec::Uniform(1, 3)])
         .engines([EngineKind::Live]);
-    assert_eq!(grid.len(), 4, "the acceptance sweep needs >= 4 live cells");
     let config = CampaignConfig {
         live_messages: 120,
-        live_shared: true,
         ..CampaignConfig::default()
     };
 
@@ -31,15 +29,10 @@ fn shared_sweep_boots_the_cluster_exactly_once() {
     let outcome = run(&grid, &config);
     let boots_after = ClusterMetrics::global().boots.get();
 
-    assert_eq!(
-        boots_after - boots_before,
-        1,
-        "a shared sweep boots one network for all {} live cells",
-        outcome.cells.len()
-    );
+    assert_eq!(boots_after - boots_before, 4, "one boot per live cell");
     assert_eq!(outcome.error_count(), 0, "{:?}", outcome.cells);
 
-    // measured anonymity still tracks the closed form per cell
+    // measured anonymity tracks the closed form per cell
     for cell in &outcome.cells {
         let model = SystemModel::new(cell.scenario.n, cell.scenario.c).unwrap();
         let dist = cell.scenario.strategy.realize(&model).unwrap();
@@ -51,17 +44,10 @@ fn shared_sweep_boots_the_cluster_exactly_once() {
             "{}: live {est} vs exact {exact}",
             cell.scenario
         );
-        assert_eq!(metrics.profile.boot_us, 0, "shared cells amortize the boot");
+        assert!(
+            metrics.profile.boot_us > 0,
+            "{}: boot unreported",
+            cell.scenario
+        );
     }
-
-    // the same grid without --shared boots one cluster per cell
-    let per_cell = CampaignConfig {
-        live_messages: 120,
-        ..CampaignConfig::default()
-    };
-    let before = ClusterMetrics::global().boots.get();
-    let fresh = run(&grid, &per_cell);
-    let after = ClusterMetrics::global().boots.get();
-    assert_eq!(after - before, 4, "default mode boots per cell");
-    assert_eq!(fresh.error_count(), 0);
 }

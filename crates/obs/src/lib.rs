@@ -55,4 +55,4 @@ pub use health::Health;
 pub use http::ObsServer;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::Registry;
-pub use trace::{render_chrome_trace, span, span_with, Span, TraceEvent, TraceSink};
+pub use trace::{json_escape, render_chrome_trace, span, span_with, Span, TraceEvent, TraceSink};

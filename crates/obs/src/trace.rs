@@ -254,8 +254,8 @@ pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
         write!(
             out,
             "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{}",
-            escape_json(e.name),
-            escape_json(e.cat),
+            json_escape(e.name),
+            json_escape(e.cat),
             e.ts_us,
             e.dur_us,
             e.tid
@@ -267,7 +267,7 @@ pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
                 if j > 0 {
                     out.push(',');
                 }
-                write!(out, "\"{}\":{}", escape_json(key), value)
+                write!(out, "\"{}\":{}", json_escape(key), value)
                     .expect("writing to a String cannot fail");
             }
             out.push('}');
@@ -278,8 +278,26 @@ pub fn render_chrome_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+/// Escapes `s` for use inside a JSON string literal: quotes,
+/// backslashes, and every control character (as `\n`, `\r`, `\t`, or
+/// `\u00XX`). The one JSON string escaper of the workspace — the trace
+/// export here and the campaign's JSONL and manifest writers all use it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail");
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -353,5 +371,27 @@ mod tests {
         let b = json.find("\"name\":\"b\"").expect("second event present");
         assert!(a < b, "events sort by timestamp");
         assert!(json.contains("\"args\":{\"epoch\":2}"));
+    }
+
+    #[test]
+    fn chrome_render_escapes_control_characters() {
+        let events = vec![TraceEvent {
+            name: "a\nb\t\u{1}",
+            cat: "c\r",
+            ts_us: 0,
+            dur_us: 1,
+            tid: 1,
+            args: vec![],
+        }];
+        let json = render_chrome_trace(&events);
+        assert!(json.contains("\"name\":\"a\\nb\\t\\u0001\""), "{json}");
+        assert!(json.contains("\"cat\":\"c\\r\""), "{json}");
+        assert!(!json.chars().any(|c| c < ' ' && c != '\n'), "{json:?}");
+    }
+
+    #[test]
+    fn json_escape_covers_quotes_backslashes_and_controls() {
+        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(json_escape("\u{1f}x\u{7f}é"), "\\u001fx\u{7f}é");
     }
 }

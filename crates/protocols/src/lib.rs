@@ -12,8 +12,6 @@
 //!   cycles (Crowds);
 //! * [`mix::MixNode`] — threshold Chaum mixes: onion routing plus batching
 //!   and reordering;
-//! * [`anonymizer::ProxyClientNode`] — single-proxy relaying (Anonymizer,
-//!   LPWA);
 //! * [`dcnet::DcNet`] — the non-rerouting dining-cryptographers baseline.
 //!
 //! Together with `anonroute_core::strategies`, each system's route
@@ -25,11 +23,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod anonymizer;
 pub mod crowds;
 pub mod dcnet;
 pub mod error;
-pub mod hordes;
 pub mod mix;
 pub mod onion_routing;
 pub mod route;

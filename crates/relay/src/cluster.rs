@@ -1,33 +1,40 @@
 //! The in-process cluster harness: N relays on loopback, seeded traffic,
 //! and a ground-truth link tap.
 //!
-//! [`run_cluster`] is the live-network analogue of one
-//! [`anonroute_sim::Simulation`] run: it binds every relay on a
-//! `127.0.0.1` ephemeral port, builds the [`Directory`] from the bound
-//! addresses, drives a schedule of [`Arrival`]s (from the
+//! [`SharedCluster`] is the one cluster runner. [`SharedCluster::boot`]
+//! binds every relay on a `127.0.0.1` ephemeral port and builds the
+//! [`Directory`] from the bound addresses; [`SharedCluster::run_cell`]
+//! drives a schedule of [`Arrival`]s (from the
 //! [`anonroute_sim::traffic`] generators) through a circuit-building
-//! [`Client`], and returns the tap's [`TransferRecord`] trace plus the
+//! [`Client`] and returns the tap's [`TransferRecord`] trace plus the
 //! receiver's deliveries — the exact inputs
 //! `anonroute_adversary::attack_trace` consumes, so the measured
 //! anonymity degree of live TCP traffic can be checked against
-//! `anonroute-core`'s analytic prediction.
+//! `anonroute-core`'s analytic prediction; [`SharedCluster::shutdown`]
+//! winds the network down and returns the per-relay counters.
+//!
+//! [`run_cluster`] is the live-network analogue of one
+//! [`anonroute_sim::Simulation`] run: boot, one cell, shutdown.
+//! [`run_cluster_budgeted_observed`] is the same run gated by a
+//! [`ClusterBudget`] and reporting its [`Phase`], the form sweeps use.
 //!
 //! Route sampling, handshake ephemerals, nonces, and payload junk all
 //! derive from the cluster seed, so the *observations* (and therefore the
 //! measured anonymity degree) are deterministic per seed even though TCP
 //! scheduling is not.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anonroute_core::{PathKind, PathLengthDist};
 use anonroute_crypto::handshake::NodeIdentity;
 use anonroute_sim::traffic::Arrival;
-use anonroute_sim::{Delivery, MsgId, Origination, TransferRecord};
+use anonroute_sim::{MsgId, Origination, TransferRecord};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::budget::{BudgetPermit, ClusterBudget};
+use crate::budget::ClusterBudget;
 use crate::circuit::DEFAULT_CELL_SIZE;
 use crate::client::Client;
 use crate::daemon::{PendingRelay, Relay, RelayConfig, RelayStats};
@@ -81,7 +88,7 @@ impl ClusterConfig {
     }
 
     /// Relay slots this cluster costs against a
-    /// [`ClusterBudget`](crate::budget::ClusterBudget): one per member
+    /// [`ClusterBudget`]: one per member
     /// relay plus one for the receiver server. The single source of
     /// truth for slot accounting — every budgeted caller must use it.
     pub fn budget_slots(&self) -> usize {
@@ -96,7 +103,7 @@ pub struct ClusterOutcome {
     /// `anonroute_adversary::Adversary` to reconstruct observations.
     pub trace: Vec<TransferRecord>,
     /// Payloads the receiver collected, in arrival order.
-    pub deliveries: Vec<Delivery>,
+    pub deliveries: Vec<anonroute_sim::Delivery>,
     /// Ground-truth senders, in origination order (scoring only).
     pub originations: Vec<Origination>,
     /// Per-relay traffic counters, indexed by member id.
@@ -122,61 +129,28 @@ pub fn cluster_identity(seed: u64, id: usize) -> NodeIdentity {
     NodeIdentity::derive(&net_seed(seed), id as u64)
 }
 
-/// [`run_cluster`] gated by a [`ClusterBudget`](crate::budget::ClusterBudget):
-/// blocks until `budget` has [`ClusterConfig::budget_slots`] free relay
-/// slots (members plus the receiver server), then runs the cluster while
-/// holding them — the headless per-cell entry point for sweeps that
-/// evaluate many live clusters concurrently.
-///
-/// # Errors
-///
-/// Exactly those of [`run_cluster`].
-pub fn run_cluster_with_budget(
-    config: &ClusterConfig,
-    arrivals: &[Arrival],
-    budget: &crate::budget::ClusterBudget,
-) -> Result<ClusterOutcome> {
-    run_cluster_budgeted_unless(
-        config,
-        arrivals,
-        budget,
-        &std::sync::atomic::AtomicBool::new(false),
-    )
-    .expect("a false abandonment flag never cancels the run")
-}
-
-/// The cancellable form of [`run_cluster_with_budget`]: after the
-/// (possibly long) wait for budget slots, gives up and returns `None`
-/// without booting anything if `abandoned` was set in the meantime —
-/// the hook sweep watchdogs use so a cell that timed out while queued
-/// doesn't burn slots on a cluster run nobody will read. This is the
-/// single slot-accounting path; every budgeted run goes through it.
-pub fn run_cluster_budgeted_unless(
-    config: &ClusterConfig,
-    arrivals: &[Arrival],
-    budget: &crate::budget::ClusterBudget,
-    abandoned: &std::sync::atomic::AtomicBool,
-) -> Option<Result<ClusterOutcome>> {
-    run_cluster_budgeted_observed(config, arrivals, budget, abandoned, &PhaseCell::new())
-}
-
-/// [`run_cluster_budgeted_unless`] with a shared [`PhaseCell`] the run
-/// keeps current — the observable form sweep watchdogs use to report
-/// *where* a timed-out cell was (queued on the budget vs booting vs
-/// handshaking vs passing traffic) instead of just that it wedged.
+/// [`run_cluster`] gated by a [`ClusterBudget`] and keeping `phase`
+/// current: blocks until `budget` has [`ClusterConfig::budget_slots`]
+/// free relay slots (members plus the receiver server), then runs the
+/// cluster while holding them. After the (possibly long) wait it gives
+/// up and returns `None` without booting anything if `abandoned` was set
+/// in the meantime — the hook sweep watchdogs use so a cell that timed
+/// out while queued doesn't burn slots on a run nobody will read, and
+/// the phase cell tells them *where* a timed-out run was (queued on the
+/// budget vs booting vs handshaking vs passing traffic).
 pub fn run_cluster_budgeted_observed(
     config: &ClusterConfig,
     arrivals: &[Arrival],
-    budget: &crate::budget::ClusterBudget,
-    abandoned: &std::sync::atomic::AtomicBool,
+    budget: &ClusterBudget,
+    abandoned: &AtomicBool,
     phase: &PhaseCell,
 ) -> Option<Result<ClusterOutcome>> {
     phase.set(Phase::Queued);
     let _permit = budget.acquire(config.budget_slots());
-    if abandoned.load(std::sync::atomic::Ordering::SeqCst) {
+    if abandoned.load(Ordering::SeqCst) {
         return None;
     }
-    Some(run_cluster_observed(config, arrivals, phase))
+    Some(run_phased(config, arrivals, phase))
 }
 
 /// Runs `arrivals` through a fresh loopback cluster and drains it.
@@ -189,25 +163,31 @@ pub fn run_cluster_budgeted_observed(
 /// when any relay/receiver thread panicked, and I/O or strategy errors
 /// from setup.
 pub fn run_cluster(config: &ClusterConfig, arrivals: &[Arrival]) -> Result<ClusterOutcome> {
-    run_cluster_observed(config, arrivals, &PhaseCell::new())
+    run_phased(config, arrivals, &PhaseCell::new())
 }
 
-/// [`run_cluster`] keeping `phase` current as the run advances through
-/// its lifecycle, and feeding the process-wide
-/// [`ClusterMetrics`] aggregates. Metrics
-/// are write-only sinks: nothing the run computes depends on them, so
-/// observed and unobserved runs produce identical outcomes per seed.
-///
-/// # Errors
-///
-/// Exactly those of [`run_cluster`].
-pub fn run_cluster_observed(
+/// Boot, one cell spanning the whole cluster, shutdown — feeding the
+/// process-wide [`ClusterMetrics`] aggregates. Metrics are write-only
+/// sinks: nothing the run computes depends on them.
+fn run_phased(
     config: &ClusterConfig,
     arrivals: &[Arrival],
     phase: &PhaseCell,
 ) -> Result<ClusterOutcome> {
+    let result = (|| {
+        phase.set(Phase::Boot);
+        let cluster = SharedCluster::boot(config)?;
+        let cell = cluster.run_cell(config, arrivals, phase);
+        let boot_micros = cluster.boot_micros();
+        phase.set(Phase::Teardown);
+        let stats = cluster.shutdown();
+        // a traffic error outranks a teardown error
+        let mut outcome = cell?;
+        outcome.stats = stats?;
+        outcome.boot_micros = boot_micros;
+        Ok(outcome)
+    })();
     let metrics = ClusterMetrics::global();
-    let result = run_cluster_inner(config, arrivals, phase, metrics);
     match &result {
         Ok(outcome) => metrics.record_run(true, &outcome.stats),
         Err(_) => metrics.record_run(false, &[]),
@@ -216,212 +196,19 @@ pub fn run_cluster_observed(
     result
 }
 
-fn run_cluster_inner(
-    config: &ClusterConfig,
-    arrivals: &[Arrival],
-    phase: &PhaseCell,
-    metrics: &ClusterMetrics,
-) -> Result<ClusterOutcome> {
-    if config.n == 0 {
-        return Err(Error::Config("a cluster needs at least one relay".into()));
-    }
-    for arrival in arrivals {
-        if arrival.sender >= config.n {
-            return Err(Error::Config(format!(
-                "arrival sender {} out of range (n={})",
-                arrival.sender, config.n
-            )));
-        }
-    }
-    phase.set(Phase::Boot);
-    let boot_start = Instant::now();
-    let boot_span = anonroute_obs::span_with("cluster.boot", "relay", &[("epoch", config.epoch)]);
-    let tap = LinkTap::new();
-    let receiver = ReceiverServer::spawn(tap.clone(), config.io_timeout)?;
-    let relay_cfg = RelayConfig {
-        cell_size: config.cell_size,
-        io_timeout: config.io_timeout,
-        ..RelayConfig::default()
-    };
-
-    // bind every listener first so the directory can carry real ports
-    let mut pending: Vec<PendingRelay> = Vec::with_capacity(config.n);
-    for id in 0..config.n {
-        match PendingRelay::bind(id, cluster_identity(config.seed, id), relay_cfg) {
-            Ok(p) => pending.push(p),
-            Err(e) => {
-                let _ = receiver.join(config.join_timeout);
-                return Err(e);
-            }
-        }
-    }
-    let nodes: Vec<NodeInfo> = pending
-        .iter()
-        .map(|p| NodeInfo {
-            id: p.id(),
-            addr: p.addr(),
-            public: p.public(),
-        })
-        .collect();
-    let directory = match Directory::new(nodes, receiver.addr()) {
-        Ok(d) => Arc::new(d),
-        Err(e) => {
-            let _ = receiver.join(config.join_timeout);
-            return Err(e);
-        }
-    };
-    let relays: Vec<Relay> = pending
-        .into_iter()
-        .map(|p| {
-            let junk_seed = config
-                .seed
-                .wrapping_add(config.epoch.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-                .wrapping_add((p.id() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            p.serve(Arc::clone(&directory), tap.clone(), junk_seed)
-        })
-        .collect();
-    metrics.boots.inc();
-    metrics
-        .boot_seconds
-        .observe(boot_start.elapsed().as_secs_f64());
-    let boot_micros = boot_start.elapsed().as_micros() as u64;
-    drop(boot_span);
-
-    // drive the workload; the client drops (closing its connections) as
-    // soon as the last cell is on the wire. The first send is where
-    // onion handshakes can first fail, so it gets its own phase.
-    phase.set(Phase::Handshake);
-    let traffic_start = Instant::now();
-    let traffic_span =
-        anonroute_obs::span_with("cluster.traffic", "relay", &[("epoch", config.epoch)]);
-    let send_result = (|| -> Result<Vec<Origination>> {
-        let mut client = Client::new(
-            Arc::clone(&directory),
-            config.dist.clone(),
-            config.path_kind,
-            config.cell_size,
-            Some(tap.clone()),
-        )?;
-        // epoch 0 leaves the stream untouched; later epochs re-key every
-        // circuit built over the same relay identities
-        let mut rng = StdRng::seed_from_u64(
-            config.seed ^ 0x517E_C0DE_5EED_0001 ^ config.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        );
-        let mut originations = Vec::with_capacity(arrivals.len());
-        for (i, arrival) in arrivals.iter().enumerate() {
-            let msg = MsgId(i as u64);
-            originations.push(Origination {
-                time: tap.now(),
-                sender: arrival.sender,
-                msg,
-            });
-            client.send(arrival.sender, msg, &arrival.payload, &mut rng)?;
-            if i == 0 {
-                phase.set(Phase::Traffic);
-            }
-        }
-        Ok(originations)
-    })();
-
-    let all_arrived = match &send_result {
-        Ok(_) => {
-            phase.set(Phase::Drain);
-            receiver.wait_for(arrivals.len(), config.deliver_timeout)
-        }
-        Err(_) => false,
-    };
-    let traffic_micros = traffic_start.elapsed().as_micros() as u64;
-    drop(traffic_span);
-
-    // teardown is unconditional and bounded; keep the first error seen
-    phase.set(Phase::Teardown);
-    let _teardown_span =
-        anonroute_obs::span_with("cluster.teardown", "relay", &[("epoch", config.epoch)]);
-    let mut stats = Vec::with_capacity(config.n);
-    let mut teardown_err: Option<Error> = None;
-    for relay in relays {
-        match relay.join(config.join_timeout) {
-            Ok(s) => stats.push(s),
-            Err(e) => {
-                stats.push(RelayStats::default());
-                teardown_err.get_or_insert(e);
-            }
-        }
-    }
-    let deliveries = match receiver.join(config.join_timeout) {
-        Ok(d) => d,
-        Err(e) => {
-            teardown_err.get_or_insert(e);
-            Vec::new()
-        }
-    };
-
-    let originations = send_result?;
-    if let Some(e) = teardown_err {
-        return Err(e);
-    }
-    if !all_arrived {
-        return Err(Error::Timeout(format!(
-            "only {} of {} messages delivered within {:?}",
-            deliveries.len(),
-            arrivals.len(),
-            config.deliver_timeout
-        )));
-    }
-    Ok(ClusterOutcome {
-        trace: tap.snapshot(),
-        deliveries,
-        originations,
-        stats,
-        boot_micros,
-        traffic_micros,
-    })
-}
-
-/// Parameters of one evaluation cell run against a [`SharedCluster`].
+/// A booted loopback cluster that evaluation cells run against.
 ///
-/// A cell is the shared analogue of one [`run_cluster`] call: it picks a
-/// sub-network size, a path-length strategy, and a seed, but reuses the
-/// already-booted relays instead of binding fresh ones. The cell's
-/// `seed`/`epoch` drive *circuit material only* (routes, handshake
-/// ephemerals, nonces) — relay identities stay those of the shared
-/// cluster — which is exactly the property that keeps cell observations
-/// byte-identical to a fresh cluster run with the same parameters: trace
-/// shape depends on the sampled routes, never on which long-lived
-/// identity sits at a directory index.
-#[derive(Debug, Clone)]
-pub struct SharedCellSpec {
-    /// Sub-network size: the cell routes over the first `n` members of
-    /// the shared cluster (directory indices agree between the prefix
-    /// view and the relays' full view, so forwarding needs no remap).
-    pub n: usize,
-    /// Path-length strategy the cell's client samples circuits from.
-    pub dist: PathLengthDist,
-    /// Path kind (simple or cyclic routes).
-    pub path_kind: PathKind,
-    /// Per-cell seed for routes, ephemerals, and nonces.
-    pub seed: u64,
-    /// Epoch number mixed into the circuit-material stream.
-    pub epoch: u64,
-    /// How long to await full delivery after the last origination.
-    pub deliver_timeout: Duration,
-}
-
-/// A long-running loopback cluster that many evaluation cells attach to.
-///
-/// [`run_cluster`] boots and tears down the whole network per call — the
-/// right contract for one-shot determinism, but a sweep with dozens of
-/// live cells pays the bind/handshake/teardown tax dozens of times.
-/// `SharedCluster` boots once (one `anonroute_cluster_boots_total`
-/// increment, one budget acquisition held for its lifetime) and lets each
-/// cell re-key circuits over the standing relays via [`run_cell`].
+/// One boot is one `anonroute_cluster_boots_total` increment; each cell
+/// re-keys circuits over the standing relays via [`run_cell`], and
+/// [`shutdown`] winds everything down.
 ///
 /// Message-id ranges are allocated disjointly per cell, so concurrent
 /// cells share the receiver and the link tap without mixing traffic; each
 /// cell's outcome is sliced out of the global streams and remapped to
-///0-based ids, matching the shape a fresh cluster would have produced.
+/// 0-based ids, matching the shape a fresh cluster would have produced.
 ///
 /// [`run_cell`]: SharedCluster::run_cell
+/// [`shutdown`]: SharedCluster::shutdown
 #[derive(Debug)]
 pub struct SharedCluster {
     config: ClusterConfig,
@@ -430,52 +217,29 @@ pub struct SharedCluster {
     relays: Mutex<Vec<Option<Relay>>>,
     receiver: Option<ReceiverServer>,
     tap: LinkTap,
-    next_msg: Mutex<u64>,
+    next_msg: AtomicU64,
     boot_micros: u64,
-    _permit: Option<BudgetPermit<'static>>,
 }
 
 impl SharedCluster {
-    /// Boots the shared network against the process-wide
-    /// [`ClusterBudget::global`], holding
-    /// [`ClusterConfig::budget_slots`] until shutdown.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SharedCluster::boot_with_budget`].
-    pub fn boot(config: &ClusterConfig) -> Result<SharedCluster> {
-        Self::boot_with_budget(config, ClusterBudget::global())
-    }
-
-    /// Boots the shared network, first acquiring
-    /// [`ClusterConfig::budget_slots`] from `budget`. The permit is held
-    /// for the cluster's whole lifetime — cells cost nothing extra.
+    /// Boots the network: binds the receiver and every member relay,
+    /// builds the directory from the bound addresses, and starts the
+    /// daemons. Callers that share the loopback with other clusters hold
+    /// a [`ClusterBudget`] permit for the cluster's lifetime.
     ///
     /// # Errors
     ///
     /// [`Error::Config`] on invalid parameters, plus I/O errors from
     /// binding relays or the receiver.
-    pub fn boot_with_budget(
-        config: &ClusterConfig,
-        budget: &'static ClusterBudget,
-    ) -> Result<SharedCluster> {
-        let permit = budget.acquire(config.budget_slots());
-        Self::boot_inner(config, Some(permit))
-    }
-
-    fn boot_inner(
-        config: &ClusterConfig,
-        permit: Option<BudgetPermit<'static>>,
-    ) -> Result<SharedCluster> {
+    pub fn boot(config: &ClusterConfig) -> Result<SharedCluster> {
         if config.n == 0 {
             return Err(Error::Config("a cluster needs at least one relay".into()));
         }
-        let metrics = ClusterMetrics::global();
         let boot_start = Instant::now();
         let boot_span = anonroute_obs::span_with(
             "cluster.boot",
             "relay",
-            &[("shared", 1), ("n", config.n as u64)],
+            &[("n", config.n as u64), ("epoch", config.epoch)],
         );
         let tap = LinkTap::new();
         let receiver = ReceiverServer::spawn(tap.clone(), config.io_timeout)?;
@@ -484,6 +248,7 @@ impl SharedCluster {
             io_timeout: config.io_timeout,
             ..RelayConfig::default()
         };
+        // bind every listener first so the directory can carry real ports
         let mut pending: Vec<PendingRelay> = Vec::with_capacity(config.n);
         for id in 0..config.n {
             match PendingRelay::bind(id, cluster_identity(config.seed, id), relay_cfg) {
@@ -519,6 +284,7 @@ impl SharedCluster {
                 Some(p.serve(Arc::clone(&directory), tap.clone(), junk_seed))
             })
             .collect();
+        let metrics = ClusterMetrics::global();
         metrics.boots.inc();
         metrics
             .boot_seconds
@@ -532,16 +298,9 @@ impl SharedCluster {
             relays: Mutex::new(relays),
             receiver: Some(receiver),
             tap,
-            next_msg: Mutex::new(0),
+            next_msg: AtomicU64::new(0),
             boot_micros,
-            _permit: permit,
         })
-    }
-
-    /// Number of member relays the cluster was booted with (relays killed
-    /// via [`SharedCluster::kill_relay`] still count toward capacity).
-    pub fn n(&self) -> usize {
-        self.config.n
     }
 
     /// The full network map cells over the whole membership route with.
@@ -549,7 +308,7 @@ impl SharedCluster {
         Arc::clone(&self.directory)
     }
 
-    /// Wall-clock microseconds the one-time boot took.
+    /// Wall-clock microseconds the boot took.
     pub fn boot_micros(&self) -> u64 {
         self.boot_micros
     }
@@ -560,105 +319,91 @@ impl SharedCluster {
             .expect("receiver lives until shutdown")
     }
 
-    /// Runs one evaluation cell over the standing network; see
-    /// [`SharedCellSpec`] for what a cell controls. Concurrent cells are
-    /// safe: message-id ranges are disjoint and each cell slices only its
-    /// own records out of the shared streams.
+    /// Runs one evaluation cell over the standing network, keeping
+    /// `phase` current (handshake → traffic → drain). From `cell` it
+    /// takes `n` (the cell routes over the first `n` members; directory
+    /// indices agree between that prefix and the relays' full view, so
+    /// forwarding needs no remap), `dist`, `path_kind`, `seed`, `epoch`,
+    /// and `deliver_timeout`; cell size and socket timeouts are the
+    /// cluster's. The cell's `seed`/`epoch` drive *circuit material
+    /// only* (routes, handshake ephemerals, nonces) — relay identities
+    /// stay those of the cluster, and trace shape depends on the sampled
+    /// routes, never on which identity sits at a directory index.
+    /// Concurrent cells are safe: message-id ranges are disjoint and each
+    /// cell awaits and slices only its own records out of the shared
+    /// streams.
     ///
     /// The returned [`ClusterOutcome`] matches a fresh [`run_cluster`]
-    /// with the same parameters except: `boot_micros` is `0` (the boot is
-    /// amortized) and `stats` are zeroed (relay counters are cumulative
-    /// across cells and only collected at [`SharedCluster::shutdown`]).
+    /// with the same parameters except: `boot_micros` is `0` (the boot
+    /// belongs to the cluster, see [`SharedCluster::boot_micros`]) and
+    /// `stats` is empty (relay counters are cumulative across cells and
+    /// only collected at [`SharedCluster::shutdown`]).
     ///
     /// # Errors
     ///
     /// [`Error::Config`] on invalid parameters, [`Error::Timeout`] when
     /// not every message was delivered within the cell's deadline, and
     /// I/O or strategy errors from sending.
-    pub fn run_cell(&self, spec: &SharedCellSpec, arrivals: &[Arrival]) -> Result<ClusterOutcome> {
-        self.run_cell_observed(spec, arrivals, &PhaseCell::new())
-    }
-
-    /// [`SharedCluster::run_cell`] keeping `phase` current (handshake →
-    /// traffic → drain → done), for sweep watchdogs.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`SharedCluster::run_cell`].
-    pub fn run_cell_observed(
+    pub fn run_cell(
         &self,
-        spec: &SharedCellSpec,
+        cell: &ClusterConfig,
         arrivals: &[Arrival],
         phase: &PhaseCell,
     ) -> Result<ClusterOutcome> {
-        let metrics = ClusterMetrics::global();
-        let result = self.run_cell_inner(spec, arrivals, phase);
-        metrics.record_run(result.is_ok(), &[]);
-        phase.set(Phase::Done);
-        result
-    }
-
-    fn run_cell_inner(
-        &self,
-        spec: &SharedCellSpec,
-        arrivals: &[Arrival],
-        phase: &PhaseCell,
-    ) -> Result<ClusterOutcome> {
-        if spec.n == 0 {
+        if cell.n == 0 {
             return Err(Error::Config("a cell needs at least one relay".into()));
         }
-        if spec.n > self.nodes.len() {
+        if cell.n > self.nodes.len() {
             return Err(Error::Config(format!(
-                "cell wants n={} but the shared cluster only has {} relays",
-                spec.n,
+                "cell wants n={} but the cluster only has {} relays",
+                cell.n,
                 self.nodes.len()
             )));
         }
         for arrival in arrivals {
-            if arrival.sender >= spec.n {
+            if arrival.sender >= cell.n {
                 return Err(Error::Config(format!(
                     "arrival sender {} out of range (n={})",
-                    arrival.sender, spec.n
+                    arrival.sender, cell.n
                 )));
             }
         }
         // the prefix sub-directory shares indices with the relays' full
         // view, so onions built against it forward without remapping
-        let directory = if spec.n == self.nodes.len() {
+        let directory = if cell.n == self.nodes.len() {
             Arc::clone(&self.directory)
         } else {
             Arc::new(Directory::new(
-                self.nodes[..spec.n].to_vec(),
+                self.nodes[..cell.n].to_vec(),
                 self.receiver().addr(),
             )?)
         };
         // reserve a message-id range disjoint from every other cell
-        let base = {
-            let mut next = self.next_msg.lock().expect("msg-range lock");
-            let base = *next;
-            *next += arrivals.len() as u64;
-            base
-        };
-        let want = arrivals.len();
+        let want = arrivals.len() as u64;
+        let base = self.next_msg.fetch_add(want, Ordering::SeqCst);
+        let ids = base..base + want;
 
+        // drive the workload; the client drops (closing its connections)
+        // as soon as the last cell is on the wire. The first send is
+        // where onion handshakes can first fail, so it gets its own phase.
         phase.set(Phase::Handshake);
         let traffic_start = Instant::now();
         let traffic_span =
-            anonroute_obs::span_with("cluster.traffic", "relay", &[("epoch", spec.epoch)]);
-        let send_result = (|| -> Result<Vec<Origination>> {
+            anonroute_obs::span_with("cluster.traffic", "relay", &[("epoch", cell.epoch)]);
+        let mut originations = (|| -> Result<Vec<Origination>> {
             let mut client = Client::new(
                 directory,
-                spec.dist.clone(),
-                spec.path_kind,
+                cell.dist.clone(),
+                cell.path_kind,
                 self.config.cell_size,
                 Some(self.tap.clone()),
             )?;
-            // the same stream formula as run_cluster, keyed by the
-            // *cell's* seed — shape-identical to a fresh cluster run
+            // epoch 0 leaves the stream untouched; later epochs re-key
+            // every circuit built over the same relay identities
             let mut rng = StdRng::seed_from_u64(
-                spec.seed ^ 0x517E_C0DE_5EED_0001 ^ spec.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                cell.seed ^ 0x517E_C0DE_5EED_0001 ^ cell.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let mut originations = Vec::with_capacity(want);
+            let mut originations = Vec::with_capacity(arrivals.len());
             for (i, arrival) in arrivals.iter().enumerate() {
                 let msg = MsgId(base + i as u64);
                 originations.push(Origination {
@@ -672,42 +417,31 @@ impl SharedCluster {
                 }
             }
             Ok(originations)
-        })();
-        let mut originations = send_result?;
+        })()?;
 
-        // drain: poll the shared receiver for this cell's range only
         phase.set(Phase::Drain);
-        let deadline = Instant::now() + spec.deliver_timeout;
-        let in_range = |m: MsgId| m.0 >= base && m.0 < base + want as u64;
-        let mut scanned = 0usize;
-        let mut deliveries: Vec<Delivery> = Vec::with_capacity(want);
-        while deliveries.len() < want {
-            let tail = self.receiver().deliveries_since(scanned);
-            scanned += tail.len();
-            deliveries.extend(tail.into_iter().filter(|d| in_range(d.msg)));
-            if deliveries.len() >= want {
-                break;
-            }
-            if Instant::now() >= deadline {
-                return Err(Error::Timeout(format!(
-                    "only {} of {} messages delivered within {:?}",
-                    deliveries.len(),
-                    want,
-                    spec.deliver_timeout
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(2));
+        let mut deliveries = self
+            .receiver()
+            .take_range(ids.clone(), cell.deliver_timeout);
+        if deliveries.len() < arrivals.len() {
+            return Err(Error::Timeout(format!(
+                "only {} of {} messages delivered within {:?}",
+                deliveries.len(),
+                arrivals.len(),
+                cell.deliver_timeout
+            )));
         }
         let traffic_micros = traffic_start.elapsed().as_micros() as u64;
         drop(traffic_span);
 
-        // slice this cell out of the shared streams and rebase msg ids so
-        // the outcome is indistinguishable from a fresh cluster's
+        // every hop records its edge before sending, so once all of the
+        // cell's deliveries are in, so is its whole trace; slice it out
+        // and rebase msg ids so the outcome matches a fresh cluster's
         let mut trace: Vec<TransferRecord> = self
             .tap
             .snapshot()
             .into_iter()
-            .filter(|r| in_range(r.msg))
+            .filter(|r| ids.contains(&r.msg.0))
             .collect();
         for r in &mut trace {
             r.msg = MsgId(r.msg.0 - base);
@@ -722,7 +456,7 @@ impl SharedCluster {
             trace,
             deliveries,
             originations,
-            stats: vec![RelayStats::default(); spec.n],
+            stats: Vec::new(),
             boot_micros: 0,
             traffic_micros,
         })
@@ -758,13 +492,15 @@ impl SharedCluster {
 
     /// Winds the whole network down: joins every still-running relay and
     /// the receiver, returning per-relay cumulative traffic counters
-    /// (zeroed for relays killed earlier). Releases the budget permit.
+    /// (zeroed for relays killed earlier).
     ///
     /// # Errors
     ///
     /// The first join error seen; teardown still proceeds through every
     /// component.
     pub fn shutdown(mut self) -> Result<Vec<RelayStats>> {
+        let _teardown_span =
+            anonroute_obs::span_with("cluster.teardown", "relay", &[("epoch", self.config.epoch)]);
         self.wind_down()
     }
 
@@ -818,6 +554,28 @@ mod tests {
         .generate(n, &mut StdRng::seed_from_u64(seed))
     }
 
+    fn shape(t: &[TransferRecord]) -> Vec<(Endpoint, Endpoint, MsgId)> {
+        let mut edges: Vec<(Endpoint, Endpoint, MsgId)> =
+            t.iter().map(|r| (r.from, r.to, r.msg)).collect();
+        edges.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
+        edges
+    }
+
+    fn budgeted(
+        config: &ClusterConfig,
+        arrivals: &[Arrival],
+        budget: &ClusterBudget,
+    ) -> Result<ClusterOutcome> {
+        run_cluster_budgeted_observed(
+            config,
+            arrivals,
+            budget,
+            &AtomicBool::new(false),
+            &PhaseCell::new(),
+        )
+        .expect("a false abandonment flag never cancels the run")
+    }
+
     #[test]
     fn fixed_two_hop_cluster_delivers_everything() {
         let config = ClusterConfig::new(6, PathLengthDist::fixed(2));
@@ -826,8 +584,11 @@ mod tests {
 
         assert_eq!(outcome.deliveries.len(), 25);
         assert_eq!(outcome.originations.len(), 25);
+        assert!(outcome.boot_micros > 0, "the run reports its boot");
         // l = 2: sender→x1, x1→x2, x2→receiver per message
         assert_eq!(outcome.trace.len(), 75);
+        // the per-relay counters come from the cluster's shutdown
+        assert_eq!(outcome.stats.len(), 6);
         let relayed: u64 = outcome.stats.iter().map(|s| s.relayed).sum();
         let delivered: u64 = outcome.stats.iter().map(|s| s.delivered).sum();
         let dropped: u64 = outcome.stats.iter().map(|s| s.dropped).sum();
@@ -862,9 +623,7 @@ mod tests {
         let outcome = run_cluster(&config, &arrivals).unwrap();
         assert_eq!(outcome.deliveries.len(), 8);
         assert_eq!(outcome.trace.len(), 8);
-        for (d, o) in outcome.deliveries.iter().zip(&outcome.originations) {
-            // arrival order == origination order on a single direct link
-            let _ = o;
+        for d in &outcome.deliveries {
             assert!(matches!(d.last_hop, Endpoint::Node(_)));
         }
         let relayed: u64 = outcome.stats.iter().map(|s| s.relayed).sum();
@@ -872,32 +631,10 @@ mod tests {
     }
 
     #[test]
-    fn same_seed_reproduces_the_same_observations() {
-        let config = ClusterConfig::new(5, PathLengthDist::uniform(1, 3).unwrap());
-        let arrivals = workload(5, 15, 21);
-        let a = run_cluster(&config, &arrivals).unwrap();
-        let b = run_cluster(&config, &arrivals).unwrap();
-        // timestamps differ; the observable structure must not
-        let shape = |t: &[TransferRecord]| {
-            let mut edges: Vec<(Endpoint, Endpoint, MsgId)> =
-                t.iter().map(|r| (r.from, r.to, r.msg)).collect();
-            edges.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-            edges
-        };
-        assert_eq!(shape(&a.trace), shape(&b.trace));
-    }
-
-    #[test]
     fn epochs_rekey_circuits_but_not_identities() {
         let mut config = ClusterConfig::new(5, PathLengthDist::uniform(1, 3).unwrap());
         config.seed = 13;
         let arrivals = workload(5, 12, 4);
-        let shape = |t: &[TransferRecord]| {
-            let mut edges: Vec<(Endpoint, Endpoint, MsgId)> =
-                t.iter().map(|r| (r.from, r.to, r.msg)).collect();
-            edges.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-            edges
-        };
         let epoch0 = run_cluster(&config, &arrivals).unwrap();
         config.epoch = 1;
         let epoch1 = run_cluster(&config, &arrivals).unwrap();
@@ -912,34 +649,51 @@ mod tests {
             shape(&epoch1.trace),
             "each epoch must re-key and re-route its circuits"
         );
-        // ...deterministically: the same epoch reproduces its own shape
+        // ...deterministically: the same seed and epoch reproduce their
+        // shape (timestamps differ; the observable structure must not)
         let epoch1_again = run_cluster(&config, &arrivals).unwrap();
         assert_eq!(shape(&epoch1.trace), shape(&epoch1_again.trace));
     }
 
     #[test]
+    fn observed_runs_walk_the_phases_and_end_done() {
+        let budget = ClusterBudget::new(8);
+        let config = ClusterConfig::new(3, PathLengthDist::fixed(1));
+        let phase = PhaseCell::new();
+        let outcome = run_cluster_budgeted_observed(
+            &config,
+            &workload(3, 4, 9),
+            &budget,
+            &AtomicBool::new(false),
+            &phase,
+        )
+        .unwrap()
+        .unwrap();
+        assert_eq!(outcome.deliveries.len(), 4);
+        assert_eq!(phase.get(), Phase::Done);
+    }
+
+    #[test]
     fn budgeted_runs_serialize_on_a_tiny_budget() {
-        use crate::budget::ClusterBudget;
         // capacity 4 < n + 1 = 5: the request clamps and the cluster
         // still runs to completion (exclusively)
         let budget = ClusterBudget::new(4);
         let config = ClusterConfig::new(4, PathLengthDist::fixed(1));
         let arrivals = workload(4, 6, 2);
-        let outcome = run_cluster_with_budget(&config, &arrivals, &budget).unwrap();
+        let outcome = budgeted(&config, &arrivals, &budget).unwrap();
         assert_eq!(outcome.deliveries.len(), 6);
         assert_eq!(budget.available(), budget.capacity(), "slots returned");
     }
 
     #[test]
     fn budget_slots_survive_every_failure_path() {
-        use std::sync::atomic::AtomicBool;
         let budget = ClusterBudget::new(3);
         // config error before any boot: repeat more times than the
         // budget has slots so a single leaked permit would wedge the loop
         let bad = ClusterConfig::new(0, PathLengthDist::fixed(1));
         for _ in 0..4 {
             assert!(matches!(
-                run_cluster_with_budget(&bad, &[], &budget),
+                budgeted(&bad, &[], &budget),
                 Err(Error::Config(_))
             ));
             assert_eq!(budget.available(), budget.capacity());
@@ -948,18 +702,25 @@ mod tests {
         // cluster, then the client rejects the unrealizable strategy
         let unrealizable = ClusterConfig::new(2, PathLengthDist::fixed(5));
         for _ in 0..4 {
-            assert!(run_cluster_with_budget(&unrealizable, &workload(2, 1, 1), &budget).is_err());
+            assert!(budgeted(&unrealizable, &workload(2, 1, 1), &budget).is_err());
             assert_eq!(budget.available(), budget.capacity());
         }
         // a cell abandoned while queued boots nothing and returns slots
         let config = ClusterConfig::new(2, PathLengthDist::fixed(1));
         let abandoned = AtomicBool::new(true);
-        assert!(
-            run_cluster_budgeted_unless(&config, &workload(2, 1, 1), &budget, &abandoned).is_none()
-        );
+        let phase = PhaseCell::new();
+        assert!(run_cluster_budgeted_observed(
+            &config,
+            &workload(2, 1, 1),
+            &budget,
+            &abandoned,
+            &phase
+        )
+        .is_none());
+        assert_eq!(phase.get(), Phase::Queued, "an abandoned run never boots");
         assert_eq!(budget.available(), budget.capacity());
         // after all that abuse the budget still serves a real run
-        let outcome = run_cluster_with_budget(&config, &workload(2, 3, 5), &budget).unwrap();
+        let outcome = budgeted(&config, &workload(2, 3, 5), &budget).unwrap();
         assert_eq!(outcome.deliveries.len(), 3);
         assert_eq!(budget.available(), budget.capacity());
     }
@@ -984,114 +745,84 @@ mod tests {
         assert!(run_cluster(&config, &workload(4, 1, 1)).is_err());
     }
 
-    fn shape(t: &[TransferRecord]) -> Vec<(Endpoint, Endpoint, MsgId)> {
-        let mut edges: Vec<(Endpoint, Endpoint, MsgId)> =
-            t.iter().map(|r| (r.from, r.to, r.msg)).collect();
-        edges.sort_by(|x, y| format!("{x:?}").cmp(&format!("{y:?}")));
-        edges
-    }
-
     #[test]
-    fn shared_cells_match_fresh_cluster_shapes() {
-        let budget: &'static ClusterBudget = Box::leak(Box::new(ClusterBudget::new(16)));
+    fn cells_match_fresh_cluster_shapes() {
         let mut base = ClusterConfig::new(6, PathLengthDist::fixed(2));
         base.seed = 99; // identities differ from the fresh run on purpose
-        let shared = SharedCluster::boot_with_budget(&base, budget).unwrap();
-        assert_eq!(budget.available(), budget.capacity() - base.budget_slots());
+        let cluster = SharedCluster::boot(&base).unwrap();
+        let phase = PhaseCell::new();
 
         // a full-width cell and a narrower prefix cell, each checked
         // against a fresh single-shot cluster with the same parameters
         for (n_cell, seed, count) in [(6usize, 21u64, 15usize), (4, 5, 9)] {
             let arrivals = workload(n_cell, count, seed);
-            let spec = SharedCellSpec {
-                n: n_cell,
-                dist: PathLengthDist::fixed(2),
-                path_kind: PathKind::Simple,
-                seed,
-                epoch: 0,
-                deliver_timeout: Duration::from_secs(30),
-            };
-            let cell = shared.run_cell(&spec, &arrivals).unwrap();
-            let mut fresh_cfg = ClusterConfig::new(n_cell, PathLengthDist::fixed(2));
-            fresh_cfg.seed = seed;
-            let fresh = run_cluster(&fresh_cfg, &arrivals).unwrap();
+            let mut spec = ClusterConfig::new(n_cell, PathLengthDist::fixed(2));
+            spec.seed = seed;
+            let cell = cluster.run_cell(&spec, &arrivals, &phase).unwrap();
+            let fresh = run_cluster(&spec, &arrivals).unwrap();
             assert_eq!(shape(&cell.trace), shape(&fresh.trace));
             assert_eq!(cell.deliveries.len(), fresh.deliveries.len());
             assert_eq!(cell.originations.len(), count);
-            assert_eq!(cell.boot_micros, 0, "boot is amortized for cells");
+            assert_eq!(cell.boot_micros, 0, "the boot belongs to the cluster");
+            assert_eq!(phase.get(), Phase::Drain);
         }
 
         // the same cell twice reproduces its own shape after rebasing
         let arrivals = workload(6, 10, 77);
-        let spec = SharedCellSpec {
-            n: 6,
-            dist: PathLengthDist::uniform(1, 3).unwrap(),
-            path_kind: PathKind::Simple,
-            seed: 77,
-            epoch: 2,
-            deliver_timeout: Duration::from_secs(30),
-        };
-        let once = shared.run_cell(&spec, &arrivals).unwrap();
-        let twice = shared.run_cell(&spec, &arrivals).unwrap();
+        let mut spec = ClusterConfig::new(6, PathLengthDist::uniform(1, 3).unwrap());
+        spec.seed = 77;
+        spec.epoch = 2;
+        let once = cluster.run_cell(&spec, &arrivals, &phase).unwrap();
+        let twice = cluster.run_cell(&spec, &arrivals, &phase).unwrap();
         assert_eq!(shape(&once.trace), shape(&twice.trace));
 
-        let stats = shared.shutdown().unwrap();
+        let stats = cluster.shutdown().unwrap();
         assert_eq!(stats.len(), 6);
         assert!(stats.iter().any(|s| s.relayed > 0));
-        assert_eq!(budget.available(), budget.capacity(), "permit released");
     }
 
     #[test]
     fn killed_relays_leave_the_rest_of_the_network_serving() {
         let mut config = ClusterConfig::new(5, PathLengthDist::fixed(1));
         config.seed = 41;
-        let shared = SharedCluster::boot(&config).unwrap();
-        let spec = SharedCellSpec {
-            n: 4, // prefix cell that never routes through relay 4
-            dist: PathLengthDist::fixed(1),
-            path_kind: PathKind::Simple,
-            seed: 8,
-            epoch: 0,
-            deliver_timeout: Duration::from_secs(30),
-        };
-        let before = shared.run_cell(&spec, &workload(4, 6, 1)).unwrap();
+        let cluster = SharedCluster::boot(&config).unwrap();
+        // a prefix cell that never routes through relay 4
+        let mut spec = ClusterConfig::new(4, PathLengthDist::fixed(1));
+        spec.seed = 8;
+        let phase = PhaseCell::new();
+        let before = cluster.run_cell(&spec, &workload(4, 6, 1), &phase).unwrap();
         assert_eq!(before.deliveries.len(), 6);
 
-        shared.kill_relay(4).unwrap();
-        assert!(matches!(shared.kill_relay(4), Err(Error::Config(_))));
-        assert!(matches!(shared.kill_relay(9), Err(Error::Config(_))));
+        cluster.kill_relay(4).unwrap();
+        assert!(matches!(cluster.kill_relay(4), Err(Error::Config(_))));
+        assert!(matches!(cluster.kill_relay(9), Err(Error::Config(_))));
 
-        let after = shared.run_cell(&spec, &workload(4, 6, 2)).unwrap();
+        let after = cluster.run_cell(&spec, &workload(4, 6, 2), &phase).unwrap();
         assert_eq!(after.deliveries.len(), 6);
-        let stats = shared.shutdown().unwrap();
+        let stats = cluster.shutdown().unwrap();
         assert_eq!(stats.len(), 5);
         assert_eq!(stats[4].relayed, 0, "killed relay reports zeroed stats");
     }
 
     #[test]
-    fn shared_clusters_cross_threads() {
-        // sweeps hand &SharedCluster to a rayon pool
+    fn clusters_cross_threads() {
+        // concurrent cells share one &SharedCluster
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedCluster>();
     }
 
     #[test]
-    fn shared_cells_reject_invalid_specs() {
-        let shared = SharedCluster::boot(&ClusterConfig::new(3, PathLengthDist::fixed(1))).unwrap();
-        let ok_spec = |n: usize| SharedCellSpec {
-            n,
-            dist: PathLengthDist::fixed(1),
-            path_kind: PathKind::Simple,
-            seed: 1,
-            epoch: 0,
-            deliver_timeout: Duration::from_secs(5),
-        };
+    fn cells_reject_invalid_specs() {
+        let cluster =
+            SharedCluster::boot(&ClusterConfig::new(3, PathLengthDist::fixed(1))).unwrap();
+        let ok_spec = |n: usize| ClusterConfig::new(n, PathLengthDist::fixed(1));
+        let phase = PhaseCell::new();
         assert!(matches!(
-            shared.run_cell(&ok_spec(0), &[]),
+            cluster.run_cell(&ok_spec(0), &[], &phase),
             Err(Error::Config(_))
         ));
         assert!(matches!(
-            shared.run_cell(&ok_spec(4), &[]),
+            cluster.run_cell(&ok_spec(4), &[], &phase),
             Err(Error::Config(_))
         ));
         let bad = vec![Arrival {
@@ -1100,9 +831,9 @@ mod tests {
             payload: vec![1],
         }];
         assert!(matches!(
-            shared.run_cell(&ok_spec(3), &bad),
+            cluster.run_cell(&ok_spec(3), &bad, &phase),
             Err(Error::Config(_))
         ));
-        shared.shutdown().unwrap();
+        cluster.shutdown().unwrap();
     }
 }

@@ -31,7 +31,7 @@ use rand::{Rng, SeedableRng};
 use crate::authority::NetworkView;
 use crate::circuit;
 use crate::directory::{Directory, DirectoryCell};
-use crate::error::{panic_message, Error, Result};
+use crate::error::{panic_text, Error, Result};
 use crate::gossip;
 use crate::obs;
 use crate::tap::LinkTap;
@@ -425,7 +425,7 @@ impl Relay {
             Ok(Err(e)) => Err(e),
             Err(p) => Err(Error::WorkerPanic(format!(
                 "relay {id} accept loop: {}",
-                panic_message(p)
+                panic_text(p)
             ))),
         }
     }

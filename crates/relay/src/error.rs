@@ -68,8 +68,16 @@ impl From<anonroute_core::Error> for Error {
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, Error>;
 
-// the panic-payload renderer is shared with the simulator's live runtime
-pub(crate) use anonroute_sim::runtime::panic_text as panic_message;
+/// Renders a `JoinHandle::join` panic payload as a message.
+pub(crate) fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -94,8 +102,8 @@ mod tests {
 
     #[test]
     fn panic_payloads_render() {
-        assert_eq!(panic_message(Box::new("static")), "static");
-        assert_eq!(panic_message(Box::new(String::from("owned"))), "owned");
-        assert_eq!(panic_message(Box::new(42u8)), "non-string panic payload");
+        assert_eq!(panic_text(Box::new("static")), "static");
+        assert_eq!(panic_text(Box::new(String::from("owned"))), "owned");
+        assert_eq!(panic_text(Box::new(42u8)), "non-string panic payload");
     }
 }

@@ -65,8 +65,7 @@ pub use budget::{BudgetPermit, ClusterBudget, DEFAULT_CLUSTER_SLOTS};
 pub use circuit::DEFAULT_CELL_SIZE;
 pub use client::Client;
 pub use cluster::{
-    cluster_identity, run_cluster, run_cluster_budgeted_observed, run_cluster_budgeted_unless,
-    run_cluster_observed, run_cluster_with_budget, ClusterConfig, ClusterOutcome, SharedCellSpec,
+    cluster_identity, run_cluster, run_cluster_budgeted_observed, ClusterConfig, ClusterOutcome,
     SharedCluster,
 };
 pub use daemon::{PendingRelay, Relay, RelayConfig, RelayStats};

@@ -5,6 +5,7 @@
 //! [`anonroute_sim::Delivery`] values the harness can await and inspect.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -12,16 +13,17 @@ use std::time::{Duration, Instant};
 
 use anonroute_sim::{Delivery, Endpoint, MsgId};
 
-use crate::error::{panic_message, Error, Result};
+use crate::error::{panic_text, Error, Result};
 use crate::tap::LinkTap;
 use crate::wire::{self, Frame, ReadOutcome};
 use crate::workers;
 
 /// A serving receiver endpoint.
 ///
-/// `Sync`: the done-channel receiver sits behind a mutex so shared
-/// harnesses (e.g. [`crate::cluster::SharedCluster`]) can poll
-/// deliveries from many evaluation threads at once.
+/// `Sync`: the done-channel receiver sits behind a mutex so one server
+/// can be shared across threads — concurrent cells of a
+/// [`crate::cluster::SharedCluster`] each block in
+/// [`ReceiverServer::take_range`] on their own message ids.
 #[derive(Debug)]
 pub struct ReceiverServer {
     addr: SocketAddr,
@@ -93,11 +95,6 @@ impl ReceiverServer {
         self.addr
     }
 
-    /// A copy of the deliveries so far, in arrival order.
-    pub fn deliveries(&self) -> Vec<Delivery> {
-        self.inbox.deliveries.lock().expect("inbox lock").clone()
-    }
-
     /// A copy of the deliveries from index `from` on — incremental drains
     /// (e.g. a printing daemon) copy only the tail instead of the whole
     /// history on every wakeup.
@@ -112,24 +109,55 @@ impl ReceiverServer {
     /// Blocks until at least `count` deliveries arrived or `timeout`
     /// elapsed; returns whether the count was reached.
     pub fn wait_for(&self, count: usize, timeout: Duration) -> bool {
+        self.wait_until(timeout, |all| all.len() >= count)
+    }
+
+    /// Blocks until every message id in `ids` was delivered or `timeout`
+    /// elapsed, moving the deliveries of those ids out of the inbox as
+    /// they arrive; returns them in arrival order. Deliveries of other
+    /// ids (another cell's traffic) stay, and each wakeup scans only what
+    /// arrived since the last one.
+    pub fn take_range(&self, ids: Range<u64>, timeout: Duration) -> Vec<Delivery> {
+        let want = (ids.end - ids.start) as usize;
+        let mut taken = Vec::with_capacity(want);
+        let mut scanned = 0;
+        self.wait_until(timeout, |inbox| {
+            for d in inbox.split_off(scanned) {
+                if ids.contains(&d.msg.0) {
+                    taken.push(d);
+                } else {
+                    inbox.push(d);
+                }
+            }
+            scanned = inbox.len();
+            taken.len() >= want
+        });
+        taken
+    }
+
+    /// Re-checks `done` against the inbox on every delivery (the inbox
+    /// condvar) until it holds or `timeout` elapses; returns whether it
+    /// held.
+    fn wait_until(
+        &self,
+        timeout: Duration,
+        mut done: impl FnMut(&mut Vec<Delivery>) -> bool,
+    ) -> bool {
         let deadline = Instant::now() + timeout;
         let mut guard = self.inbox.deliveries.lock().expect("inbox lock");
         loop {
-            if guard.len() >= count {
+            if done(&mut guard) {
                 return true;
             }
             let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return false;
             };
-            let (next, wait) = self
+            guard = self
                 .inbox
                 .arrived
                 .wait_timeout(guard, remaining)
-                .expect("inbox lock");
-            guard = next;
-            if wait.timed_out() && guard.len() < count {
-                return false;
-            }
+                .expect("inbox lock")
+                .0;
         }
     }
 
@@ -162,7 +190,7 @@ impl ReceiverServer {
             Ok(Err(e)) => Err(e),
             Err(p) => Err(Error::WorkerPanic(format!(
                 "receiver accept loop: {}",
-                panic_message(p)
+                panic_text(p)
             ))),
         }
     }
@@ -245,10 +273,14 @@ mod tests {
         assert_eq!(server.deliveries_since(2).len(), 1);
         assert_eq!(server.deliveries_since(2)[0].msg, MsgId(2));
         assert!(server.deliveries_since(5).is_empty());
+        // a taken range leaves the inbox; the rest stays for join
+        let taken = server.take_range(1..3, Duration::from_secs(5));
+        assert_eq!(taken.iter().map(|d| d.msg.0).collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(taken[1].payload, vec![2u8]);
         let got = server.join(Duration::from_secs(5)).unwrap();
-        assert_eq!(got.len(), 3);
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0].msg, MsgId(0));
         assert_eq!(got[0].last_hop, Endpoint::Node(4));
-        assert_eq!(got[2].payload, vec![2u8]);
     }
 
     #[test]
@@ -257,6 +289,9 @@ mod tests {
         let start = Instant::now();
         assert!(!server.wait_for(1, Duration::from_millis(120)));
         assert!(start.elapsed() >= Duration::from_millis(100));
+        assert!(server
+            .take_range(0..2, Duration::from_millis(50))
+            .is_empty());
         server.join(Duration::from_secs(5)).unwrap();
     }
 

@@ -9,7 +9,7 @@ use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::error::{panic_message, Error, Result};
+use crate::error::{panic_text, Error, Result};
 use crate::obs::QueueDepth;
 
 /// Signals its channel even when the owning thread unwinds, so bounded
@@ -81,7 +81,7 @@ pub(crate) fn accept_loop(
     drop(listener);
     for worker in workers {
         if let Err(payload) = worker.join() {
-            panics.push(panic_message(payload));
+            panics.push(panic_text(payload));
         }
     }
     if panics.is_empty() {
@@ -101,7 +101,7 @@ fn reap_finished(workers: &mut Vec<JoinHandle<()>>, panics: &mut Vec<String>) {
     for worker in workers.drain(..) {
         if worker.is_finished() {
             if let Err(payload) = worker.join() {
-                panics.push(panic_message(payload));
+                panics.push(panic_text(payload));
             }
         } else {
             live.push(worker);

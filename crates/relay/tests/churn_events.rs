@@ -9,10 +9,10 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use anonroute_core::epochs::{EpochSchedule, RotationPolicy};
-use anonroute_core::{ChurnModel, PathKind, PathLengthDist};
+use anonroute_core::{ChurnModel, PathLengthDist};
 use anonroute_relay::authority::active_at;
 use anonroute_relay::{
-    AuthorityClient, AuthorityServer, ClusterConfig, RelayDescriptor, SharedCellSpec, SharedCluster,
+    AuthorityClient, AuthorityServer, ClusterConfig, PhaseCell, RelayDescriptor, SharedCluster,
 };
 
 #[test]
@@ -37,13 +37,10 @@ fn killing_a_relay_feeds_real_membership_events_into_epoch_views() {
     assert_eq!(server.member_ids(), (0..N as u64).collect::<Vec<_>>());
 
     // epoch 1: full membership carries traffic
-    let spec = |n: usize, epoch: u64| SharedCellSpec {
-        n,
-        dist: PathLengthDist::fixed(1),
-        path_kind: PathKind::Simple,
+    let spec = |n: usize, epoch: u64| ClusterConfig {
         seed: 6,
         epoch,
-        deliver_timeout: Duration::from_secs(30),
+        ..ClusterConfig::new(n, PathLengthDist::fixed(1))
     };
     let arrivals = |n: usize| {
         (0..8)
@@ -54,7 +51,9 @@ fn killing_a_relay_feeds_real_membership_events_into_epoch_views() {
             })
             .collect::<Vec<_>>()
     };
-    let epoch0 = shared.run_cell(&spec(N, 0), &arrivals(N)).unwrap();
+    let epoch0 = shared
+        .run_cell(&spec(N, 0), &arrivals(N), &PhaseCell::new())
+        .unwrap();
     assert_eq!(epoch0.deliveries.len(), 8);
 
     // kill the last relay mid-run; its port goes dead, which is exactly
@@ -101,7 +100,9 @@ fn killing_a_relay_feeds_real_membership_events_into_epoch_views() {
 
     // epoch 2 runs over the surviving prefix with re-keyed circuits
     let ne = views[1].n();
-    let epoch1 = shared.run_cell(&spec(ne, 1), &arrivals(ne)).unwrap();
+    let epoch1 = shared
+        .run_cell(&spec(ne, 1), &arrivals(ne), &PhaseCell::new())
+        .unwrap();
     assert_eq!(epoch1.deliveries.len(), 8);
 
     server.shutdown();

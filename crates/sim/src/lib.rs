@@ -25,13 +25,8 @@
 //!   ([`simulation::TrafficProcess`]) that cost O(1) queue memory; and
 //!   persistent multi-epoch sessions ([`traffic::SessionTraffic`]) for
 //!   intersection-attack workloads;
-//! * **run statistics** ([`stats::RunStats`]): delivery ratio and latency
-//!   percentiles — the overhead side of the anonymity/overhead trade-off;
-//! * a **live multi-threaded runtime** ([`runtime::run_live`]) executing
-//!   the identical behaviors over `crossbeam` channels, demonstrating the
-//!   protocols under real concurrency (small n only — use the
-//!   discrete-event engine for scale and reproducibility), plus the
-//!   [`reaper`] for bounded cleanup of abandoned watchdogged threads.
+//! * the [`reaper`] for bounded cleanup of abandoned watchdogged threads
+//!   (the campaign's live-cell watchdog parks its helpers there).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,9 +37,7 @@ pub mod latency;
 pub mod message;
 pub mod node;
 pub mod reaper;
-pub mod runtime;
 pub mod simulation;
-pub mod stats;
 pub mod time;
 pub mod traffic;
 

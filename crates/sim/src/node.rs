@@ -4,9 +4,7 @@
 //! calls it with one event at a time and a [`Ctx`] to emit actions
 //! through. Behaviors never block, sleep, or spawn — time only passes
 //! between events — which is what lets one process host a million of
-//! them. The same handlers also run unmodified on the thread-per-node
-//! live runtime ([`crate::runtime`]), where the no-blocking discipline
-//! is a correctness requirement rather than a structural guarantee.
+//! them.
 
 use rand::rngs::StdRng;
 
@@ -84,7 +82,7 @@ impl<'a> Ctx<'a> {
 /// Protocol logic of one member node.
 ///
 /// Implementations live in `anonroute-protocols` (Crowds jondos, onion
-/// routers, threshold mixes, single-proxy anonymizers); the simulator is
+/// routers, threshold mixes); the simulator is
 /// protocol-agnostic.
 pub trait NodeBehavior {
     /// A fresh message originates here: this node is the sender and must

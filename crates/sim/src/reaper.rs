@@ -3,8 +3,7 @@
 //! A caller that gives up on a thread (watchdog deadline, wedged I/O)
 //! cannot just `join` it — that's the hang it was escaping — and must
 //! not detach it silently, or threads pile up across a long campaign.
-//! The pattern here, shared by the campaign live backend's watchdog and
-//! [`crate::runtime::run_live_deadline`]:
+//! The pattern here, used by the campaign live backend's watchdog:
 //!
 //! 1. the worker holds a [`DoneGuard`] that signals on unwind — panic or
 //!    normal return alike;

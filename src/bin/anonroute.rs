@@ -20,7 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use anonroute::adversary::{attack_trace, Adversary};
-use anonroute::campaign::{manifest, report, spec};
+use anonroute::campaign::{manifest, report, spec, RUN_SETTINGS};
 use anonroute::crypto::handshake::NodeIdentity;
 use anonroute::obs::{Health, ObsServer, Registry};
 use anonroute::prelude::*;
@@ -88,7 +88,7 @@ COMMANDS:
                [--mc-samples 20000] [--messages 1500]
                [--sim-max-n 1000000]
                [--live-messages 300] [--live-timeout 120000]
-               [--live-max-n 64] [--live-cell 1024] [--shared]
+               [--live-max-n 64] [--live-cell 1024]
                [--out <basename>] [--timing]
                [--progress] [--metrics-addr 127.0.0.1:0]
                [--trace-out trace.json]
@@ -96,9 +96,6 @@ COMMANDS:
                writes <basename>.jsonl, <basename>.csv,
                <basename>_timings.csv, <basename>_manifest.json
                `live` cells boot a real loopback TCP relay cluster per cell
-               --shared boots one long-running network for the whole
-               sweep instead (circuits re-keyed per cell; trace shape
-               is unchanged per seed but timestamps differ)
                epochs > 1 runs the multi-round intersection adversary:
                persistent sessions, per-epoch compromised-set rotation,
                node churn, and cumulative anonymity-decay scoring
@@ -163,10 +160,15 @@ fn run(args: &[String]) -> Result<(), String> {
 
 type Flags = HashMap<String, String>;
 
-/// Flags that may appear without a value (`relay --receiver`). They
-/// still accept one when the next token is not a flag, which is how
-/// `dird --receiver <addr>` names the delivery endpoint.
-const BOOLEAN_FLAGS: &[&str] = &["cyclic", "timing", "receiver", "progress", "shared"];
+/// Flags that may appear without a value (`relay --receiver`), besides
+/// the campaign's switch settings. They still accept one when the next
+/// token is not a flag, which is how `dird --receiver <addr>` names the
+/// delivery endpoint.
+const BOOLEAN_FLAGS: &[&str] = &["cyclic", "timing", "receiver"];
+
+fn is_boolean_flag(name: &str) -> bool {
+    BOOLEAN_FLAGS.contains(&name) || RUN_SETTINGS.iter().any(|s| s.flag == name && s.is_switch())
+}
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
@@ -175,7 +177,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{a}`"));
         };
-        if BOOLEAN_FLAGS.contains(&name) {
+        if is_boolean_flag(name) {
             let value = match it.peek() {
                 Some(next) if !next.starts_with("--") => it.next().expect("peeked").clone(),
                 _ => "true".to_string(),
@@ -787,29 +789,12 @@ fn cmd_campaign(flags: &Flags) -> Result<(), String> {
     };
     config = spec_config;
     // explicit flags override spec-file run settings
-    config.threads = get(flags, "threads", config.threads)?;
-    config.seed = get(flags, "seed", config.seed)?;
-    config.mc_samples = get(flags, "mc-samples", config.mc_samples)?;
-    config.sim_messages = get(flags, "messages", config.sim_messages)?;
-    config.sim_max_n = get(flags, "sim-max-n", config.sim_max_n)?;
-    config.live_messages = get(flags, "live-messages", config.live_messages)?;
-    config.live_timeout_ms = get(flags, "live-timeout", config.live_timeout_ms)?;
-    config.live_max_n = get(flags, "live-max-n", config.live_max_n)?;
-    config.live_cell_size = get(flags, "live-cell", config.live_cell_size)?;
-    if flags.contains_key("shared") {
-        config.live_shared = true;
-    }
-    if flags.contains_key("progress") {
-        config.progress = true;
-    }
-    if let Some(addr) = flags.get("metrics-addr") {
-        config.metrics_addr = Some(
-            addr.parse()
-                .map_err(|e| format!("--metrics-addr: `{addr}` is not a socket address ({e})"))?,
-        );
-    }
-    if let Some(path) = flags.get("trace-out") {
-        config.trace_out = Some(PathBuf::from(path));
+    for setting in RUN_SETTINGS {
+        if let Some(text) = flags.get(setting.flag) {
+            setting
+                .apply(&mut config, text)
+                .map_err(|e| format!("--{}: {e}", setting.flag))?;
+        }
     }
     if grid.is_empty() {
         return Err("the grid has no cells (every axis needs at least one value)".into());
@@ -922,6 +907,21 @@ mod tests {
     }
 
     #[test]
+    fn campaign_usage_lists_every_run_setting_flag() {
+        let start = USAGE.find("    campaign ").unwrap();
+        let end = USAGE.find("    manifest-check").unwrap();
+        let campaign = &USAGE[start..end];
+        for setting in RUN_SETTINGS {
+            let flag = setting.flag;
+            assert!(
+                campaign.contains(&format!("[--{flag} "))
+                    || campaign.contains(&format!("[--{flag}]")),
+                "campaign usage does not list --{flag}"
+            );
+        }
+    }
+
+    #[test]
     fn boolean_flags_accept_an_optional_value() {
         // `relay --receiver` (bare) vs `dird --receiver <addr>` (valued)
         let bare: Vec<String> = ["--receiver", "--net-seed", "s"]
@@ -932,13 +932,13 @@ mod tests {
         assert_eq!(flags.get("receiver").unwrap(), "true");
         assert_eq!(flags.get("net-seed").unwrap(), "s");
 
-        let valued: Vec<String> = ["--receiver", "127.0.0.1:9100", "--shared"]
+        let valued: Vec<String> = ["--receiver", "127.0.0.1:9100", "--progress"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let flags = parse_flags(&valued).unwrap();
         assert_eq!(flags.get("receiver").unwrap(), "127.0.0.1:9100");
-        assert_eq!(flags.get("shared").unwrap(), "true");
+        assert_eq!(flags.get("progress").unwrap(), "true");
     }
 
     #[test]
@@ -1095,34 +1095,6 @@ mod tests {
     }
 
     #[test]
-    fn campaign_runs_a_shared_live_sweep_from_flags() {
-        let dir = std::env::temp_dir().join("anonroute-cli-campaign-shared-test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let out = dir.join("shared");
-        let flags = flag_map(&[
-            ("n", "5,6"),
-            ("c", "1"),
-            ("strategies", "fixed:1"),
-            ("engines", "live"),
-            ("live-messages", "40"),
-            ("shared", "true"),
-            ("out", out.to_str().unwrap()),
-        ]);
-        cmd_campaign(&flags).unwrap();
-        let jsonl = std::fs::read_to_string(out.with_extension("jsonl")).unwrap();
-        assert_eq!(jsonl.lines().count(), 2);
-        assert!(!jsonl.contains("\"status\":\"error\""), "{jsonl}");
-        let manifest = std::fs::read_to_string(dir.join("shared_manifest.json")).unwrap();
-        assert!(manifest.contains("\"live_shared\": true"), "{manifest}");
-        cmd_manifest_check(&flag_map(&[(
-            "file",
-            dir.join("shared_manifest.json").to_str().unwrap(),
-        )]))
-        .unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn campaign_runs_end_to_end_from_flags() {
         let dir = std::env::temp_dir().join("anonroute-cli-campaign-test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1163,8 +1135,8 @@ mod tests {
         cmd_campaign(&flags).unwrap();
         let manifest_path = dir.join("obs_manifest.json");
         let text = std::fs::read_to_string(&manifest_path).unwrap();
-        assert!(text.contains("anonroute-campaign-manifest/v3"), "{text}");
-        assert!(text.contains("\"live_shared\": false"), "{text}");
+        assert!(text.contains("anonroute-campaign-manifest/v4"), "{text}");
+        assert!(text.contains("\"metrics_addr\": \"127.0.0.1:0\""), "{text}");
         assert!(text.contains("\"ok\": 1"), "{text}");
         assert!(text.contains("\"errors\": 1"), "F(40) infeasible: {text}");
         cmd_manifest_check(&flag_map(&[("file", manifest_path.to_str().unwrap())])).unwrap();
