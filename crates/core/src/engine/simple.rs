@@ -163,32 +163,52 @@ pub(crate) fn run_hypothesis_weights(
         if ql == 0.0 {
             continue;
         }
-        let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-        let h_a = l as i64 - s as i64 - obs0 as i64;
-
-        // Hypothesis A: leading gap = 0, the reported predecessor is the
-        // sender.
-        if h_a >= 0 && nh > obs0 {
-            if let (Some(sb), Some(fall)) = (
-                lf.ln_stars_bars(h_a, k0),
-                lf.ln_falling(nh - obs0 - 1, h_a as usize),
-            ) {
-                w_a += ql * (sb + fall - den).exp();
-            }
-        }
-        // Hypothesis B: leading gap >= 1; the reported predecessor is one
-        // more observed honest intermediate and the sender is hidden.
-        let h_b = h_a - 1;
-        if h_b >= 0 && nh >= obs0 + 2 {
-            if let (Some(sb), Some(fall)) = (
-                lf.ln_stars_bars(h_b, k0 + 1),
-                lf.ln_falling(nh - obs0 - 2, h_b as usize),
-            ) {
-                w_b += ql * (sb + fall - den).exp();
-            }
-        }
+        let (a, b) = run_weight_coefs(lf, n, nh, l, s, obs0, k0);
+        w_a += ql * a;
+        w_b += ql * b;
     }
     (w_a, w_b)
+}
+
+/// The coefficients of `q_l` in [`run_hypothesis_weights`]: the weights
+/// are `(Σ q_l·a_l, Σ q_l·b_l)` over `l ≥ s`.
+#[inline]
+fn run_weight_coefs(
+    lf: &LnFact,
+    n: usize,
+    nh: usize,
+    l: usize,
+    s: usize,
+    obs0: usize,
+    k0: usize,
+) -> (f64, f64) {
+    let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
+    let h_a = l as i64 - s as i64 - obs0 as i64;
+    let mut a = 0.0;
+    let mut b = 0.0;
+
+    // Hypothesis A: leading gap = 0, the reported predecessor is the
+    // sender.
+    if h_a >= 0 && nh > obs0 {
+        if let (Some(sb), Some(fall)) = (
+            lf.ln_stars_bars(h_a, k0),
+            lf.ln_falling(nh - obs0 - 1, h_a as usize),
+        ) {
+            a = (sb + fall - den).exp();
+        }
+    }
+    // Hypothesis B: leading gap >= 1; the reported predecessor is one
+    // more observed honest intermediate and the sender is hidden.
+    let h_b = h_a - 1;
+    if h_b >= 0 && nh >= obs0 + 2 {
+        if let (Some(sb), Some(fall)) = (
+            lf.ln_stars_bars(h_b, k0 + 1),
+            lf.ln_falling(nh - obs0 - 2, h_b as usize),
+        ) {
+            b = (sb + fall - den).exp();
+        }
+    }
+    (a, b)
 }
 
 /// Posterior hypothesis weights for the clean class (no compromised node on
@@ -206,14 +226,24 @@ pub(crate) fn clean_hypothesis_weights(
         if ql == 0.0 {
             continue;
         }
-        let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-        if nh >= 2 {
-            if let Some(num) = lf.ln_falling(nh - 2, l - 1) {
-                w_b += ql * (num - den).exp();
-            }
-        }
+        w_b += ql * clean_hidden_coef(lf, n, nh, l);
     }
     (w_a, w_b)
+}
+
+/// The coefficient of `q_l` (`l ≥ 1`) in the clean class's hidden-node
+/// weight: the receiver's predecessor is an honest intermediate and the
+/// other `l - 1` intermediates are hidden honest nodes.
+#[inline]
+fn clean_hidden_coef(lf: &LnFact, n: usize, nh: usize, l: usize) -> f64 {
+    let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
+    if nh < 2 {
+        return 0.0;
+    }
+    match lf.ln_falling(nh - 2, l - 1) {
+        Some(num) => (num - den).exp(),
+        None => 0.0,
+    }
 }
 
 /// Computes the full class-by-class decomposition of `H*(S)` for simple
@@ -291,22 +321,97 @@ impl Evaluator {
         self.analyze(pmf).h_star
     }
 
+    /// [`Evaluator::h_star`] together with its gradient: writes
+    /// `∂H*/∂pmf[l]` into `grad[l]` and returns the same `H*`, bit for bit,
+    /// as `h_star(pmf)`. Entries beyond `lmax` get a zero gradient.
+    ///
+    /// Every class probability and both hypothesis weights of a class are
+    /// linear in the pmf, and a class's posterior entropy depends only on
+    /// the ratio of its weights. The unnormalized objective `H̃(q)` is
+    /// therefore 1-homogeneous, and since `h_star(q) = H̃(q) / Σq` its
+    /// gradient is `(∂H̃/∂q_l − H*) / Σq`, computed in the same class pass
+    /// as `H*`. Where a hypothesis weight is zero but `q_l` would raise it,
+    /// the one-sided slope is `+∞`; the posterior surprisal is then capped
+    /// at 64 bits (a weight ratio of `2⁻⁶⁴`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grad` and `pmf` differ in length. The pmf must carry
+    /// positive mass.
+    ///
+    /// Each call tabulates every class's per-length coefficients
+    /// (O(classes × lmax) memory) and drops the table on return; the
+    /// optimizer keeps one such table for a whole solve.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use anonroute_core::engine::simple::Evaluator;
+    /// use anonroute_core::{PathLengthDist, SystemModel};
+    ///
+    /// let model = SystemModel::new(100, 1)?;
+    /// let ev = Evaluator::new(&model, 10)?;
+    /// let pmf = PathLengthDist::uniform(0, 10)?.pmf().to_vec();
+    /// let mut grad = vec![0.0; pmf.len()];
+    /// let h = ev.h_star_and_grad(&pmf, &mut grad);
+    /// assert_eq!(h.to_bits(), ev.h_star(&pmf).to_bits());
+    /// // a small step along the gradient raises H*
+    /// let up: Vec<f64> = pmf.iter().zip(&grad).map(|(q, g)| q + 1e-4 * g).collect();
+    /// assert!(ev.h_star(&up) > h);
+    /// # Ok::<(), anonroute_core::Error>(())
+    /// ```
+    pub fn h_star_and_grad(&self, pmf: &[f64], grad: &mut [f64]) -> f64 {
+        self.class_forms().h_star_and_grad(pmf, grad)
+    }
+
+    /// Every observation class but the zero-entropy compromised-sender one
+    /// as linear forms in the pmf, for scoring many pmfs (and gradients) without recomputing
+    /// a single `exp`. Takes O(classes × lmax) memory, so callers build
+    /// one per batch of evaluations rather than one per evaluator.
+    pub(crate) fn class_forms(&self) -> ClassForms {
+        let (n, c, nh, lmax, lf) = (self.n, self.c, self.nh, self.lmax, &self.lf);
+        let mut classes = Vec::new();
+        if nh > 0 {
+            classes.push(ClassForm {
+                from: 0,
+                mult: nh as f64 / n as f64,
+                n_hidden: nh - 1,
+                coefs: (0..=lmax)
+                    .map(|l| {
+                        let hidden = if l == 0 {
+                            0.0
+                        } else {
+                            clean_hidden_coef(lf, n, nh, l)
+                        };
+                        [clean_prob_coef(lf, n, nh, l), f64::from(l == 0), hidden]
+                    })
+                    .collect(),
+            });
+            for shape in run_shapes(lf, n, c, nh, lmax) {
+                classes.push(ClassForm {
+                    from: shape.s,
+                    mult: shape.mult,
+                    n_hidden: shape.n_hidden(nh),
+                    coefs: (shape.s..=lmax)
+                        .map(|l| {
+                            let (a, b) =
+                                run_weight_coefs(lf, n, nh, l, shape.s, shape.obs0, shape.k0);
+                            [shape.prob_coef(lf, n, c, nh, l), a, b]
+                        })
+                        .collect(),
+                });
+            }
+        }
+        ClassForms { lmax, classes }
+    }
+
     /// Full class decomposition for an (unnormalized) pmf over `0..=lmax`.
     pub fn analyze(&self, pmf: &[f64]) -> AnonymityAnalysis {
         let (n, c, nh, lmax, lf) = (self.n, self.c, self.nh, self.lmax, &self.lf);
-        let mut q: Vec<f64> = pmf.iter().take(lmax + 1).copied().collect();
-        let total: f64 = q.iter().sum();
-        if total > 0.0 && (total - 1.0).abs() > 1e-15 {
-            for v in &mut q {
-                *v /= total;
-            }
-        }
-        let q = &q[..];
-        analyze_normalized(n, c, nh, lmax, lf, q)
+        analyze_normalized(n, c, nh, lmax, lf, &normalized(pmf, lmax).0)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn analyze_normalized(
     n: usize,
     c: usize,
@@ -357,10 +462,7 @@ fn analyze_normalized(
             if ql == 0.0 {
                 continue;
             }
-            let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-            if let Some(num) = lf.ln_falling(nh - 1, l) {
-                p += ql * (num - den).exp();
-            }
+            p += ql * clean_prob_coef(lf, n, nh, l);
         }
         p *= nh as f64 / n as f64;
         h_star += p * entropy;
@@ -376,73 +478,242 @@ fn analyze_normalized(
     }
 
     // --- classes with m >= 1 compromised runs ----------------------------
-    for s in 1..=c.min(lmax) {
-        for m in 1..=s {
-            let ln_rs = lf
-                .ln_binom(s - 1, m - 1)
-                .expect("m <= s implies the binomial exists");
-            for unit_gaps in 0..m {
-                let ln_mf = lf
-                    .ln_binom(m - 1, unit_gaps)
-                    .expect("unit_gaps <= m-1 implies the binomial exists");
-                for end in EndGap::ALL {
-                    // Honest nodes observed by identity, excluding the first
-                    // run's predecessor `u`: each unit gap shows 1 node, each
-                    // wide gap its 2 boundaries, the end gap per its class.
-                    let obs0 = unit_gaps + 2 * (m - 1 - unit_gaps) + end.observed();
-                    // Gaps with unbounded hidden mass, excluding the leading gap.
-                    let k0 = (m - 1 - unit_gaps) + usize::from(end.is_free());
-
-                    let (w_a, w_b) = run_hypothesis_weights(lf, q, lmax, n, nh, s, obs0, k0);
-                    let mut p_cls = 0.0;
-                    for (l, &ql) in q.iter().enumerate().take(lmax + 1).skip(s) {
-                        if ql == 0.0 {
-                            continue;
-                        }
-                        let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-                        let h_a = l as i64 - s as i64 - obs0 as i64;
-                        // Class probability: gap layouts (leading gap free
-                        // from 0) x compromised and honest id assignments.
-                        if let (Some(lay), Some(fc), Some(fh)) = (
-                            lf.ln_stars_bars(h_a, k0 + 1),
-                            lf.ln_falling(c, s),
-                            lf.ln_falling(nh - 1, l - s),
-                        ) {
-                            p_cls += ql * (lay + fc + fh - den).exp();
-                        }
-                    }
-                    p_cls *= (nh as f64 / n as f64) * (ln_rs + ln_mf).exp();
-                    if p_cls <= 0.0 {
-                        continue;
-                    }
-                    let n_hidden = nh.saturating_sub(obs0 + 1);
-                    let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, n_hidden)]);
-                    let z = w_a + w_b * n_hidden as f64;
-                    let suspect = if z > 0.0 { w_a / z } else { 0.0 };
-                    h_star += p_cls * entropy;
-                    if entropy == 0.0 {
-                        p_exposed += p_cls;
-                    }
-                    classes.push(ClassReport {
-                        class: ObservationClass::Runs {
-                            on_path: s,
-                            runs: m,
-                            unit_gaps,
-                            end,
-                        },
-                        probability: p_cls,
-                        entropy_bits: entropy,
-                        suspect_posterior: suspect,
-                    });
-                }
+    for shape in run_shapes(lf, n, c, nh, lmax) {
+        let (s, obs0, k0) = (shape.s, shape.obs0, shape.k0);
+        let (w_a, w_b) = run_hypothesis_weights(lf, q, lmax, n, nh, s, obs0, k0);
+        let mut p_cls = 0.0;
+        for (l, &ql) in q.iter().enumerate().take(lmax + 1).skip(s) {
+            if ql == 0.0 {
+                continue;
             }
+            p_cls += ql * shape.prob_coef(lf, n, c, nh, l);
         }
+        p_cls *= shape.mult;
+        if p_cls <= 0.0 {
+            continue;
+        }
+        let n_hidden = shape.n_hidden(nh);
+        let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, n_hidden)]);
+        let z = w_a + w_b * n_hidden as f64;
+        let suspect = if z > 0.0 { w_a / z } else { 0.0 };
+        h_star += p_cls * entropy;
+        if entropy == 0.0 {
+            p_exposed += p_cls;
+        }
+        classes.push(ClassReport {
+            class: shape.class,
+            probability: p_cls,
+            entropy_bits: entropy,
+            suspect_posterior: suspect,
+        });
     }
 
     AnonymityAnalysis {
         h_star,
         p_exposed,
         classes,
+    }
+}
+
+/// The pmf's first `lmax + 1` entries, scaled to unit mass, and their
+/// original total.
+fn normalized(pmf: &[f64], lmax: usize) -> (Vec<f64>, f64) {
+    let mut q: Vec<f64> = pmf.iter().take(lmax + 1).copied().collect();
+    let total: f64 = q.iter().sum();
+    if total > 0.0 && (total - 1.0).abs() > 1e-15 {
+        for v in &mut q {
+            *v /= total;
+        }
+    }
+    (q, total)
+}
+
+/// The coefficient of `q_l` in the clean class's probability, before the
+/// honest-sender factor `nh / n`.
+#[inline]
+fn clean_prob_coef(lf: &LnFact, n: usize, nh: usize, l: usize) -> f64 {
+    let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
+    match lf.ln_falling(nh - 1, l) {
+        Some(num) => (num - den).exp(),
+        None => 0.0,
+    }
+}
+
+/// One run class: its sightings `s`, observed honest nodes `obs0` and free
+/// gaps `k0` (see [`run_hypothesis_weights`]), and the multiplicity `mult`
+/// of its probability.
+struct RunShape {
+    class: ObservationClass,
+    s: usize,
+    obs0: usize,
+    k0: usize,
+    mult: f64,
+}
+
+/// The run classes of a `(n, c)` system over `0..=lmax`, in report order.
+fn run_shapes(
+    lf: &LnFact,
+    n: usize,
+    c: usize,
+    nh: usize,
+    lmax: usize,
+) -> impl Iterator<Item = RunShape> + '_ {
+    (1..=c.min(lmax)).flat_map(move |s| {
+        (1..=s).flat_map(move |m| {
+            let ln_rs = lf
+                .ln_binom(s - 1, m - 1)
+                .expect("m <= s implies the binomial exists");
+            (0..m).flat_map(move |unit_gaps| {
+                let ln_mf = lf
+                    .ln_binom(m - 1, unit_gaps)
+                    .expect("unit_gaps <= m-1 implies the binomial exists");
+                EndGap::ALL.into_iter().map(move |end| RunShape {
+                    class: ObservationClass::Runs {
+                        on_path: s,
+                        runs: m,
+                        unit_gaps,
+                        end,
+                    },
+                    s,
+                    // Honest nodes observed by identity, excluding the first
+                    // run's predecessor `u`: each unit gap shows 1 node, each
+                    // wide gap its 2 boundaries, the end gap per its class.
+                    obs0: unit_gaps + 2 * (m - 1 - unit_gaps) + end.observed(),
+                    // Gaps with unbounded hidden mass, excluding the leading
+                    // gap.
+                    k0: (m - 1 - unit_gaps) + usize::from(end.is_free()),
+                    mult: (nh as f64 / n as f64) * (ln_rs + ln_mf).exp(),
+                })
+            })
+        })
+    })
+}
+
+impl RunShape {
+    /// Unobserved honest nodes, each a sender candidate of weight `w_b`.
+    fn n_hidden(&self, nh: usize) -> usize {
+        nh.saturating_sub(self.obs0 + 1)
+    }
+
+    /// The coefficient of `q_l` in the class probability, before `mult`:
+    /// gap layouts (leading gap free from 0) x compromised and honest id
+    /// assignments.
+    #[inline]
+    fn prob_coef(&self, lf: &LnFact, n: usize, c: usize, nh: usize, l: usize) -> f64 {
+        let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
+        let h_a = l as i64 - self.s as i64 - self.obs0 as i64;
+        match (
+            lf.ln_stars_bars(h_a, self.k0 + 1),
+            lf.ln_falling(c, self.s),
+            lf.ln_falling(nh - 1, l - self.s),
+        ) {
+            (Some(lay), Some(fc), Some(fh)) => (lay + fc + fh - den).exp(),
+            _ => 0.0,
+        }
+    }
+}
+
+/// The observation classes of an [`Evaluator`] as linear forms in the pmf
+/// (see [`Evaluator::class_forms`]). Scores `H*` with the same floating
+/// point operations, in the same order, as [`Evaluator::h_star`], so the
+/// two agree bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct ClassForms {
+    lmax: usize,
+    classes: Vec<ClassForm>,
+}
+
+/// One class: probability `mult · Σ q_l·pc_l`, weight `w_a = Σ q_l·a_l` of
+/// the single suspect and `w_b = Σ q_l·b_l` of each of `n_hidden` hidden
+/// candidates, with `coefs[l - from] = [pc_l, a_l, b_l]`.
+#[derive(Debug, Clone)]
+struct ClassForm {
+    from: usize,
+    mult: f64,
+    n_hidden: usize,
+    coefs: Vec<[f64; 3]>,
+}
+
+impl ClassForms {
+    /// [`Evaluator::h_star_and_grad`].
+    pub(crate) fn h_star_and_grad(&self, pmf: &[f64], grad: &mut [f64]) -> f64 {
+        assert_eq!(grad.len(), pmf.len(), "one gradient slot per pmf entry");
+        grad.fill(0.0);
+        let k = pmf.len().min(self.lmax + 1);
+        let (q, total) = normalized(pmf, self.lmax);
+        let h = self.pass(&q, Some(&mut grad[..k]));
+        for g in &mut grad[..k] {
+            *g = (*g - h) / total;
+        }
+        h
+    }
+
+    /// `H̃(q)` of a normalized pmf; with `grad`, also adds the partials
+    /// `∂H̃/∂q_l` into it.
+    fn pass(&self, q: &[f64], mut grad: Option<&mut [f64]>) -> f64 {
+        let mut h_star = 0.0;
+        for form in &self.classes {
+            let (mut p, mut w_a, mut w_b) = (0.0, 0.0, 0.0);
+            for (&ql, &[pc, a, b]) in q.iter().skip(form.from).zip(&form.coefs) {
+                if ql == 0.0 {
+                    continue;
+                }
+                p += ql * pc;
+                w_a += ql * a;
+                w_b += ql * b;
+            }
+            p *= form.mult;
+            let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, form.n_hidden)]);
+            if let Some(d) = grad.as_deref_mut() {
+                form.add_gradient(d, p, w_a, w_b, entropy);
+            }
+            h_star += p * entropy;
+        }
+        h_star
+    }
+}
+
+/// Surprisal, in bits, charged to a posterior hypothesis whose weight is
+/// exactly zero, where the gradient asks how fast adding mass would raise
+/// it. The true one-sided slope of `-p·log2(p)` at `p = 0` is `+∞`, which
+/// no step could follow; the surprisal of a weight ratio of `2⁻⁶⁴` still
+/// points the gradient firmly into that coordinate and leaves the amount
+/// to the line search. Positive weights keep their exact surprisal.
+const ZERO_WEIGHT_SURPRISAL_BITS: f64 = 64.0;
+
+/// `-log2(p)`, or [`ZERO_WEIGHT_SURPRISAL_BITS`] at `p = 0`.
+fn surprisal_bits(p: f64) -> f64 {
+    if p > 0.0 {
+        -p.log2()
+    } else {
+        ZERO_WEIGHT_SURPRISAL_BITS
+    }
+}
+
+impl ClassForm {
+    /// Adds `∂(p·E)/∂q_l` to `d[l]`, given the class's probability `p`,
+    /// weights and entropy `E` at `q`.
+    ///
+    /// With `z = w_a + n_hidden·w_b`, the entropy's partials are
+    /// `∂E/∂w_a = (−log2(w_a/z) − E)/z` and
+    /// `∂E/∂w_b = n_hidden·(−log2(w_b/z) − E)/z`. A class absent at `q`
+    /// (`z = 0`) grows along `e_l` as `mult·pc_l·E(a_l, b_l)`: its
+    /// probability's slope times the entropy of the weights `q_l` brings.
+    fn add_gradient(&self, d: &mut [f64], p: f64, w_a: f64, w_b: f64, entropy: f64) {
+        let hidden = self.n_hidden as f64;
+        let z = w_a + w_b * hidden;
+        let terms = d.iter_mut().skip(self.from).zip(&self.coefs);
+        if z > 0.0 {
+            let de_da = (surprisal_bits(w_a / z) - entropy) / z;
+            let de_db = hidden * (surprisal_bits(w_b / z) - entropy) / z;
+            for (dl, &[pc, a, b]) in terms {
+                *dl += self.mult * pc * entropy + p * (a * de_da + b * de_db);
+            }
+        } else {
+            for (dl, &[pc, a, b]) in terms {
+                *dl += self.mult * pc * entropy_bits_grouped(&[(a, 1), (b, self.n_hidden)]);
+            }
+        }
     }
 }
 
@@ -654,6 +925,47 @@ mod tests {
         // and its entropy is h(alpha) + (1-alpha) log2(n-2)
         let h_expect = binary_entropy_bits(expect) + (1.0 - expect) * 48f64.log2();
         assert!((touching.entropy_bits - h_expect).abs() < 1e-12);
+    }
+
+    #[test]
+    fn gradient_is_finite_at_point_masses_and_without_direct_sends() {
+        for (n, c) in [(10, 0), (30, 1), (40, 3), (100, 1)] {
+            let model = SystemModel::new(n, c).unwrap();
+            let lmax = (n - 1).min(25);
+            let ev = Evaluator::new(&model, lmax).unwrap();
+            let mut pmfs: Vec<Vec<f64>> = (0..=lmax)
+                .map(|l| {
+                    let mut q = vec![0.0; lmax + 1];
+                    q[l] = 1.0;
+                    q
+                })
+                .collect();
+            // q[0] = 0: the clean class's direct-send weight `w_a` is zero
+            let mut no_direct = vec![1.0 / lmax as f64; lmax + 1];
+            no_direct[0] = 0.0;
+            pmfs.push(no_direct);
+            for pmf in pmfs {
+                let mut grad = vec![f64::NAN; lmax + 1];
+                let h = ev.h_star_and_grad(&pmf, &mut grad);
+                assert_eq!(h.to_bits(), ev.h_star(&pmf).to_bits());
+                assert!(
+                    grad.iter().all(|g| g.is_finite()),
+                    "n={n} c={c} pmf={pmf:?}: {grad:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gradient_is_zero_beyond_lmax() {
+        let model = SystemModel::new(20, 1).unwrap();
+        let ev = Evaluator::new(&model, 4).unwrap();
+        let pmf = [0.2, 0.2, 0.2, 0.2, 0.2, 0.7];
+        let mut grad = [f64::NAN; 6];
+        let h = ev.h_star_and_grad(&pmf, &mut grad);
+        assert_eq!(h.to_bits(), ev.h_star(&pmf).to_bits());
+        assert_eq!(grad[5], 0.0);
+        assert!(grad[..5].iter().all(|g| g.is_finite()));
     }
 
     #[test]

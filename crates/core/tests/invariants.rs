@@ -60,6 +60,37 @@ proptest! {
     }
 
     #[test]
+    fn gradient_matches_central_differences_and_h_star_bits(
+        raw in proptest::collection::vec(0.1f64..1.0, 2..=40),
+        n in 10usize..120,
+        c_pick in 0usize..3,
+    ) {
+        let c = [0, 1, 3][c_pick];
+        let mut pmf: Vec<f64> = raw.into_iter().take(n).collect();
+        let total: f64 = pmf.iter().sum();
+        for v in &mut pmf {
+            *v /= total;
+        }
+        let model = SystemModel::new(n, c).unwrap();
+        let ev = Evaluator::new(&model, pmf.len() - 1).unwrap();
+        let mut grad = vec![0.0; pmf.len()];
+        let h = ev.h_star_and_grad(&pmf, &mut grad);
+        prop_assert_eq!(h.to_bits(), ev.h_star(&pmf).to_bits());
+        let step = 1e-6;
+        for l in 0..pmf.len() {
+            let mut up = pmf.clone();
+            up[l] += step;
+            let mut down = pmf.clone();
+            down[l] -= step;
+            let fd = (ev.h_star(&up) - ev.h_star(&down)) / (2.0 * step);
+            prop_assert!(
+                (grad[l] - fd).abs() <= 1e-6 * fd.abs().max(1.0),
+                "n={} c={} l={}: exact {} vs central {}", n, c, l, grad[l], fd
+            );
+        }
+    }
+
+    #[test]
     fn c1_closed_form_is_the_engine(pmf in arb_pmf(10), n in 6usize..60) {
         let model = SystemModel::new(n, 1).unwrap();
         let dist = PathLengthDist::from_pmf(pmf).unwrap();
