@@ -635,6 +635,11 @@ struct ClassForm {
 }
 
 impl ClassForms {
+    /// Exact `H*`, equal to [`Evaluator::h_star`].
+    pub(crate) fn h_star(&self, pmf: &[f64]) -> f64 {
+        self.pass(&normalized(pmf, self.lmax).0, None)
+    }
+
     /// [`Evaluator::h_star_and_grad`].
     pub(crate) fn h_star_and_grad(&self, pmf: &[f64], grad: &mut [f64]) -> f64 {
         assert_eq!(grad.len(), pmf.len(), "one gradient slot per pmf entry");
