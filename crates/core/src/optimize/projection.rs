@@ -18,21 +18,15 @@ fn simplex_threshold(v: &[f64], sorted: &mut Vec<f64>) -> f64 {
     sorted.extend_from_slice(v);
     sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite values"));
     let mut cumsum = 0.0;
-    let mut tau = 0.0;
     for (j, &x) in sorted.iter().enumerate() {
         cumsum += x;
         let t = (cumsum - 1.0) / (j + 1) as f64;
+        // the standard stopping rule: v_{j+1} <= tau < v_j
         if j + 1 == k || sorted[j + 1] <= t {
-            tau = t;
-            if j + 1 < k {
-                // check the standard stopping rule: v_{j+1} <= tau < v_j region
-                if sorted[j + 1] <= t {
-                    break;
-                }
-            }
+            return t;
         }
     }
-    tau
+    unreachable!("the last index always stops the scan")
 }
 
 /// Steps on `β` before [`project_simplex_with_mean`] settles for the last
@@ -195,10 +189,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The nested-bisection projection the exact one replaced: 200 outer
-    /// bisection steps on `β`, each solving `α(β)` by 200 inner steps,
-    /// then a renormalization of the leftover drift. Kept as the
-    /// reference the exact projection is checked against.
+    /// Reference projection by nested bisection: 200 outer steps on `β`,
+    /// each solving `α(β)` by 200 inner steps, then a renormalization of
+    /// the leftover drift. The exact projection is checked against it.
     fn nested_bisection_oracle(y: &[f64], mean: f64) -> Option<Vec<f64>> {
         let k = y.len();
         assert!(k > 0, "cannot project an empty vector");

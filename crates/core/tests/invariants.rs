@@ -64,12 +64,15 @@ proptest! {
         raw in proptest::collection::vec(0.1f64..1.0, 2..=40),
         n in 10usize..120,
         c_pick in 0usize..3,
+        mass in 0.5f64..2.0,
     ) {
+        // an unnormalized pmf: the gradient is that of `h_star`, which
+        // normalizes its input
         let c = [0, 1, 3][c_pick];
         let mut pmf: Vec<f64> = raw.into_iter().take(n).collect();
         let total: f64 = pmf.iter().sum();
         for v in &mut pmf {
-            *v /= total;
+            *v *= mass / total;
         }
         let model = SystemModel::new(n, c).unwrap();
         let ev = Evaluator::new(&model, pmf.len() - 1).unwrap();
