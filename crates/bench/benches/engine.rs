@@ -85,6 +85,22 @@ fn bench_optimizer(c: &mut Criterion) {
     group.bench_function("mean_constrained_lmax30", |b| {
         b.iter(|| optimize::maximize_with_mean(&model, 30, 8.0).unwrap())
     });
+    // the two solves of the repository benchmark's optimal_design cells,
+    // with the support bounds campaign cells use at n = 100
+    let model = SystemModel::new(100, 1).unwrap();
+    group.bench_function("maximize_n100_lmax60", |b| {
+        b.iter(|| optimize::maximize(&model, 60).unwrap())
+    });
+    group.bench_function("maximize_with_mean_n100_mean6", |b| {
+        b.iter(|| optimize::maximize_with_mean(&model, 32, 6.0).unwrap())
+    });
+    // one fixed-mean projection of a gradient step on that support
+    let y: Vec<f64> = (0..33)
+        .map(|l| (l as f64 * 0.37).sin() * 0.3 + 1.0 / 33.0)
+        .collect();
+    group.bench_function("project_simplex_with_mean_k33", |b| {
+        b.iter(|| optimize::project_simplex_with_mean(black_box(&y), 6.0).unwrap())
+    });
     group.finish();
 }
 
