@@ -6,6 +6,9 @@
 //! seed via HKDF. Per-packet layer keys are derived from the master key
 //! and the packet nonce, so master keys never encrypt data directly.
 
+use std::collections::HashMap;
+use std::sync::Mutex;
+
 use crate::hkdf;
 
 /// A node's long-term 256-bit master key.
@@ -33,6 +36,10 @@ impl MasterKey {
 
 /// Key material for a whole deployment: one master key per member node.
 ///
+/// A key is a pure function of `(seed, id)`, so each is derived by HKDF on
+/// first use and memoized: a store for a large network costs nothing for
+/// the nodes no route ever visits.
+///
 /// # Examples
 ///
 /// ```
@@ -41,32 +48,42 @@ impl MasterKey {
 /// assert_eq!(ks.len(), 16);
 /// assert_ne!(ks.key(0), ks.key(1));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct KeyStore {
-    keys: Vec<MasterKey>,
+    seed: Vec<u8>,
+    n: usize,
+    derived: Mutex<HashMap<usize, MasterKey>>,
+}
+
+impl Clone for KeyStore {
+    fn clone(&self) -> Self {
+        KeyStore {
+            seed: self.seed.clone(),
+            n: self.n,
+            derived: Mutex::new(self.derived.lock().expect("key memo lock").clone()),
+        }
+    }
 }
 
 impl KeyStore {
-    /// Deterministically provisions `n` node keys from a deployment seed.
+    /// A deployment of `n` node keys provisioned from a seed; each key is
+    /// derived when first asked for.
     pub fn from_seed(seed: &[u8], n: usize) -> Self {
-        let mut keys = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut key = [0u8; 32];
-            let info = [b"anonroute-node-key-v1" as &[u8], &(i as u64).to_be_bytes()].concat();
-            hkdf::derive(b"anonroute-keystore", seed, &info, &mut key);
-            keys.push(MasterKey(key));
+        KeyStore {
+            seed: seed.to_vec(),
+            n,
+            derived: Mutex::new(HashMap::new()),
         }
-        KeyStore { keys }
     }
 
     /// Number of provisioned nodes.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.n
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.n == 0
     }
 
     /// The master key of node `id`.
@@ -75,8 +92,26 @@ impl KeyStore {
     ///
     /// Panics if `id` is out of range.
     pub fn key(&self, id: usize) -> MasterKey {
-        self.keys[id]
+        assert!(id < self.n, "node {id} out of range (n={})", self.n);
+        *self
+            .derived
+            .lock()
+            .expect("key memo lock")
+            .entry(id)
+            .or_insert_with(|| derive_node_key(&self.seed, id))
     }
+}
+
+/// HKDF of node `id`'s master key from the deployment seed.
+fn derive_node_key(seed: &[u8], id: usize) -> MasterKey {
+    let mut key = [0u8; 32];
+    let info = [
+        b"anonroute-node-key-v1" as &[u8],
+        &(id as u64).to_be_bytes(),
+    ]
+    .concat();
+    hkdf::derive(b"anonroute-keystore", seed, &info, &mut key);
+    MasterKey(key)
 }
 
 #[cfg(test)]
@@ -107,6 +142,35 @@ mod tests {
                 assert_ne!(ks.key(i), ks.key(j), "{i} vs {j}");
             }
         }
+    }
+
+    #[test]
+    fn lazy_keys_equal_eagerly_derived_keys() {
+        let n = 1000;
+        let ks = KeyStore::from_seed(b"lazy", n);
+        for id in [0, 1, n - 1] {
+            // the eager provisioning loop every key store used to run
+            let mut eager = [0u8; 32];
+            let info = [
+                b"anonroute-node-key-v1" as &[u8],
+                &(id as u64).to_be_bytes(),
+            ]
+            .concat();
+            hkdf::derive(b"anonroute-keystore", b"lazy", &info, &mut eager);
+            assert_eq!(ks.key(id), MasterKey(eager), "node {id}");
+            assert_eq!(ks.key(id), MasterKey(eager), "memoized node {id}");
+        }
+        assert_eq!(
+            ks.derived.lock().unwrap().len(),
+            3,
+            "only asked-for keys are derived"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn keys_past_the_deployment_are_rejected() {
+        KeyStore::from_seed(b"x", 4).key(4);
     }
 
     #[test]
