@@ -85,14 +85,19 @@ impl Adversary {
             .into_iter()
             .filter(|r| r.msg == msg)
             .collect();
+        self.observation_from(&edges, msg)
+    }
 
+    /// Merges one message's visible records, in time order, into its
+    /// observation.
+    fn observation_from(&self, edges: &[&TransferRecord], msg: MsgId) -> Result<Observation> {
         let mut origin: Option<NodeId> = None;
         let mut runs: Vec<RunObservation> = Vec::new();
         let mut open: Option<RunObservation> = None;
         let mut receiver_pred: Option<NodeId> = None;
         let mut received: HashSet<NodeId> = HashSet::new();
 
-        for r in &edges {
+        for r in edges {
             // Origin detection: a compromised node emitting a message it
             // never received must be the sender.
             if let Endpoint::Node(f) = r.from {
@@ -174,16 +179,18 @@ impl Adversary {
     }
 
     /// Reconstructs observations for every delivered message in the trace.
+    ///
+    /// One pass groups the visible records by message, so the cost is one
+    /// sort of the trace rather than one per message; each message's
+    /// records keep the order [`Adversary::reconstruct`] sees them in.
     pub fn reconstruct_all(&self, trace: &[TransferRecord]) -> HashMap<MsgId, Observation> {
-        let mut ids: Vec<MsgId> = trace
-            .iter()
-            .filter(|r| r.to == Endpoint::Receiver)
-            .map(|r| r.msg)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter()
-            .filter_map(|id| self.reconstruct(trace, id).ok().map(|o| (id, o)))
+        let mut by_msg: HashMap<MsgId, Vec<&TransferRecord>> = HashMap::new();
+        for r in self.visible(trace) {
+            by_msg.entry(r.msg).or_default().push(r);
+        }
+        by_msg
+            .into_iter()
+            .filter_map(|(id, edges)| self.observation_from(&edges, id).ok().map(|o| (id, o)))
             .collect()
     }
 }
@@ -306,6 +313,47 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reconstruct_all_matches_per_message_reconstruction() {
+        // interleaved messages on a cyclic-capable system, one of them
+        // never delivered and one sent by a compromised node
+        let adv = Adversary::new(8, &[5, 6]).unwrap();
+        let plans: [(u64, NodeId, &[NodeId], bool); 6] = [
+            (0, 0, &[1, 5, 2], true),
+            (1, 3, &[5, 6, 4], true),
+            (2, 1, &[2, 3], false), // undelivered
+            (3, 5, &[1, 2], true),  // compromised sender
+            (4, 2, &[], true),      // direct send
+            (5, 4, &[6, 0, 6, 1], true),
+        ];
+        let mut trace = Vec::new();
+        for (m, sender, path, delivered) in plans {
+            let mut from = Endpoint::Node(sender);
+            let hops = path.iter().map(|&x| Endpoint::Node(x));
+            let ends = hops.chain(delivered.then_some(Endpoint::Receiver));
+            for (k, to) in ends.enumerate() {
+                // message m's k-th hop at 7k + m µs: the messages interleave
+                trace.push(TransferRecord {
+                    time: SimTime::from_micros(7 * k as u64 + m),
+                    from,
+                    to,
+                    msg: MsgId(m),
+                });
+                from = to;
+            }
+        }
+        // shuffle the record order: only timestamps may order the records
+        trace.reverse();
+        let all = adv.reconstruct_all(&trace);
+        let mut ids: Vec<u64> = all.keys().map(|m| m.0).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![0, 1, 3, 4, 5], "undelivered message 2 is skipped");
+        for (id, obs) in &all {
+            assert_eq!(obs, &adv.reconstruct(&trace, *id).unwrap(), "{id:?}");
+        }
+        assert!(adv.reconstruct(&trace, MsgId(2)).is_err());
     }
 
     #[test]
