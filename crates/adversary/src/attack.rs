@@ -1,8 +1,9 @@
 //! The Bayesian attack and empirical anonymity measurement.
 //!
 //! For every delivered message the adversary reconstructs its observation,
-//! computes the exact posterior over senders
-//! ([`anonroute_core::engine::sender_posterior`]), and scores it. Averaging
+//! computes the exact posterior over senders in closed form
+//! ([`anonroute_core::engine::RoundPosterior`]), and scores it in time
+//! independent of the number of members. Averaging
 //! the posterior entropies over many messages yields an *empirical*
 //! anonymity degree that must agree with the closed-form `H*(S)` — the
 //! end-to-end validation of the whole reproduction (analysis ⇄ simulated
@@ -12,9 +13,8 @@ use std::collections::BTreeMap;
 
 use anonroute_core::engine::FoldWorkspace;
 use anonroute_core::epochs::{
-    DecayCurve, EpochStat, EpochView, IntersectionPosterior, LiftScratch,
+    DecayCurve, EpochStat, EpochView, EpochZeroes, IntersectionPosterior,
 };
-use anonroute_core::mathutil::entropy_bits;
 use anonroute_core::{PathLengthDist, SystemModel};
 use anonroute_sim::{MsgId, NodeId, Origination, TransferRecord};
 
@@ -26,8 +26,6 @@ use crate::reconstruct::Adversary;
 pub struct MessageVerdict {
     /// Which message.
     pub msg: MsgId,
-    /// Posterior over senders (length `n`, sums to 1).
-    pub posterior: Vec<f64>,
     /// Posterior entropy in bits.
     pub entropy_bits: f64,
     /// The adversary's best guess (argmax of the posterior).
@@ -36,6 +34,47 @@ pub struct MessageVerdict {
     pub true_sender_prob: f64,
     /// Whether the best guess was correct.
     pub identified: bool,
+    /// The posterior in structured form (a shared weight plus the few
+    /// nodes singled out), expanded on demand.
+    posterior: IntersectionPosterior,
+}
+
+impl MessageVerdict {
+    /// Scores `posterior` against the ground-truth sender: the shared
+    /// verdict rule of the one-shot and intersection attacks
+    /// (`identified` means the argmax is correct with probability ≈ 1).
+    fn new(
+        msg: MsgId,
+        truth: NodeId,
+        entropy_bits: f64,
+        (best_guess, p_best): (NodeId, f64),
+        true_sender_prob: f64,
+        posterior: IntersectionPosterior,
+    ) -> Self {
+        MessageVerdict {
+            msg,
+            entropy_bits,
+            best_guess,
+            true_sender_prob,
+            identified: best_guess == truth && p_best > 0.999_999,
+            posterior,
+        }
+    }
+
+    /// Posterior probability that node `id` sent the message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a member node.
+    pub fn prob(&self, id: NodeId) -> f64 {
+        self.posterior.prob(id)
+    }
+
+    /// The posterior over senders as a dense vector (length `n`, or the
+    /// universe size for an intersection verdict; sums to 1).
+    pub fn posterior(&self) -> Vec<f64> {
+        self.posterior.posterior()
+    }
 }
 
 /// Aggregate results of attacking a whole trace.
@@ -69,12 +108,16 @@ impl AttackReport {
 /// `model` and `dist` are the adversary's (correct, per the threat model)
 /// knowledge of the system parameters and the path-selection strategy.
 /// `originations` supply the ground-truth labels used only for scoring.
+/// Builds the strategy's [`FoldWorkspace`] and runs
+/// [`attack_trace_with`].
 ///
 /// # Errors
 ///
-/// Returns [`Error::BadInput`] when no message can be attacked, and
-/// propagates posterior-computation failures (which indicate a mismatch
-/// between the simulated protocol and the declared strategy).
+/// Returns [`Error::BadInput`] when the adversary disagrees with the
+/// model, the strategy is infeasible for it, or no message can be
+/// attacked, and propagates posterior-computation failures (which
+/// indicate a mismatch between the simulated protocol and the declared
+/// strategy).
 pub fn attack_trace(
     adversary: &Adversary,
     model: &SystemModel,
@@ -91,27 +134,58 @@ pub fn attack_trace(
             model.n()
         )));
     }
+    let workspace = FoldWorkspace::new(model, dist)
+        .map_err(|e| Error::BadInput(format!("posterior failed: {e}")))?;
+    attack_trace_with(adversary, &workspace, trace, originations)
+}
+
+/// [`attack_trace`] against a prebuilt workspace, so callers attacking
+/// many traces of one `(model, strategy)` pair build its `O(n)` tables
+/// once (see [`anonroute_core::engine::EvaluatorCache::workspace`]).
+/// Beyond that, the cost is `O(trace)` plus `O(n / 64)` for the
+/// compromised set, independent of `n` per message.
+///
+/// # Errors
+///
+/// As [`attack_trace`]; the adversary must match the workspace's model.
+pub fn attack_trace_with(
+    adversary: &Adversary,
+    workspace: &FoldWorkspace,
+    trace: &[TransferRecord],
+    originations: &[Origination],
+) -> Result<AttackReport> {
+    let n = workspace.n();
+    if adversary.c() != workspace.c() || adversary.compromised().len() != n {
+        return Err(Error::BadInput(format!(
+            "adversary ({} of {}) disagrees with model (c={} of n={n})",
+            adversary.c(),
+            adversary.compromised().len(),
+            workspace.c(),
+        )));
+    }
     let observations = adversary.reconstruct_all(trace);
+    let zeroes = EpochZeroes::one_shot(n, adversary.compromised_ids());
     let mut verdicts = Vec::new();
-    // built lazily on the first attackable message, then reused for the
-    // whole trace: one log-factorial table instead of one per message
-    let mut workspace: Option<FoldWorkspace> = None;
     for o in originations {
         let Some(obs) = observations.get(&o.msg) else {
             continue; // undelivered within the trace
         };
-        if workspace.is_none() {
-            workspace =
-                Some(FoldWorkspace::new(model, dist).map_err(|e| {
-                    Error::BadInput(format!("posterior failed for {:?}: {e}", o.msg))
-                })?);
-        }
-        let posterior = workspace
-            .as_ref()
-            .expect("workspace was just initialized")
-            .posterior(obs, adversary.compromised())
-            .map_err(|e| Error::BadInput(format!("posterior failed for {:?}: {e}", o.msg)))?;
-        verdicts.push(verdict_for(o.msg, posterior, o.sender));
+        let wrap = |e: anonroute_core::Error| {
+            Error::BadInput(format!("posterior failed for {:?}: {e}", o.msg))
+        };
+        let round = workspace
+            .round(obs, adversary.compromised())
+            .map_err(wrap)?;
+        let mut posterior = IntersectionPosterior::new(n);
+        posterior.fold_round(&round, &zeroes).map_err(wrap)?;
+        verdicts.push(MessageVerdict::new(
+            o.msg,
+            o.sender,
+            round.entropy_bits(),
+            round.best_guess(),
+            round.prob(o.sender),
+            posterior,
+        ));
     }
     if verdicts.is_empty() {
         return Err(Error::BadInput("no delivered messages to attack".into()));
@@ -121,26 +195,6 @@ pub fn attack_trace(
     // traces may not keep it that way
     verdicts.sort_by_key(|v| v.msg);
     Ok(aggregate(verdicts))
-}
-
-/// Scores one posterior against the ground-truth sender: the shared
-/// verdict rule of the one-shot and intersection attacks (`identified`
-/// means the argmax is correct with probability ≈ 1).
-fn verdict_for(msg: MsgId, posterior: Vec<f64>, true_sender: NodeId) -> MessageVerdict {
-    let best_guess = posterior
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("probabilities are finite"))
-        .map(|(i, _)| i)
-        .expect("posterior is nonempty");
-    MessageVerdict {
-        msg,
-        entropy_bits: entropy_bits(&posterior),
-        best_guess,
-        true_sender_prob: posterior[true_sender],
-        identified: best_guess == true_sender && posterior[best_guess] > 0.999_999,
-        posterior,
-    }
 }
 
 /// Builds the aggregate report from per-message verdicts (already in
@@ -202,10 +256,11 @@ pub struct IntersectionOutcome {
 ///
 /// Per epoch, the adversary reconstructs each session's observation from
 /// that epoch's visible trace, computes the exact single-round posterior
-/// (in the epoch's local space), lifts it to universe space — offline
-/// nodes get zero mass, the churn half of the attack — and multiplies it
-/// into the session's [`IntersectionPosterior`]. A session silent in an
-/// epoch (offline sender, undelivered message) folds nothing that round.
+/// (in the epoch's local space, closed form) and folds it into the
+/// session's [`IntersectionPosterior`]: offline nodes get zero mass — the
+/// churn half of the attack — through the epoch's [`EpochZeroes`], which
+/// every session shares. A session silent in an epoch (offline sender,
+/// undelivered message) folds nothing that round.
 ///
 /// # Errors
 ///
@@ -223,9 +278,6 @@ pub fn intersection_attack(
     // session id -> (ground-truth universe sender, cumulative posterior)
     let mut sessions: BTreeMap<MsgId, (NodeId, IntersectionPosterior)> = BTreeMap::new();
     let mut per_epoch = Vec::with_capacity(rounds.len());
-    // reused across every session of every round: no per-fold allocation
-    let mut posterior: Vec<f64> = Vec::new();
-    let mut lift = LiftScratch::new(universe);
     for round in rounds {
         let view = round.view;
         if round.model.n() != view.n() || round.model.c() != view.compromised.len() {
@@ -240,10 +292,7 @@ pub fn intersection_attack(
         }
         let adversary = Adversary::new(view.n(), &view.local_compromised_ids())?;
         let observations = adversary.reconstruct_all(round.trace);
-        // the epoch's lift degenerates to the identity when every member
-        // is active, letting the fold skip the scatter entirely
-        let identity_lift =
-            view.n() == universe && view.active.iter().enumerate().all(|(i, &u)| i == u);
+        let zeroes = EpochZeroes::new(view, universe);
         // one workspace per epoch, shared by every session this round —
         // built lazily so rounds with nothing delivered build nothing
         let mut workspace: Option<FoldWorkspace> = None;
@@ -280,17 +329,12 @@ pub fn intersection_attack(
             if workspace.is_none() {
                 workspace = Some(FoldWorkspace::new(round.model, round.dist).map_err(wrap)?);
             }
-            workspace
+            let posterior = workspace
                 .as_ref()
                 .expect("workspace was just initialized")
-                .posterior_into(obs, adversary.compromised(), &mut posterior)
+                .round(obs, adversary.compromised())
                 .map_err(wrap)?;
-            if identity_lift {
-                acc.fold(&posterior)
-            } else {
-                lift.lifted(&view.active, &posterior, |p| acc.fold(p))
-            }
-            .map_err(|e| Error::BadInput(e.to_string()))?;
+            acc.fold_round(&posterior, &zeroes).map_err(wrap)?;
         }
         if sessions.is_empty() {
             return Err(Error::BadInput("no sessions observed so far".into()));
@@ -299,7 +343,10 @@ pub fn intersection_attack(
     }
     let verdicts: Vec<MessageVerdict> = sessions
         .into_iter() // BTreeMap iteration: session-id order by construction
-        .map(|(msg, (truth, acc))| verdict_for(msg, acc.posterior(), truth))
+        .map(|(msg, (truth, acc))| {
+            let (entropy, guess, p_truth) = (acc.entropy_bits(), acc.best_guess(), acc.prob(truth));
+            MessageVerdict::new(msg, truth, entropy, guess, p_truth, acc)
+        })
         .collect();
     Ok(IntersectionOutcome {
         report: aggregate(verdicts),
@@ -675,15 +722,12 @@ mod tests {
         )
         .unwrap();
         let verdict = &outcome.report.verdicts[0];
-        assert_eq!(
-            verdict.posterior[3], 0.0,
-            "offline node cannot be the sender"
-        );
-        assert_eq!(
-            verdict.posterior[4], 0.0,
-            "offline node cannot be the sender"
-        );
-        assert!(verdict.posterior[0] > 0.0, "the true sender survives");
+        assert_eq!(verdict.prob(3), 0.0, "offline node cannot be the sender");
+        assert_eq!(verdict.prob(4), 0.0, "offline node cannot be the sender");
+        assert!(verdict.prob(0) > 0.0, "the true sender survives");
+        let dense = verdict.posterior();
+        assert_eq!((dense[3], dense[4]), (0.0, 0.0));
+        assert!((dense.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(
             outcome.decay.last().mean_support < outcome.decay.first().mean_support,
             "churn shrinks the anonymity set"

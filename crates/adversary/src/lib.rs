@@ -29,8 +29,8 @@ pub mod predecessor;
 pub mod reconstruct;
 
 pub use attack::{
-    attack_trace, intersection_attack, AttackReport, EpochTrace, IntersectionOutcome,
-    MessageVerdict,
+    attack_trace, attack_trace_with, intersection_attack, AttackReport, EpochTrace,
+    IntersectionOutcome, MessageVerdict,
 };
 pub use error::{Error, Result};
 pub use predecessor::{predecessor_attack, PredecessorOutcome, PredecessorTracker};

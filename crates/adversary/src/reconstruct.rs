@@ -23,6 +23,8 @@ use crate::error::{Error, Result};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Adversary {
     compromised: Vec<bool>,
+    /// The compromised ids, ascending.
+    ids: Vec<NodeId>,
 }
 
 impl Adversary {
@@ -45,7 +47,9 @@ impl Adversary {
             }
             compromised[id] = true;
         }
-        Ok(Adversary { compromised })
+        let mut ids = compromised_ids.to_vec();
+        ids.sort_unstable();
+        Ok(Adversary { compromised, ids })
     }
 
     /// The compromised mask, indexed by node id.
@@ -53,9 +57,14 @@ impl Adversary {
         &self.compromised
     }
 
+    /// The compromised node ids, ascending.
+    pub fn compromised_ids(&self) -> &[NodeId] {
+        &self.ids
+    }
+
     /// Number of compromised member nodes.
     pub fn c(&self) -> usize {
-        self.compromised.iter().filter(|&&b| b).count()
+        self.ids.len()
     }
 
     fn is_visible(&self, r: &TransferRecord) -> bool {

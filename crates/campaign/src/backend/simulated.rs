@@ -52,8 +52,8 @@ impl EvalBackend for SimulatedBackend {
         let n = ctx.model.n();
         if n > ctx.config.sim_max_n {
             return Err(format!(
-                "sim cell n={n} exceeds sim_max_n={} (each sim cell provisions n onion keys \
-                 and an n-wide posterior per message; raise --sim-max-n to allow it)",
+                "sim cell n={n} exceeds sim_max_n={} (each sim cell builds and simulates an \
+                 n-node network; raise --sim-max-n to allow it)",
                 ctx.config.sim_max_n
             ));
         }

@@ -11,14 +11,14 @@
 pub mod brute;
 mod cache;
 pub mod cyclic;
-mod fold;
+pub(crate) mod fold;
 mod montecarlo;
 mod observation;
 mod posterior;
 pub mod simple;
 
 pub use cache::{CacheStats, EvaluatorCache, SharedEvaluator, SharedWorkspace};
-pub use fold::FoldWorkspace;
+pub use fold::{FoldWorkspace, RoundPosterior};
 pub use montecarlo::{
     estimate_anonymity_degree, sample_path, sample_path_into, MonteCarloEstimate,
 };

@@ -17,7 +17,6 @@ use crate::dist::PathLengthDist;
 use crate::engine::fold::FoldWorkspace;
 use crate::engine::observation::observe;
 use crate::error::Result;
-use crate::mathutil::entropy_bits;
 use crate::model::{PathKind, SystemModel};
 
 /// Result of a Monte-Carlo estimation.
@@ -72,7 +71,6 @@ pub fn estimate_anonymity_degree(
     let mut sum_sq = 0.0;
     let mut scratch: Vec<usize> = (0..n).collect();
     let mut path: Vec<usize> = Vec::new();
-    let mut post: Vec<f64> = Vec::new();
     for _ in 0..samples {
         let sender = rng.gen_range(0..n);
         let h = if compromised[sender] {
@@ -82,9 +80,9 @@ pub fn estimate_anonymity_degree(
             sample_path_into(model, sender, l, &mut rng, &mut scratch, &mut path);
             let obs = observe(sender, &path, &compromised);
             workspace
-                .posterior_into(&obs, &compromised, &mut post)
-                .expect("generated observations are consistent by construction");
-            entropy_bits(&post)
+                .round(&obs, &compromised)
+                .expect("generated observations are consistent by construction")
+                .entropy_bits()
         };
         sum += h;
         sum_sq += h * h;

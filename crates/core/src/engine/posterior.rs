@@ -10,7 +10,7 @@
 //! individual messages.
 
 use crate::dist::PathLengthDist;
-use crate::engine::fold::FoldWorkspace;
+use crate::engine::fold::{check_compromised_count, FoldWorkspace, RoundPosterior};
 use crate::engine::observation::{Observation, Succ};
 use crate::engine::simple::EndGap;
 use crate::error::{Error, Result};
@@ -44,31 +44,20 @@ pub fn sender_posterior(
             model.n()
         )));
     }
-    let c_actual = compromised.iter().filter(|&&b| b).count();
-    if c_actual != model.c() {
-        return Err(Error::InvalidObservation(format!(
-            "compromised vector marks {c_actual} nodes, model says c={}",
-            model.c()
-        )));
-    }
+    check_compromised_count(compromised, model.c())?;
     validate_structure(model.n(), obs, compromised)?;
-
-    let n = model.n();
 
     // Compromised sender: the origin agent saw everything.
     if let Some(s) = obs.origin {
-        let mut post = vec![0.0; n];
-        post[s] = 1.0;
-        return Ok(post);
+        return Ok(RoundPosterior::sender_reported(compromised, s).posterior());
     }
 
     // One-shot path: build a throwaway workspace. Loops that evaluate many
     // observations against one (model, dist) pair should build a
     // `FoldWorkspace` once instead.
-    let workspace = FoldWorkspace::new(model, dist)?;
-    let mut post = Vec::new();
-    workspace.fill_posterior(obs, compromised, &mut post)?;
-    Ok(post)
+    Ok(FoldWorkspace::new(model, dist)?
+        .round(obs, compromised)?
+        .posterior())
 }
 
 /// Structural consistency checks shared by [`sender_posterior`] and

@@ -19,7 +19,9 @@
 //!   mapping every engine uses to express per-epoch posteriors in one
 //!   shared space;
 //! * [`IntersectionPosterior`] — the adversary's cumulative sender
-//!   posterior, folded one round at a time;
+//!   posterior, folded one round at a time from closed-form
+//!   [`RoundPosterior`]s, with the zeroes each epoch imposes on every
+//!   session ([`EpochZeroes`]) derived once per epoch;
 //! * [`DecayCurve`] / [`EpochStat`] — anonymity-decay reporting
 //!   (`H*` per epoch, rounds-to-identification);
 //! * [`estimate_decay`] — a seeded session sampler with *exact* per-round
@@ -51,11 +53,15 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex};
+
 use crate::dist::PathLengthDist;
-use crate::engine::{observe, sample_path_into, EvaluatorCache};
+use crate::engine::fold::better;
+use crate::engine::{observe, sample_path_into, EvaluatorCache, RoundPosterior};
 use crate::error::{Error, Result};
-use crate::kernels;
-use crate::mathutil::entropy_bits;
+use crate::mathutil::plogp;
 use crate::model::SystemModel;
 
 /// How the compromised set changes from epoch to epoch.
@@ -477,24 +483,31 @@ impl EpochView {
 /// Rounds fold multiplicatively (Bayes with a uniform prior and
 /// conditionally independent observations given the sender); the first
 /// fold is a verbatim copy, so single-epoch results are **bit-identical**
-/// to the one-shot posterior path. Later folds renormalize, keeping the
-/// accumulator stable over arbitrarily many rounds.
+/// to the one-shot [`RoundPosterior`] scores. Later folds renormalize,
+/// keeping the accumulator stable over arbitrarily many rounds.
 ///
-/// ## Sparse representation
+/// ## Structured representation
 ///
-/// Support shrinks monotonically — a candidate zeroed once stays zero —
-/// so once a fold leaves at most `universe / `[`SPARSE_SWITCH_DIVISOR`]
-/// survivors the accumulator switches to a sparse `(index, weight)` pair
-/// list and every subsequent `fold`/`entropy_bits`/`support`/`best_guess`
-/// is `O(support)` instead of `O(universe)`. The switch is one-way and
-/// **bit-preserving**: eliminated candidates carry exact `+0.0`, which is
-/// the additive identity of the nonnegative left-to-right sums, so the
-/// sparse arithmetic produces the same bits the dense scan would (pinned
-/// by the golden-file and conformance suites, and by a differential
-/// proptest). The one observable difference is validation scope: a
-/// sparse fold only inspects the round posterior at surviving indices, so
-/// a negative or non-finite entry at an already-eliminated index is no
-/// longer detected.
+/// Every round posterior gives one shared probability to all candidates
+/// it does not single out, so the product of rounds does too. The
+/// accumulator keeps:
+///
+/// * one *common* weight, carried by every candidate no folded round
+///   singled out;
+/// * a per-session *exception* list: the candidates some round singled
+///   out (a suspect, or an honest node an observation excluded, at
+///   weight zero), ascending by id;
+/// * the *zeroes* every session that folded the same epochs shares: the
+///   union of those epochs' offline and compromised nodes
+///   ([`EpochZeroes`]), derived once per epoch as a bitset and united once
+///   per distinct epoch history.
+///
+/// A fold, [`IntersectionPosterior::entropy_bits`] and
+/// [`IntersectionPosterior::support`] cost `O(exceptions)`, whatever the
+/// universe size; [`IntersectionPosterior::best_guess`] adds a skip over
+/// the zeroed ids at the top of the id range. The dense
+/// [`IntersectionPosterior::fold`] compresses a universe-length vector
+/// into the same form in `O(universe)`.
 ///
 /// After a `fold` error the accumulator state is unspecified; callers
 /// are expected to discard it (every error is terminal for the session).
@@ -502,25 +515,14 @@ impl EpochView {
 pub struct IntersectionPosterior {
     universe: usize,
     folds: usize,
-    repr: Repr,
+    /// Weight of each of the `common_count` candidates outside
+    /// `exceptions` and `zeroes`.
+    common: f64,
+    common_count: usize,
+    /// Singled-out candidates, ascending by id; disjoint from `zeroes`.
+    exceptions: Vec<(usize, f64)>,
+    zeroes: Option<Arc<ZeroSet>>,
 }
-
-/// Internal storage of the accumulator. `Uniform` is the fold-free prior
-/// (no allocation at all); `Dense` mirrors the historical `Vec<f64>` over
-/// the whole universe; `Sparse` keeps only the surviving support as
-/// ascending `(index, weight)` pairs.
-#[derive(Debug, Clone)]
-enum Repr {
-    Uniform,
-    Dense(Vec<f64>),
-    Sparse { idx: Vec<u32>, w: Vec<f64> },
-}
-
-/// A fold switches to the sparse representation once
-/// `support <= universe / SPARSE_SWITCH_DIVISOR` (and indices fit `u32`).
-/// Below that point the dense multiply touches at least this factor of
-/// dead zeroes per surviving candidate.
-pub const SPARSE_SWITCH_DIVISOR: usize = 4;
 
 impl IntersectionPosterior {
     /// A fresh accumulator over `universe` candidate senders (uniform
@@ -529,7 +531,10 @@ impl IntersectionPosterior {
         IntersectionPosterior {
             universe,
             folds: 0,
-            repr: Repr::Uniform,
+            common: 1.0 / universe as f64,
+            common_count: universe,
+            exceptions: Vec::new(),
+            zeroes: None,
         }
     }
 
@@ -543,41 +548,66 @@ impl IntersectionPosterior {
         self.universe
     }
 
-    /// Whether the accumulator currently stores only its surviving
-    /// support (see the type docs). Diagnostic only — results never
-    /// depend on the representation.
+    /// Always `true`: the accumulator keeps one shared weight plus its
+    /// exceptions and never a universe-length vector. Kept for callers
+    /// that report the dense/sparse split of earlier versions.
     pub fn is_sparse(&self) -> bool {
-        matches!(self.repr, Repr::Sparse { .. })
+        true
     }
 
-    /// Whether a post-fold support size warrants the sparse switch.
-    fn prefer_sparse(support: usize, universe: usize) -> bool {
-        support * SPARSE_SWITCH_DIVISOR <= universe && universe <= u32::MAX as usize
-    }
-
-    /// The sparse pair list of a dense weight vector (positive entries
-    /// only, ascending index order).
-    fn sparsify(weights: &[f64]) -> Repr {
-        let support = weights.iter().filter(|&&w| w > 0.0).count();
-        let mut idx = Vec::with_capacity(support);
-        let mut w = Vec::with_capacity(support);
-        for (i, &wi) in weights.iter().enumerate() {
-            if wi > 0.0 {
-                idx.push(i as u32);
-                w.push(wi);
-            }
+    /// Folds one round's closed-form posterior, computed in `epoch`'s
+    /// local id space, into the accumulator in `O(exceptions + observed
+    /// ids)`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidObservation`] if the round and the epoch
+    /// disagree on the number of nodes or the epoch's universe differs
+    /// from the accumulator's, or if the round is inconsistent with every
+    /// surviving candidate (zero total mass after the fold).
+    pub fn fold_round(
+        &mut self,
+        round: &RoundPosterior<'_>,
+        epoch: &EpochZeroes<'_>,
+    ) -> Result<()> {
+        if round.n() != epoch.local_n() || epoch.zeroes.universe != self.universe {
+            return Err(Error::InvalidObservation(format!(
+                "round over {} nodes, epoch over {} of {}, accumulator universe is {}",
+                round.n(),
+                epoch.local_n(),
+                epoch.zeroes.universe,
+                self.universe
+            )));
         }
-        Repr::Sparse { idx, w }
+        if round.is_sender_reported() {
+            // a point mass on a compromised node: the epoch's zeroes would
+            // remove the one candidate the round keeps
+            let (s, p) = round.suspect().expect("a reported sender");
+            return self.fold_parts(0.0, &[(epoch.lift(s), p)], None);
+        }
+        // the lift is monotone, so ascending local ids stay ascending
+        let mut singled: Vec<(usize, f64)> = round
+            .zeroed()
+            .iter()
+            .map(|&id| (epoch.lift(id), 0.0))
+            .collect();
+        if let Some((s, p)) = round.suspect() {
+            let at = singled.partition_point(|&(id, _)| id < epoch.lift(s));
+            singled.insert(at, (epoch.lift(s), p));
+        }
+        self.fold_parts(round.hidden_prob(), &singled, Some(&epoch.zeroes))
     }
 
-    /// Folds one round's posterior into the accumulator.
+    /// Folds one round's posterior, given as a dense universe-length
+    /// vector. One scan validates it, collects its zeroes into a zero set,
+    /// and picks its most frequent positive value as the shared weight;
+    /// every other positive entry becomes an exception.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidObservation`] if the posterior has the
-    /// wrong length, a non-finite or negative entry (checked on the
-    /// surviving support only, once sparse), or is inconsistent with
-    /// every surviving candidate (zero total mass after the fold).
+    /// wrong length, a non-finite or negative entry, or is inconsistent
+    /// with every surviving candidate (zero total mass after the fold).
     pub fn fold(&mut self, round_posterior: &[f64]) -> Result<()> {
         if round_posterior.len() != self.universe {
             return Err(Error::InvalidObservation(format!(
@@ -586,189 +616,354 @@ impl IntersectionPosterior {
                 self.universe
             )));
         }
-        match &mut self.repr {
-            Repr::Uniform => {
-                if !kernels::is_valid_weights(round_posterior) {
-                    return Err(Error::InvalidObservation(
-                        "round posterior has a negative or non-finite entry".into(),
-                    ));
-                }
-                // verbatim values: single-epoch results must be
-                // bit-identical to the one-shot posterior path
-                let support = round_posterior.iter().filter(|&&p| p > 0.0).count();
-                self.repr = if Self::prefer_sparse(support, self.universe) {
-                    Self::sparsify(round_posterior)
-                } else {
-                    Repr::Dense(round_posterior.to_vec())
-                };
+        // one scan: validate, collect the zeroes, and vote (Boyer–Moore)
+        // for the shared positive weight
+        let mut zero_bits = vec![0u64; self.universe.div_ceil(64)];
+        let (mut common, mut votes) = (0.0f64, 0usize);
+        for (i, &p) in round_posterior.iter().enumerate() {
+            if !p.is_finite() || p < 0.0 {
+                return Err(Error::InvalidObservation(
+                    "round posterior has a negative or non-finite entry".into(),
+                ));
             }
-            Repr::Dense(weights) => {
-                if !kernels::is_valid_weights(round_posterior) {
-                    return Err(Error::InvalidObservation(
-                        "round posterior has a negative or non-finite entry".into(),
-                    ));
-                }
-                kernels::mul_in_place(weights, round_posterior);
-                let total = kernels::sum_ordered(weights);
-                if total <= 0.0 {
-                    return Err(Error::InvalidObservation(
-                        "intersection fold eliminated every candidate sender".into(),
-                    ));
-                }
-                kernels::div_in_place(weights, total);
-                let support = weights.iter().filter(|&&w| w > 0.0).count();
-                if Self::prefer_sparse(support, self.universe) {
-                    self.repr = Self::sparsify(weights);
-                }
+            if p == 0.0 {
+                zero_bits[i / 64] |= 1u64 << (i % 64);
+            } else if votes == 0 {
+                (common, votes) = (p, 1);
+            } else if p.to_bits() == common.to_bits() {
+                votes += 1;
+            } else {
+                votes -= 1;
             }
-            Repr::Sparse { idx, w } => {
-                // eliminated candidates contribute exact +0.0 to the
-                // dense running total, so summing the survivors alone in
-                // ascending index order reproduces its bits
-                let mut total = 0.0;
-                for (&i, wi) in idx.iter().zip(w.iter_mut()) {
-                    let p = round_posterior[i as usize];
-                    if !p.is_finite() || p < 0.0 {
-                        return Err(Error::InvalidObservation(
-                            "round posterior has a negative or non-finite entry".into(),
-                        ));
-                    }
-                    *wi *= p;
-                    total += *wi;
+        }
+        let singled: Vec<(usize, f64)> = round_posterior
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p != 0.0 && p.to_bits() != common.to_bits())
+            .map(|(i, &p)| (i, p))
+            .collect();
+        let zeroes = Arc::new(ZeroSet::new(self.universe, zero_bits));
+        self.fold_parts(common, &singled, Some(&zeroes))
+    }
+
+    /// The fold proper: the round gives `common` to every candidate not
+    /// in `singled` (ascending universe ids) or `zeroes`.
+    fn fold_parts(
+        &mut self,
+        common: f64,
+        singled: &[(usize, f64)],
+        zeroes: Option<&Arc<ZeroSet>>,
+    ) -> Result<()> {
+        let zeroes = match (self.zeroes.take(), zeroes) {
+            (Some(held), Some(round)) => Some(held.union(round)),
+            (held, round) => held.or_else(|| round.cloned()),
+        };
+        let alive = |id: usize| zeroes.as_ref().is_none_or(|z| !z.contains(id));
+        let first = self.folds == 0;
+        // merge the held exceptions with the round's, both ascending
+        let mut merged = Vec::with_capacity(self.exceptions.len() + singled.len());
+        let (mut held, mut round) = (self.exceptions.iter().peekable(), singled.iter().peekable());
+        loop {
+            let (id, w) = match (held.peek(), round.peek()) {
+                (Some(&&(a, wa)), Some(&&(b, wb))) if a == b => {
+                    held.next();
+                    round.next();
+                    (a, wa * wb)
                 }
-                if total <= 0.0 {
-                    return Err(Error::InvalidObservation(
-                        "intersection fold eliminated every candidate sender".into(),
-                    ));
+                (Some(&&(a, wa)), Some(&&(b, _))) if a < b => {
+                    held.next();
+                    (a, wa * common)
                 }
-                kernels::div_in_place(w, total);
-                // compact newly eliminated candidates in place
-                let mut keep = 0;
-                for k in 0..w.len() {
-                    if w[k] > 0.0 {
-                        idx[keep] = idx[k];
-                        w[keep] = w[k];
-                        keep += 1;
-                    }
+                (Some(&&(a, wa)), None) => {
+                    held.next();
+                    (a, wa * common)
                 }
-                idx.truncate(keep);
-                w.truncate(keep);
+                (_, Some(&&(b, wb))) => {
+                    round.next();
+                    // the verbatim first fold copies the round's value
+                    (b, if first { wb } else { self.common * wb })
+                }
+                (None, None) => break,
+            };
+            if alive(id) {
+                merged.push((id, w));
             }
+        }
+        self.common = if first { common } else { self.common * common };
+        self.exceptions = merged;
+        self.common_count =
+            self.universe - zeroes.as_ref().map_or(0, |z| z.count) - self.exceptions.len();
+        self.zeroes = zeroes;
+        if !first {
+            // exceptions first, ascending, then the shared group
+            let mut total = 0.0;
+            for &(_, w) in &self.exceptions {
+                total += w;
+            }
+            total += self.common * self.common_count as f64;
+            if total.is_nan() || total <= 0.0 {
+                return Err(Error::InvalidObservation(
+                    "intersection fold eliminated every candidate sender".into(),
+                ));
+            }
+            for (_, w) in &mut self.exceptions {
+                *w /= total;
+            }
+            self.common /= total;
         }
         self.folds += 1;
         Ok(())
     }
 
-    /// The cumulative posterior, normalized to sum 1, as a dense
-    /// universe-length vector. Before any fold this is the uniform prior.
-    pub fn posterior(&self) -> Vec<f64> {
-        match &self.repr {
-            // first fold is stored verbatim (already normalized by the
-            // round's own computation); renormalizing would perturb bits
-            Repr::Uniform => vec![1.0 / self.universe as f64; self.universe],
-            Repr::Dense(weights) => weights.clone(),
-            Repr::Sparse { idx, w } => {
-                let mut out = vec![0.0; self.universe];
-                for (&i, &wi) in idx.iter().zip(w) {
-                    out[i as usize] = wi;
-                }
-                out
-            }
+    /// Posterior probability of candidate `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is outside the universe.
+    pub fn prob(&self, id: usize) -> f64 {
+        assert!(id < self.universe, "candidate {id} outside the universe");
+        if self.zeroes.as_ref().is_some_and(|z| z.contains(id)) {
+            return 0.0;
+        }
+        match self.exceptions.binary_search_by_key(&id, |&(i, _)| i) {
+            Ok(k) => self.exceptions[k].1,
+            Err(_) => self.common,
         }
     }
 
-    /// Shannon entropy of the cumulative posterior, in bits.
-    pub fn entropy_bits(&self) -> f64 {
-        match &self.repr {
-            Repr::Uniform => (self.universe as f64).log2(),
-            Repr::Dense(weights) => entropy_bits(weights),
-            // `entropy_bits` sums its normalizer left-to-right and skips
-            // nonpositive entries, so the survivors alone give the same
-            // bits as the dense vector
-            Repr::Sparse { w, .. } => entropy_bits(w),
+    /// The cumulative posterior, normalized to sum 1, as a dense
+    /// universe-length vector. Before any fold this is the uniform prior.
+    pub fn posterior(&self) -> Vec<f64> {
+        let mut out = vec![self.common; self.universe];
+        if let Some(z) = &self.zeroes {
+            for (id, p) in out.iter_mut().enumerate() {
+                if z.contains(id) {
+                    *p = 0.0;
+                }
+            }
         }
+        for &(id, w) in &self.exceptions {
+            out[id] = w;
+        }
+        out
+    }
+
+    /// Shannon entropy of the cumulative posterior, in bits: `-Σ p·log₂p`
+    /// over the exceptions, then `k·p·log₂p` for the shared group.
+    pub fn entropy_bits(&self) -> f64 {
+        if self.folds == 0 {
+            return (self.universe as f64).log2();
+        }
+        let mut h = 0.0;
+        for &(_, w) in &self.exceptions {
+            h -= plogp(w, 1);
+        }
+        h - plogp(self.common, self.common_count)
     }
 
     /// Number of candidates still carrying positive mass. Monotonically
     /// non-increasing as rounds fold in — the intersection attack proper.
     pub fn support(&self) -> usize {
-        match &self.repr {
-            Repr::Uniform => self.universe,
-            Repr::Dense(weights) => weights.iter().filter(|&&w| w > 0.0).count(),
-            Repr::Sparse { w, .. } => w.len(),
-        }
+        let singled = self.exceptions.iter().filter(|&&(_, w)| w > 0.0).count();
+        singled
+            + if self.common > 0.0 {
+                self.common_count
+            } else {
+                0
+            }
     }
 
     /// The most likely sender and its normalized cumulative posterior
-    /// probability, `O(support)`. Ties resolve to the highest index (the
-    /// historical dense-scan behavior); eliminated candidates never tie a
-    /// positive maximum, so the sparse argmax matches the dense one.
+    /// probability. Ties resolve to the highest index, as a scan over the
+    /// dense posterior would.
     pub fn best_guess(&self) -> (usize, f64) {
-        match &self.repr {
-            // the dense scan over an all-ones prior: every candidate
-            // ties, the last index wins, and the total is exactly n
-            Repr::Uniform => (self.universe - 1, 1.0 / self.universe as f64),
-            Repr::Dense(weights) => {
-                let total = kernels::sum_ordered(weights);
-                weights
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights are finite"))
-                    .map(|(i, &w)| (i, w / total))
-                    .expect("accumulator universe is nonempty")
-            }
-            Repr::Sparse { idx, w } => {
-                let Some((k, &best)) = w
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("weights are finite"))
-                else {
-                    // an all-zero first fold: the dense scan returned the
-                    // last index with probability 0/0
-                    return (self.universe - 1, f64::NAN);
-                };
-                let total = kernels::sum_ordered(w);
-                (idx[k] as usize, best / total)
-            }
+        let singled = self.exceptions.iter().copied().reduce(better);
+        let shared = self.top_common().map(|id| (id, self.common));
+        match (singled, shared) {
+            (Some(a), Some(b)) => better(a, b),
+            (Some(a), None) | (None, Some(a)) => a,
+            (None, None) => (self.universe - 1, f64::NAN),
         }
     }
 
-    /// Iterates the candidates carrying nonzero mass as
-    /// `(universe index, weight)`, ascending by index.
-    fn positive_entries(&self) -> Box<dyn Iterator<Item = (usize, f64)> + '_> {
-        match &self.repr {
-            Repr::Uniform => Box::new((0..self.universe).map(|i| (i, 1.0))),
-            Repr::Dense(weights) => Box::new(
-                weights
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &w)| w != 0.0)
-                    .map(|(i, &w)| (i, w)),
-            ),
-            Repr::Sparse { idx, w } => Box::new(
-                idx.iter()
-                    .zip(w)
-                    .filter(|&(_, &w)| w != 0.0)
-                    .map(|(&i, &w)| (i as usize, w)),
-            ),
+    /// The highest candidate carrying the common weight, if any.
+    fn top_common(&self) -> Option<usize> {
+        if self.common_count == 0 {
+            return None;
+        }
+        let mut id = self.universe - 1;
+        loop {
+            if let Some(z) = &self.zeroes {
+                id = z.last_clear_at_or_below(id)?;
+            }
+            if self
+                .exceptions
+                .binary_search_by_key(&id, |&(i, _)| i)
+                .is_err()
+            {
+                return Some(id);
+            }
+            id = id.checked_sub(1)?;
         }
     }
 }
 
 /// Representation-agnostic equality: two accumulators are equal when
 /// they agree on the universe, the fold count, and every candidate's
-/// weight — whether stored dense or sparse.
+/// probability (an `O(universe)` comparison).
 impl PartialEq for IntersectionPosterior {
     fn eq(&self, other: &Self) -> bool {
         self.universe == other.universe
             && self.folds == other.folds
-            && self.positive_entries().eq(other.positive_entries())
+            && self.posterior() == other.posterior()
     }
 }
 
-/// A reusable universe-sized buffer for lifting local-space posteriors
-/// into universe space without a fresh `O(universe)` allocation per fold
-/// (the per-round `Vec` churn [`EpochView::lift`] pays).
+/// A set of universe ids with zero mass for every session that folded the
+/// same epochs: a bitset, its size, and the memoized unions with later
+/// epochs' sets, so sessions with one history share one set.
+struct ZeroSet {
+    key: u64,
+    universe: usize,
+    bits: Vec<u64>,
+    count: usize,
+    /// `self ∪ other` by `other.key`; `None` when that union is `self`.
+    unions: Mutex<HashMap<u64, Option<Arc<ZeroSet>>>>,
+}
+
+impl std::fmt::Debug for ZeroSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // the bitset is universe-sized: show its size, not its words
+        f.debug_struct("ZeroSet")
+            .field("universe", &self.universe)
+            .field("count", &self.count)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ZeroSet {
+    fn new(universe: usize, bits: Vec<u64>) -> Self {
+        static NEXT_KEY: AtomicU64 = AtomicU64::new(0);
+        ZeroSet {
+            key: NEXT_KEY.fetch_add(1, AtomicOrdering::Relaxed),
+            universe,
+            count: bits.iter().map(|w| w.count_ones() as usize).sum(),
+            bits,
+            unions: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn contains(&self, id: usize) -> bool {
+        self.bits[id / 64] >> (id % 64) & 1 == 1
+    }
+
+    /// The highest id `<= id` outside the set.
+    fn last_clear_at_or_below(&self, id: usize) -> Option<usize> {
+        let mut word = id / 64;
+        // keep bits 0..=id%64 of the first word
+        let mut clear = !self.bits[word] & (u64::MAX >> (63 - id % 64));
+        loop {
+            if clear != 0 {
+                return Some(word * 64 + 63 - clear.leading_zeros() as usize);
+            }
+            word = word.checked_sub(1)?;
+            clear = !self.bits[word];
+        }
+    }
+
+    /// `self ∪ other`, memoized per pair.
+    fn union(self: &Arc<Self>, other: &Arc<ZeroSet>) -> Arc<ZeroSet> {
+        if Arc::ptr_eq(self, other) {
+            return Arc::clone(self);
+        }
+        let mut unions = self.unions.lock().expect("zero-set memo lock");
+        let united = unions.entry(other.key).or_insert_with(|| {
+            let bits: Vec<u64> = self
+                .bits
+                .iter()
+                .zip(&other.bits)
+                .map(|(a, b)| a | b)
+                .collect();
+            let united = ZeroSet::new(self.universe, bits);
+            // a union no larger than `self` is `self`: keep one set
+            (united.count != self.count).then(|| Arc::new(united))
+        });
+        united.as_ref().map_or_else(|| Arc::clone(self), Arc::clone)
+    }
+}
+
+/// One epoch's zeroes, shared by every session folding a round of that
+/// epoch: the offline and compromised universe ids as a bitset, built
+/// once in `O(universe / 64 + n_e)`, plus the epoch's local-to-universe
+/// lift.
+#[derive(Debug, Clone)]
+pub struct EpochZeroes<'a> {
+    /// Local id `i` is universe id `active[i]`; `None` is the identity.
+    active: Option<&'a [usize]>,
+    zeroes: Arc<ZeroSet>,
+}
+
+impl<'a> EpochZeroes<'a> {
+    /// The zeroes of `view` over a universe of `universe` ids.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an active id lies outside the universe.
+    pub fn new(view: &'a EpochView, universe: usize) -> Self {
+        assert!(
+            view.active.last().is_none_or(|&u| u < universe),
+            "active ids must lie inside the universe"
+        );
+        let mut bits = vec![u64::MAX; universe.div_ceil(64)];
+        if !universe.is_multiple_of(64) {
+            *bits.last_mut().expect("universe > 0") = (1u64 << (universe % 64)) - 1;
+        }
+        for &u in &view.active {
+            bits[u / 64] &= !(1u64 << (u % 64));
+        }
+        for &u in &view.compromised {
+            bits[u / 64] |= 1u64 << (u % 64);
+        }
+        EpochZeroes {
+            active: Some(&view.active),
+            zeroes: Arc::new(ZeroSet::new(universe, bits)),
+        }
+    }
+
+    /// The zeroes of a single round over `n` members: the `compromised`
+    /// ids, with the identity lift. Costs `O(n / 64 + c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a compromised id is not below `n`.
+    pub fn one_shot(n: usize, compromised: &[usize]) -> EpochZeroes<'static> {
+        let mut bits = vec![0u64; n.div_ceil(64)];
+        for &u in compromised {
+            assert!(u < n, "compromised id {u} outside n={n}");
+            bits[u / 64] |= 1u64 << (u % 64);
+        }
+        EpochZeroes {
+            active: None,
+            zeroes: Arc::new(ZeroSet::new(n, bits)),
+        }
+    }
+
+    /// Number of nodes in the epoch's local id space.
+    pub fn local_n(&self) -> usize {
+        self.active.map_or(self.zeroes.universe, <[usize]>::len)
+    }
+
+    /// The universe id of local id `local`.
+    fn lift(&self, local: usize) -> usize {
+        self.active.map_or(local, |active| active[local])
+    }
+}
+
+/// A reusable universe-sized buffer for lifting dense local-space
+/// posteriors into universe space without a fresh `O(universe)`
+/// allocation per fold (the per-round `Vec` churn [`EpochView::lift`]
+/// pays), for callers that fold dense vectors with
+/// [`IntersectionPosterior::fold`].
 ///
 /// The buffer holds zeroes between calls; [`LiftScratch::lifted`]
 /// scatters the local posterior onto the active indices, hands the dense
@@ -938,15 +1133,22 @@ pub fn estimate_decay_with(
     let n = model.n();
     let c = model.c();
     let views = schedule.realize(n, c, seed)?;
-    // per-epoch local models, shared fold workspaces, and compromised
-    // masks, validated up front
+    // per-epoch local models, shared fold workspaces, compromised masks
+    // and zeroes, validated up front
     let mut epochs = Vec::with_capacity(views.len());
     for view in &views {
         let local_model = SystemModel::with_path_kind(view.n(), c, model.path_kind())?;
         let workspace = cache
             .workspace(&local_model, dist)
             .map_err(|e| Error::InvalidDistribution(format!("epoch {}: {e}", view.epoch + 1)))?;
-        epochs.push((view, local_model, workspace, view.local_compromised_mask()));
+        let zeroes = EpochZeroes::new(view, n);
+        epochs.push((
+            view,
+            local_model,
+            workspace,
+            view.local_compromised_mask(),
+            zeroes,
+        ));
     }
 
     let mut rng = StdRng::seed_from_u64(mix64(mix64(seed, SESSION_SALT), stream));
@@ -956,19 +1158,15 @@ pub fn estimate_decay_with(
     let mut identified = vec![0usize; views.len()];
     let mut scratch: Vec<usize> = Vec::new();
     let mut path: Vec<usize> = Vec::new();
-    let mut posterior: Vec<f64> = Vec::new();
-    let mut lift = LiftScratch::new(n);
 
     for _ in 0..sessions {
         let sender = rng.gen_range(0..n);
         let mut acc = IntersectionPosterior::new(n);
-        for (e, (view, local_model, workspace, mask)) in epochs.iter().enumerate() {
+        for (e, (view, local_model, workspace, mask, zeroes)) in epochs.iter().enumerate() {
             if let Some(local_sender) = view.local_of(sender) {
-                if mask[local_sender] {
-                    // a compromised sender reports itself: delta posterior
-                    posterior.clear();
-                    posterior.resize(view.n(), 0.0);
-                    posterior[local_sender] = 1.0;
+                let round = if mask[local_sender] {
+                    // a compromised sender reports itself
+                    RoundPosterior::sender_reported(mask, local_sender)
                 } else {
                     let l = dist.sample(&mut rng);
                     scratch.clear();
@@ -983,15 +1181,10 @@ pub fn estimate_decay_with(
                     );
                     let obs = observe(local_sender, &path, mask);
                     workspace
-                        .posterior_into(&obs, mask, &mut posterior)
-                        .expect("generated observations are consistent by construction");
-                }
-                if view.n() == n {
-                    // full-membership epoch: the lift is the identity
-                    acc.fold(&posterior)?;
-                } else {
-                    lift.lifted(&view.active, &posterior, |p| acc.fold(p))?;
-                }
+                        .round(&obs, mask)
+                        .expect("generated observations are consistent by construction")
+                };
+                acc.fold_round(&round, zeroes)?;
             }
             // an inactive sender stays silent: the round folds nothing
             // and the cumulative state carries forward
@@ -1190,7 +1383,8 @@ mod tests {
         assert_eq!(acc.entropy_bits(), 2.0);
         acc.fold(&p).unwrap();
         assert_eq!(acc.posterior(), p, "bit-identical to the one-shot path");
-        assert_eq!(acc.entropy_bits(), entropy_bits(&p));
+        let dense = crate::mathutil::entropy_bits(&p);
+        assert!((acc.entropy_bits() - dense).abs() <= 1e-15 * dense);
         assert_eq!(acc.support(), 3);
     }
 
@@ -1225,6 +1419,187 @@ mod tests {
         let (guess, p) = acc.best_guess();
         assert_eq!(guess, 1);
         assert!(p > 0.4 && p < 0.6);
+    }
+
+    /// The dense accumulator the structured one replaced: a universe-length
+    /// vector, verbatim first fold, then multiply, ordered sum, divide.
+    struct DenseRef {
+        weights: Vec<f64>,
+        folds: usize,
+    }
+
+    impl DenseRef {
+        fn fold(&mut self, round: &[f64]) {
+            if self.folds == 0 {
+                self.weights = round.to_vec();
+            } else {
+                let mut total = 0.0;
+                for (w, &p) in self.weights.iter_mut().zip(round) {
+                    *w *= p;
+                    total += *w;
+                }
+                for w in &mut self.weights {
+                    *w /= total;
+                }
+            }
+            self.folds += 1;
+        }
+
+        fn best_guess(&self) -> (usize, f64) {
+            self.weights
+                .iter()
+                .copied()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+                .unwrap()
+        }
+    }
+
+    fn rel(a: f64, b: f64) -> f64 {
+        if a == b {
+            0.0
+        } else {
+            (a - b).abs() / a.abs().max(b.abs())
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn structured_folds_agree_with_the_dense_accumulator(
+            n in 8usize..40,
+            c in 1usize..3,
+            epochs in 2usize..6,
+            rotation in 0usize..3,
+            churn_pct in 0usize..40,
+            strategy in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let schedule = EpochSchedule {
+                epochs,
+                rotation: match rotation {
+                    0 => RotationPolicy::Static,
+                    1 => RotationPolicy::Shift { step: 2 },
+                    _ => RotationPolicy::Resample,
+                },
+                churn: if churn_pct == 0 {
+                    ChurnModel::None
+                } else {
+                    ChurnModel::Iid { rate: churn_pct as f64 / 100.0 }
+                },
+            };
+            let Ok(views) = schedule.realize(n, c, seed) else {
+                return Ok(());
+            };
+            let smallest = views.iter().map(EpochView::n).min().unwrap();
+            let top = (smallest - 1).min(5);
+            let dist = match strategy {
+                0 => PathLengthDist::uniform(0, top).unwrap(),
+                1 => PathLengthDist::uniform(1, top).unwrap(),
+                _ => PathLengthDist::fixed(top),
+            };
+            let cache = EvaluatorCache::new();
+            let epochs: Vec<_> = views
+                .iter()
+                .map(|view| {
+                    let model = SystemModel::new(view.n(), c).unwrap();
+                    let ws = cache.workspace(&model, &dist).unwrap();
+                    (view, model, ws, view.local_compromised_mask(), EpochZeroes::new(view, n))
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1FF);
+            for _ in 0..12 {
+                let sender = rng.gen_range(0..n);
+                let mut acc = IntersectionPosterior::new(n);
+                let mut dense = DenseRef { weights: Vec::new(), folds: 0 };
+                for (view, model, ws, mask, zeroes) in &epochs {
+                    let Some(local) = view.local_of(sender) else {
+                        continue;
+                    };
+                    let (round, local_dense) = if mask[local] {
+                        let point = (0..view.n()).map(|i| f64::from(u8::from(i == local)));
+                        (RoundPosterior::sender_reported(mask, local), point.collect())
+                    } else {
+                        let l = dist.sample(&mut rng);
+                        let mut scratch: Vec<usize> = (0..view.n()).collect();
+                        let path = crate::engine::sample_path(model, local, l, &mut rng, &mut scratch);
+                        let obs = observe(local, &path, mask);
+                        (ws.round(&obs, mask).unwrap(), ws.dense_posterior(&obs, mask))
+                    };
+                    acc.fold_round(&round, zeroes).unwrap();
+                    dense.fold(&view.lift(&local_dense, n));
+                    let h = crate::mathutil::entropy_bits(&dense.weights);
+                    proptest::prop_assert!(
+                        rel(acc.entropy_bits(), h) <= 1e-12,
+                        "entropy {} vs {}", acc.entropy_bits(), h
+                    );
+                    let support = dense.weights.iter().filter(|&&w| w > 0.0).count();
+                    proptest::prop_assert_eq!(acc.support(), support, "support");
+                    let (guess, p) = acc.best_guess();
+                    let (dense_guess, dense_p) = dense.best_guess();
+                    // candidates tied in exact arithmetic may round apart
+                    // differently in the two fold orders: the guesses must
+                    // agree up to such a near-tie
+                    proptest::prop_assert!(
+                        guess == dense_guess || rel(dense.weights[guess], dense_p) <= 1e-12,
+                        "guess {} vs {}", guess, dense_guess
+                    );
+                    proptest::prop_assert!(rel(p, dense_p) <= 1e-12);
+                    proptest::prop_assert!(rel(acc.prob(sender), dense.weights[sender]) <= 1e-12);
+                    for (a, b) in acc.posterior().iter().zip(&dense.weights) {
+                        proptest::prop_assert!(rel(*a, *b) <= 1e-12);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sessions_with_one_history_share_one_zero_set() {
+        let schedule = EpochSchedule {
+            epochs: 3,
+            rotation: RotationPolicy::Resample,
+            churn: ChurnModel::Iid { rate: 0.3 },
+        };
+        let views = schedule.realize(200, 3, 5).unwrap();
+        let zeroes: Vec<EpochZeroes<'_>> = views.iter().map(|v| EpochZeroes::new(v, 200)).collect();
+        for (view, z) in views.iter().zip(&zeroes) {
+            assert_eq!(
+                z.zeroes.count,
+                200 - view.n() + 3,
+                "offline plus compromised"
+            );
+        }
+        let a = zeroes[0].zeroes.union(&zeroes[1].zeroes);
+        let b = zeroes[0].zeroes.union(&zeroes[1].zeroes);
+        assert!(Arc::ptr_eq(&a, &b), "the union is memoized");
+        let ab = a.union(&zeroes[2].zeroes);
+        for u in 0..200 {
+            let dead = views
+                .iter()
+                .any(|v| !v.is_active(u) || v.compromised.contains(&u));
+            assert_eq!(ab.contains(u), dead, "{u}");
+        }
+        // uniting a set with itself, or with a subset, keeps the set
+        assert!(Arc::ptr_eq(&ab.union(&a), &ab));
+        assert!(Arc::ptr_eq(&ab.union(&ab), &ab));
+    }
+
+    #[test]
+    fn last_clear_id_skips_zeroed_ids_across_words() {
+        let view = EpochView {
+            epoch: 0,
+            active: (0..70).chain(75..130).collect(),
+            compromised: vec![128, 129],
+        };
+        let z = EpochZeroes::new(&view, 131).zeroes;
+        assert_eq!(z.last_clear_at_or_below(130), Some(127));
+        assert_eq!(z.last_clear_at_or_below(74), Some(69));
+        assert_eq!(z.last_clear_at_or_below(63), Some(63));
+        assert_eq!(z.last_clear_at_or_below(0), Some(0));
+        let all = EpochZeroes::one_shot(3, &[0, 1, 2]).zeroes;
+        assert_eq!(all.last_clear_at_or_below(2), None);
     }
 
     #[test]

@@ -48,7 +48,6 @@ pub mod dist;
 pub mod engine;
 pub mod epochs;
 pub mod error;
-pub mod kernels;
 pub mod mathutil;
 pub mod metrics;
 pub mod model;
@@ -56,7 +55,7 @@ pub mod optimize;
 pub mod strategies;
 
 pub use dist::PathLengthDist;
-pub use epochs::{ChurnModel, EpochSchedule, IntersectionPosterior, RotationPolicy};
+pub use epochs::{ChurnModel, EpochSchedule, EpochZeroes, IntersectionPosterior, RotationPolicy};
 pub use error::{Error, Result};
 pub use metrics::{AnonymityReport, SampledDegree};
 pub use model::{PathKind, SystemModel};

@@ -144,6 +144,16 @@ pub fn entropy_bits_grouped(groups: &[(f64, usize)]) -> f64 {
     h
 }
 
+/// `k · p · log₂ p`: the entropy term of `k` outcomes of probability `p`
+/// each (0 when `p` or `k` is 0). An entropy is minus the sum of these.
+pub fn plogp(p: f64, k: usize) -> f64 {
+    if p > 0.0 && k > 0 {
+        k as f64 * p * p.log2()
+    } else {
+        0.0
+    }
+}
+
 /// Shannon entropy in bits of an unnormalized nonnegative weight vector.
 pub fn entropy_bits(weights: &[f64]) -> f64 {
     let z: f64 = weights.iter().sum();

@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  true sender:       node {} (assigned prob {:.4})",
         truth.sender, sharpest.true_sender_prob
     );
-    let mut top: Vec<(usize, f64)> = sharpest.posterior.iter().copied().enumerate().collect();
+    let mut top: Vec<(usize, f64)> = sharpest.posterior().into_iter().enumerate().collect();
     top.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite"));
     println!("  top suspects:");
     for (node, p) in top.into_iter().take(5).filter(|&(_, p)| p > 0.0) {
