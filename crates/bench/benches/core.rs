@@ -1,114 +1,131 @@
 //! Benchmarks of the multi-round intersection accumulator — the hot
 //! inner loop every engine shares when a cell has `epochs > 1`.
 //!
-//! `fold` is the accumulate-and-renormalize step (one multiply +
-//! normalize pass over the universe per epoch); `posterior` and
-//! `entropy_bits` are the read-side folds the scorer takes per cell.
+//! `fold_round` folds one closed-form round posterior into a session's
+//! accumulator, the per-message step of the intersection attack; the
+//! read-side `entropy_bits` and `best_guess` are what the scorer takes
+//! per session and epoch. All three should cost the same at every `n`.
+//! `fold_dense` is the dense-vector entry point, which compresses a
+//! universe-length posterior in `O(n)`, and `posterior` the dense
+//! expansion.
 
-use anonroute_core::IntersectionPosterior;
+use anonroute_core::engine::{observe, sample_path, FoldWorkspace, RoundPosterior};
+use anonroute_core::epochs::EpochZeroes;
+use anonroute_core::{IntersectionPosterior, PathLengthDist, SystemModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-/// A deterministic, strictly positive round posterior over `n`
-/// candidates (normalized), with enough spread to exercise the
-/// renormalization arithmetic.
-fn round_posterior(n: usize) -> Vec<f64> {
-    let mut p: Vec<f64> = (0..n).map(|i| 1.0 + (i % 17) as f64 / 16.0).collect();
-    let total: f64 = p.iter().sum();
-    for w in &mut p {
-        *w /= total;
+/// Compromised nodes (the last ids) of every benched system.
+const C: usize = 10;
+
+/// One session's world at size `n`: the compromised mask, the strategy's
+/// workspace, and `rounds` observations of one honest sender.
+struct Session {
+    n: usize,
+    compromised: Vec<bool>,
+    workspace: FoldWorkspace,
+    observations: Vec<anonroute_core::engine::Observation>,
+}
+
+impl Session {
+    fn new(n: usize, rounds: usize) -> Self {
+        let model = SystemModel::new(n, C).unwrap();
+        let dist = PathLengthDist::uniform(1, 6).unwrap();
+        let compromised: Vec<bool> = (0..n).map(|i| i >= n - C).collect();
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut scratch: Vec<usize> = (0..n).collect();
+        let sender = rng.gen_range(0..n - C);
+        let observations = (0..rounds)
+            .map(|_| {
+                let path = sample_path(
+                    &model,
+                    sender,
+                    dist.sample(&mut rng),
+                    &mut rng,
+                    &mut scratch,
+                );
+                observe(sender, &path, &compromised)
+            })
+            .collect();
+        Session {
+            n,
+            workspace: FoldWorkspace::new(&model, &dist).unwrap(),
+            compromised,
+            observations,
+        }
     }
-    p
-}
 
-/// An accumulator that has already folded twice, so further folds take
-/// the multiply-and-renormalize path rather than the verbatim first copy.
-fn warmed(n: usize, round: &[f64]) -> IntersectionPosterior {
-    let mut acc = IntersectionPosterior::new(n);
-    acc.fold(round).unwrap();
-    acc.fold(round).unwrap();
-    acc
-}
-
-/// A round that eliminates everyone except `k` evenly spaced survivors.
-fn collapsing_round(n: usize, k: usize) -> Vec<f64> {
-    let stride = n / k;
-    let mut p = vec![0.0; n];
-    for j in 0..k {
-        p[j * stride] = 1.0 / k as f64;
+    fn round(&self, k: usize) -> RoundPosterior<'_> {
+        self.workspace
+            .round(&self.observations[k], &self.compromised)
+            .unwrap()
     }
-    p
-}
 
-/// An accumulator collapsed to `k` surviving candidates out of `n` — the
-/// regime the intersection attack reaches after a few epochs, where the
-/// accumulator has switched to its sparse representation.
-fn collapsed(n: usize, k: usize, round: &[f64]) -> IntersectionPosterior {
-    let mut acc = warmed(n, round);
-    acc.fold(&collapsing_round(n, k)).unwrap();
-    assert!(acc.is_sparse(), "k << n must trigger the sparse switchover");
-    acc
+    /// An accumulator that has folded every round but the last, so the
+    /// timed fold takes the multiply-and-renormalize path.
+    fn warmed(&self, zeroes: &EpochZeroes<'_>) -> IntersectionPosterior {
+        let mut acc = IntersectionPosterior::new(self.n);
+        for k in 0..self.observations.len() - 1 {
+            acc.fold_round(&self.round(k), zeroes).unwrap();
+        }
+        acc
+    }
 }
 
 fn bench_intersection_posterior(c: &mut Criterion) {
     let mut group = c.benchmark_group("intersection_posterior");
-    for n in [1_000usize, 100_000] {
-        let round = round_posterior(n);
-        let acc = warmed(n, &round);
+    for n in [1_000usize, 100_000, 1_000_000] {
+        let session = Session::new(n, 4);
+        let compromised_ids: Vec<usize> = (n - C..n).collect();
+        let zeroes = EpochZeroes::one_shot(n, &compromised_ids);
+        let acc = session.warmed(&zeroes);
+        let last = session.round(3);
         group.bench_with_input(
-            BenchmarkId::new("accumulate", format!("n{n}")),
-            &(acc.clone(), round.clone()),
-            |b, (acc, round)| {
+            BenchmarkId::new("fold_round", format!("n{n}")),
+            &acc,
+            |b, acc| {
                 b.iter(|| {
                     let mut a = acc.clone();
-                    a.fold(black_box(round)).unwrap();
+                    a.fold_round(black_box(&last), &zeroes).unwrap();
                     a.folds()
                 })
             },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("renormalize", format!("n{n}")),
-            &acc,
-            |b, acc| b.iter(|| black_box(acc).posterior()),
         );
         group.bench_with_input(
             BenchmarkId::new("entropy_bits", format!("n{n}")),
             &acc,
             |b, acc| b.iter(|| black_box(acc).entropy_bits()),
         );
-    }
-    // shrunken-support cases: after heavy elimination only 64 candidates
-    // survive, so the sparse representation folds/scores in O(support)
-    // regardless of the universe size
-    for n in [100_000usize, 1_000_000] {
-        let round = round_posterior(n);
-        let acc = collapsed(n, 64, &round);
         group.bench_with_input(
-            BenchmarkId::new("accumulate_collapsed", format!("n{n}")),
-            &(acc.clone(), round.clone()),
-            |b, (acc, round)| {
-                b.iter(|| {
-                    let mut a = acc.clone();
-                    a.fold(black_box(round)).unwrap();
-                    a.folds()
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("entropy_bits_collapsed", format!("n{n}")),
-            &acc,
-            |b, acc| b.iter(|| black_box(acc).entropy_bits()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("support_collapsed", format!("n{n}")),
-            &acc,
-            |b, acc| b.iter(|| black_box(acc).support()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("best_guess_collapsed", format!("n{n}")),
+            BenchmarkId::new("best_guess", format!("n{n}")),
             &acc,
             |b, acc| b.iter(|| black_box(acc).best_guess()),
         );
+        if n <= 100_000 {
+            let dense = last.posterior();
+            let mut dense_acc = IntersectionPosterior::new(n);
+            for k in 0..3 {
+                dense_acc.fold(&session.round(k).posterior()).unwrap();
+            }
+            group.bench_with_input(
+                BenchmarkId::new("fold_dense", format!("n{n}")),
+                &dense_acc,
+                |b, acc| {
+                    b.iter(|| {
+                        let mut a = acc.clone();
+                        a.fold(black_box(&dense)).unwrap();
+                        a.folds()
+                    })
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new("posterior", format!("n{n}")),
+                &acc,
+                |b, acc| b.iter(|| black_box(acc).posterior()),
+            );
+        }
     }
     group.finish();
 }
