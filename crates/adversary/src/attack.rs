@@ -61,15 +61,6 @@ impl MessageVerdict {
         }
     }
 
-    /// Posterior probability that node `id` sent the message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a member node.
-    pub fn prob(&self, id: NodeId) -> f64 {
-        self.posterior.prob(id)
-    }
-
     /// The posterior over senders as a dense vector (length `n`, or the
     /// universe size for an intersection verdict; sums to 1).
     pub fn posterior(&self) -> Vec<f64> {
@@ -722,12 +713,11 @@ mod tests {
         )
         .unwrap();
         let verdict = &outcome.report.verdicts[0];
-        assert_eq!(verdict.prob(3), 0.0, "offline node cannot be the sender");
-        assert_eq!(verdict.prob(4), 0.0, "offline node cannot be the sender");
-        assert!(verdict.prob(0) > 0.0, "the true sender survives");
-        let dense = verdict.posterior();
-        assert_eq!((dense[3], dense[4]), (0.0, 0.0));
-        assert!((dense.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let posterior = verdict.posterior();
+        assert_eq!(posterior[3], 0.0, "offline node cannot be the sender");
+        assert_eq!(posterior[4], 0.0, "offline node cannot be the sender");
+        assert!(posterior[0] > 0.0, "the true sender survives");
+        assert!((posterior.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert!(
             outcome.decay.last().mean_support < outcome.decay.first().mean_support,
             "churn shrinks the anonymity set"

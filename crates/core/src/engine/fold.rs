@@ -391,22 +391,22 @@ impl<'a> RoundPosterior<'a> {
     }
 
     /// Whether a compromised sender reported itself (a point mass).
-    pub fn is_sender_reported(&self) -> bool {
+    pub(crate) fn is_sender_reported(&self) -> bool {
         self.suspect.is_some_and(|(s, _)| self.compromised[s])
     }
 
     /// The suspect and its probability, when there is one.
-    pub fn suspect(&self) -> Option<(usize, f64)> {
+    pub(crate) fn suspect(&self) -> Option<(usize, f64)> {
         self.suspect
     }
 
     /// The probability every other candidate shares.
-    pub fn hidden_prob(&self) -> f64 {
+    pub(crate) fn hidden_prob(&self) -> f64 {
         self.p_hidden
     }
 
     /// Honest nodes this observation excluded, ascending.
-    pub fn zeroed(&self) -> &[usize] {
+    pub(crate) fn zeroed(&self) -> &[usize] {
         &self.zeroed
     }
 
@@ -464,7 +464,7 @@ impl<'a> RoundPosterior<'a> {
     }
 
     /// The dense expansion into `out` (resized to `n`).
-    pub fn posterior_into(&self, out: &mut Vec<f64>) {
+    pub(crate) fn posterior_into(&self, out: &mut Vec<f64>) {
         out.clear();
         out.extend(
             self.compromised

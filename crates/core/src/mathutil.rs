@@ -146,7 +146,7 @@ pub fn entropy_bits_grouped(groups: &[(f64, usize)]) -> f64 {
 
 /// `k · p · log₂ p`: the entropy term of `k` outcomes of probability `p`
 /// each (0 when `p` or `k` is 0). An entropy is minus the sum of these.
-pub fn plogp(p: f64, k: usize) -> f64 {
+pub(crate) fn plogp(p: f64, k: usize) -> f64 {
     if p > 0.0 && k > 0 {
         k as f64 * p * p.log2()
     } else {
