@@ -232,7 +232,14 @@ impl FoldWorkspace {
             // as an intermediate on a cyclic path
             PathKind::Cyclic => w_suspect + w_hidden,
         };
-        let hidden = self.nh - zeroed.len() - usize::from(suspect.is_some());
+        let hidden = self
+            .nh
+            .checked_sub(zeroed.len() + usize::from(suspect.is_some()))
+            .ok_or_else(|| {
+                Error::InvalidObservation(
+                    "observation names more honest nodes than the model has".into(),
+                )
+            })?;
         let w_suspect = if suspect.is_some() { w_suspect } else { 0.0 };
         let z = w_suspect + w_hidden * hidden as f64;
         if z.is_nan() || z <= 0.0 {
@@ -282,10 +289,9 @@ impl FoldWorkspace {
         Ok(out)
     }
 
-    /// The dense fill the closed form replaced, kept as the reference
-    /// the closed form is checked against: weights, an ordered
-    /// normalizer over all `n` entries, divide. Assumes a validated
-    /// observation without an origin report.
+    /// The dense fill — weights, an ordered normalizer over all `n`
+    /// entries, divide — as the reference the closed form is checked
+    /// against. Assumes a validated observation without an origin report.
     #[cfg(test)]
     pub(crate) fn dense_posterior(&self, obs: &Observation, compromised: &[bool]) -> Vec<f64> {
         let (w_suspect, w_hidden, suspect) = if obs.runs.is_empty() {
