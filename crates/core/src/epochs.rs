@@ -949,7 +949,7 @@ impl<'a> EpochZeroes<'a> {
     }
 
     /// Number of nodes in the epoch's local id space.
-    pub fn local_n(&self) -> usize {
+    fn local_n(&self) -> usize {
         self.active.map_or(self.zeroes.universe, <[usize]>::len)
     }
 
