@@ -16,7 +16,24 @@
 //! [`run_cluster`] is the live-network analogue of one
 //! [`anonroute_sim::Simulation`] run: boot, one cell, shutdown.
 //! [`run_cluster_budgeted_observed`] is the same run gated by a
-//! [`ClusterBudget`] and reporting its [`Phase`], the form sweeps use.
+//! [`ClusterBudget`] and reporting its [`Phase`] to another thread.
+//!
+//! A run cannot block without a deadline, so callers run it inline and
+//! need no watchdog:
+//!
+//! * every dial and every frame write, by the client and by each relay,
+//!   fails after a 5 s send deadline, so one client send returns within
+//!   two deadlines and the first failed send ends the cell with an
+//!   error; a relay counts a failed forward in `dropped` and reads on;
+//! * every read polls its shutdown flag each `io_timeout` and gives up
+//!   on a peer stalled mid-frame after 100 stalled reads (5 s at the
+//!   default 50 ms);
+//! * the drain waits at most `deliver_timeout` for the cell's deliveries;
+//! * teardown joins each relay and the receiver with `join_timeout`.
+//!
+//! A stalled peer therefore holds a relay worker for at most one send
+//! deadline, and a run that fails returns a typed [`Error`] after at
+//! most the sends it made, `deliver_timeout`, and `n + 1` joins.
 //!
 //! Route sampling, handshake ephemerals, nonces, and payload junk all
 //! derive from the cluster seed, so the *observations* (and therefore the
@@ -134,10 +151,9 @@ pub fn cluster_identity(seed: u64, id: usize) -> NodeIdentity {
 /// free relay slots (members plus the receiver server), then runs the
 /// cluster while holding them. After the (possibly long) wait it gives
 /// up and returns `None` without booting anything if `abandoned` was set
-/// in the meantime — the hook sweep watchdogs use so a cell that timed
-/// out while queued doesn't burn slots on a run nobody will read, and
-/// the phase cell tells them *where* a timed-out run was (queued on the
-/// budget vs booting vs handshaking vs passing traffic).
+/// in the meantime. A caller on another thread can read `phase` to see
+/// where the run is (queued on the budget, booting, handshaking, passing
+/// traffic).
 pub fn run_cluster_budgeted_observed(
     config: &ClusterConfig,
     arrivals: &[Arrival],
@@ -542,6 +558,7 @@ impl Drop for SharedCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::within;
     use anonroute_sim::traffic::UniformTraffic;
     use anonroute_sim::Endpoint;
 
@@ -802,6 +819,39 @@ mod tests {
         let stats = cluster.shutdown().unwrap();
         assert_eq!(stats.len(), 5);
         assert_eq!(stats[4].relayed, 0, "killed relay reports zeroed stats");
+    }
+
+    #[test]
+    fn cells_through_a_wedged_relay_fail_within_their_deadlines() {
+        // one-hop routes: sender 0's cells all go through relay 1
+        let mut config = ClusterConfig::new(2, PathLengthDist::fixed(1));
+        config.cell_size = 1 << 19;
+        config.deliver_timeout = Duration::from_millis(300);
+        let limit = config.deliver_timeout + crate::wire::SEND_DEADLINE + Duration::from_secs(2);
+        let (elapsed, err, budget) = within(3 * limit, move || {
+            let budget = ClusterBudget::new(config.budget_slots());
+            let permit = budget.acquire(config.budget_slots());
+            let cluster = SharedCluster::boot(&config).unwrap();
+            let dead = cluster.directory().node(1).unwrap().addr;
+            cluster.kill_relay(1).unwrap();
+            // what now listens on the killed relay's port never reads, so
+            // the client stalls on the ~8 MB of cells meant for relay 1
+            let _stalled = std::net::TcpListener::bind(dead).unwrap();
+            let start = Instant::now();
+            let err = cluster
+                .run_cell(&config, &workload(2, 32, 6), &PhaseCell::new())
+                .unwrap_err();
+            let elapsed = start.elapsed();
+            cluster.shutdown().unwrap();
+            drop(permit);
+            (elapsed, err, budget)
+        });
+        assert!(
+            matches!(err, Error::Io(_) | Error::Timeout(_)),
+            "untyped error: {err}"
+        );
+        assert!(elapsed < limit, "the cell failed after {elapsed:?}");
+        assert_eq!(budget.available(), budget.capacity(), "slots returned");
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! worker thread that reads [`wire`] frames, peels cells with the relay's
 //! static identity ([`crate::circuit::peel`]), re-frames the inner prefix
 //! with fresh junk, and writes it to the next hop (or the receiver) over
-//! a cached downstream connection.
+//! a cached downstream connection. Dialing and writing there each give
+//! up after a 5 s send deadline, so a next hop that stops reading costs
+//! the worker one dropped cell, not the rest of its life.
 //!
 //! Shutdown is graceful and bounded: [`Relay::shutdown`] raises a flag
 //! and wakes the blocked `accept`; workers observe the flag within one
@@ -14,6 +16,7 @@
 //! tests) rely on.
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -592,8 +595,8 @@ fn handle_cell(
         }
         Err(_) => {
             // not addressed to us / corrupted: a real router drops it,
-            // but the handshake-failure count is what an operator (and
-            // the sweep watchdog) diagnoses from
+            // but the handshake-failure count is what an operator
+            // diagnoses a misrouted or corrupted circuit from
             counters.peel_failures.fetch_add(1, Ordering::Relaxed);
             counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
@@ -602,6 +605,13 @@ fn handle_cell(
 
 /// Writes `frame` over the cached connection to `key`, dialing (or
 /// re-dialing a stale socket) on demand.
+///
+/// The dial and the frame's write are each bounded by
+/// [`wire::SEND_DEADLINE`], so one call returns within two deadlines
+/// even against a peer that accepts but never reads. A cached write that
+/// times out is not retried on a fresh connection: the peer is alive but
+/// not reading, and the half-written frame has spoiled the stream, so
+/// the connection is dropped and the error returned.
 pub(crate) fn send_cached(
     conns: &mut HashMap<usize, TcpStream>,
     key: usize,
@@ -609,14 +619,22 @@ pub(crate) fn send_cached(
     frame: &Frame,
 ) -> Result<()> {
     if let Some(stream) = conns.get_mut(&key) {
-        if wire::write_frame(stream, frame).is_ok() {
-            return Ok(());
+        match wire::send_frame(stream, frame) {
+            Ok(()) => return Ok(()),
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                conns.remove(&key);
+                return Err(e.into());
+            }
+            // stale: the peer restarted or timed us out
+            Err(_) => {
+                conns.remove(&key);
+            }
         }
-        conns.remove(&key); // stale: the peer restarted or timed us out
     }
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = TcpStream::connect_timeout(&addr, wire::SEND_DEADLINE)?;
+    stream.set_write_timeout(Some(wire::SEND_DEADLINE))?;
     let _ = stream.set_nodelay(true);
-    wire::write_frame(&mut stream, frame)?;
+    wire::send_frame(&mut stream, frame)?;
     conns.insert(key, stream);
     Ok(())
 }
@@ -625,6 +643,7 @@ pub(crate) fn send_cached(
 mod tests {
     use super::*;
     use crate::directory::NodeInfo;
+    use crate::fault::within;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::io::Read;
@@ -859,5 +878,89 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
         }
         assert!(recovered, "send_cached never re-dialed");
+    }
+
+    #[test]
+    fn send_cached_gives_up_on_a_peer_that_never_reads() {
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stalled.local_addr().unwrap();
+        let limit = wire::SEND_DEADLINE + Duration::from_secs(2);
+        let (elapsed, err) = within(3 * wire::SEND_DEADLINE, move || {
+            let frame = Frame::Cell {
+                msg: 1,
+                cell: vec![0u8; wire::MAX_FRAME - 9],
+            };
+            let mut conns = HashMap::new();
+            let start = std::time::Instant::now();
+            // the socket buffers absorb the first few megabytes
+            let err = loop {
+                if let Err(e) = send_cached(&mut conns, 0, addr, &frame) {
+                    break e;
+                }
+            };
+            assert!(conns.is_empty(), "a stalled connection stays cached");
+            (start.elapsed(), err)
+        });
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        assert!(elapsed < limit, "send_cached returned after {elapsed:?}");
+    }
+
+    #[test]
+    fn relays_drop_cells_for_a_next_hop_that_never_reads() {
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let receiver = TcpListener::bind("127.0.0.1:0").unwrap();
+        let config = RelayConfig {
+            cell_size: 1 << 18,
+            ..RelayConfig::default()
+        };
+        let pending = PendingRelay::bind(0, identity(0), config).unwrap();
+        let directory = Arc::new(
+            Directory::new(
+                vec![
+                    NodeInfo {
+                        id: 0,
+                        addr: pending.addr(),
+                        public: pending.public(),
+                    },
+                    NodeInfo {
+                        id: 1,
+                        addr: stalled.local_addr().unwrap(),
+                        public: *identity(1).public(),
+                    },
+                ],
+                receiver.local_addr().unwrap(),
+            )
+            .unwrap(),
+        );
+        let mut rng = StdRng::seed_from_u64(4);
+        let publics = [pending.public(), *identity(1).public()];
+        let wire_bytes = circuit::build(&publics, &[0u16, 1], b"into the void", &mut rng).unwrap();
+        let cell = onion::frame(&wire_bytes, config.cell_size, &mut || rng.gen::<u8>()).unwrap();
+        let relay = pending.serve(directory, LinkTap::new(), 6);
+        let stats = within(6 * wire::SEND_DEADLINE, move || {
+            let mut conn = TcpStream::connect(relay.addr()).unwrap();
+            // flood until the relay gives up on its stalled next hop once
+            let mut sent = 0u64;
+            while relay.stats().dropped == 0 {
+                let frame = Frame::Cell {
+                    msg: sent,
+                    cell: cell.clone(),
+                };
+                wire::write_frame(&mut conn, &frame).unwrap();
+                sent += 1;
+            }
+            // every cell sent is accounted for as relayed or dropped
+            loop {
+                let stats = relay.stats();
+                if stats.relayed + stats.dropped == sent {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            relay.join(Duration::from_secs(1))
+        })
+        .expect("no relay worker may stay wedged");
+        assert!(stats.dropped >= 1, "{stats:?}");
+        assert_eq!(stats.peel_failures, 0);
     }
 }

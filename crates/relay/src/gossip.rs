@@ -169,16 +169,15 @@ fn round(
     }
     for _ in 0..config.fanout.min(peers.len()) {
         let (peer, addr) = peers[rng.gen_range(0..peers.len())];
-        let pushed = TcpStream::connect_timeout(&addr, Duration::from_millis(250))
-            .map_err(|e| e.to_string())
-            .and_then(|mut stream| {
-                wire::write_frame(
+        let pushed =
+            TcpStream::connect_timeout(&addr, Duration::from_millis(250)).and_then(|mut stream| {
+                stream.set_write_timeout(Some(wire::SEND_DEADLINE))?;
+                wire::send_frame(
                     &mut stream,
                     &Frame::Gossip {
                         snapshot: snapshot.clone(),
                     },
                 )
-                .map_err(|e| e.to_string())
             });
         match pushed {
             Ok(()) => {

@@ -35,9 +35,9 @@
 //!   feeding `anonroute_core::epochs`;
 //! * [`gossip`] — peer-to-peer topology maintenance: relays push
 //!   snapshots to random peers and drop departed ones via dial health;
-//! * [`obs`] — cluster run phases (for wedge diagnosis) and process-wide
-//!   aggregate metrics over all cluster runs, registered in
-//!   `anonroute-obs`'s global registry.
+//! * [`obs`] — cluster run phases and process-wide aggregate metrics
+//!   over all cluster runs, registered in `anonroute-obs`'s global
+//!   registry.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,6 +56,9 @@ pub mod receiver;
 pub mod tap;
 pub mod wire;
 mod workers;
+
+#[cfg(test)]
+mod fault;
 
 pub use authority::{
     AuthorityClient, AuthorityServer, MembershipChange, MembershipEvent, NetworkView,

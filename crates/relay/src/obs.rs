@@ -4,9 +4,8 @@
 //!
 //! * [`Phase`] / [`PhaseCell`] — where a cluster run currently is
 //!   (queued on the budget, booting, handshaking, passing traffic,
-//!   draining, tearing down). The sweep watchdog reads the cell when a
-//!   live cell times out, turning "wedged somewhere" into "wedged in the
-//!   handshake phase".
+//!   draining, tearing down), readable from another thread while the
+//!   run is in progress.
 //! * [`ClusterMetrics`] — process-wide aggregates over *all* cluster
 //!   runs, registered once in [`Registry::global`]. Individual cluster
 //!   members are ephemeral (fresh ports each run), so per-relay series
@@ -46,7 +45,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Human-readable phase name (used in wedge diagnoses and metrics).
+    /// Human-readable phase name.
     pub fn as_str(self) -> &'static str {
         match self {
             Phase::Queued => "queued",
@@ -131,7 +130,7 @@ impl QueueDepth {
 }
 
 /// A lock-free phase marker shared between a cluster run and whoever is
-/// watching it (the live-cell watchdog, a progress ticker).
+/// watching it from another thread.
 #[derive(Debug)]
 pub struct PhaseCell(AtomicU8);
 
@@ -359,8 +358,8 @@ mod tests {
 
     #[test]
     fn phase_names_are_stable() {
-        // wedge diagnoses embed these strings in CellResult::outcome;
-        // renaming one silently changes campaign artifacts
+        // the names are the phases' Display form; keep them stable for
+        // whoever prints them
         let names: Vec<&str> = [
             Phase::Queued,
             Phase::Boot,

@@ -22,11 +22,21 @@
 //! Honest relays never interpret it.
 
 use std::io::{self, ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use crate::error::{Error, Result};
 
 /// Upper bound on a frame body, guarding allocation on malformed input.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// How long an outbound dial, or the write of one frame on a relay
+/// connection, may take before the send fails. A peer that accepts but
+/// stops reading fills the socket buffers and then holds a writer for at
+/// most this long. It matches the read side's give-up time for a
+/// stalled peer (the default `max_stalls` × `io_timeout`, 100 × 50 ms)
+/// and the authority client's timeout.
+pub(crate) const SEND_DEADLINE: Duration = Duration::from_secs(5);
 
 const TAG_CELL: u8 = 1;
 const TAG_DELIVER: u8 = 2;
@@ -78,6 +88,46 @@ pub enum ReadOutcome {
 ///
 /// Propagates socket errors.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
+    w.write_all(&encode(frame))?;
+    w.flush()
+}
+
+/// Writes one frame to a socket whose write timeout is
+/// [`SEND_DEADLINE`], failing with [`ErrorKind::TimedOut`] once the whole
+/// frame has taken longer than that. `write_all` would restart the
+/// socket timeout after every partial write, so a frame larger than the
+/// free buffer space could block for two deadlines, and a peer that
+/// drains a little now and then for many.
+pub(crate) fn send_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
+    let bytes = encode(frame);
+    let deadline = Instant::now() + SEND_DEADLINE;
+    let mut rest = &bytes[..];
+    let mut shortened = false;
+    loop {
+        match stream.write(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(k) => rest = &rest[k..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if rest.is_empty() {
+            break;
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        shortened = true;
+    }
+    if shortened {
+        // the connection stays cached: give the next frame a full deadline
+        stream.set_write_timeout(Some(SEND_DEADLINE))?;
+    }
+    Ok(())
+}
+
+fn encode(frame: &Frame) -> Vec<u8> {
     let mut body = Vec::with_capacity(64);
     match frame {
         Frame::Cell { msg, cell } => {
@@ -99,8 +149,7 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     let mut out = Vec::with_capacity(4 + body.len());
     out.extend_from_slice(&(body.len() as u32).to_be_bytes());
     out.extend_from_slice(&body);
-    w.write_all(&out)?;
-    w.flush()
+    out
 }
 
 /// Reads one frame, distinguishing idle timeouts from real errors.
@@ -365,6 +414,49 @@ mod tests {
         match read_frame(&mut chunky, 4).unwrap() {
             ReadOutcome::Frame(got) => assert_eq!(got, frame),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        // Arbitrary bytes, either noise or a small length and any tag
+        // before noise, read in chunks with timeouts in between: every
+        // read ends in a frame, an idle tick, a clean end or an error,
+        // and every frame re-encodes to exactly the bytes it consumed.
+        #[test]
+        fn read_frame_survives_arbitrary_bytes(
+            noise in proptest::prelude::any::<bool>(),
+            len in 0u32..48,
+            tag in 0u8..5,
+            rest in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+            chunk in 1usize..16,
+            timeout_first in proptest::prelude::any::<bool>(),
+        ) {
+            let mut data = Vec::new();
+            if !noise {
+                data.extend_from_slice(&len.to_be_bytes());
+                data.push(tag);
+            }
+            data.extend_from_slice(&rest);
+            let mut reader = Chunky { data: &data, pos: 0, chunk, timeout_next: timeout_first };
+            // every read either consumes bytes or is followed by one that does
+            for _ in 0..2 * data.len() + 2 {
+                let start = reader.pos;
+                match read_frame(&mut reader, 4) {
+                    Ok(ReadOutcome::Frame(frame)) => {
+                        let mut encoded = Vec::new();
+                        write_frame(&mut encoded, &frame).unwrap();
+                        proptest::prop_assert_eq!(&encoded[..], &data[start..reader.pos]);
+                    }
+                    Ok(ReadOutcome::Idle) => proptest::prop_assert_eq!(reader.pos, start),
+                    Ok(ReadOutcome::Eof) => {
+                        proptest::prop_assert_eq!(reader.pos, data.len());
+                        break;
+                    }
+                    Err(_) => break,
+                }
+            }
         }
     }
 
