@@ -31,7 +31,7 @@
 //! place of the synthetic `ChurnModel` coin flips.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -44,6 +44,7 @@ use anonroute_crypto::{hkdf, hmac};
 use crate::directory::{Directory, NodeInfo};
 use crate::error::{Error, Result};
 use crate::obs::DirectoryMetrics;
+use crate::wire;
 use crate::workers::{self, DoneGuard};
 
 /// Domain-separation salt for descriptor MAC keys.
@@ -57,6 +58,20 @@ const SIG_LEN: usize = 32;
 /// Hard cap on encoded descriptor size (the address string is the only
 /// variable-length field).
 const MAX_DESC_LEN: usize = 512;
+/// Longest request line the authority reads, newline included. The
+/// longest valid request, a `PUT` of a [`MAX_DESC_LEN`]-byte descriptor
+/// in hex, takes 1,029 bytes; a longer line is answered with `ERR` and
+/// the connection is closed.
+const MAX_REQUEST_LINE: usize = 4096;
+/// Longest first reply line [`AuthorityClient`] reads, newline
+/// included: room for a `SNAP` line carrying a snapshot as large as a
+/// gossip frame may hold.
+const MAX_REPLY_LINE: usize = 2 * wire::MAX_FRAME + 16;
+/// Longest `EV` (or closing `END`) line after the first:
+/// `EV <u64> LEFT <u64>` takes at most 50 bytes.
+const MAX_EVENT_LINE: usize = 64;
+/// Most `EV` lines one reply may carry before the client gives up.
+const MAX_EVENT_LINES: usize = 100_000;
 
 /// Derives the MAC key that signs relay `id`'s descriptors on a network
 /// provisioned from `net_seed`.
@@ -759,18 +774,52 @@ fn sweep_leases(state: &AuthorityState, lease: Duration) {
     }
 }
 
-/// Handles one authority connection until EOF.
+/// Reads one line of at most `cap` bytes, newline included, and returns
+/// it without its line ending; `None` at the end of the stream.
+///
+/// # Errors
+///
+/// [`Error::Protocol`] for a line longer than `cap` or not UTF-8,
+/// [`Error::Io`] on socket failures.
+fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Result<Option<String>> {
+    let mut line = Vec::new();
+    let n = reader
+        .take(cap as u64)
+        .read_until(b'\n', &mut line)
+        .map_err(Error::Io)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+        if line.last() == Some(&b'\r') {
+            line.pop();
+        }
+    } else if n == cap {
+        return Err(Error::Protocol(format!("line exceeds {cap} bytes")));
+    }
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| Error::Protocol("line is not UTF-8".into()))
+}
+
+/// Handles one authority connection until EOF, or until a request line
+/// it cannot read, which is answered with `ERR` before the close.
 fn serve_conn(stream: TcpStream, state: &AuthorityState) -> Result<()> {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .map_err(Error::Io)?;
     let mut writer = stream.try_clone().map_err(Error::Io)?;
-    let reader = BufReader::new(stream);
+    let mut reader = BufReader::new(stream);
     let metrics = DirectoryMetrics::global();
-    for line in reader.lines() {
-        let line = match line {
-            Ok(line) => line,
-            Err(_) => break,
+    loop {
+        let line = match read_line_capped(&mut reader, MAX_REQUEST_LINE) {
+            Ok(Some(line)) => line,
+            Ok(None) => break,
+            Err(e) => {
+                let _ = writer.write_all(format!("ERR {e}\n").as_bytes());
+                break;
+            }
         };
         let mut reply = String::new();
         let mut parts = line.split_whitespace();
@@ -889,18 +938,26 @@ impl AuthorityClient {
             .map_err(Error::Io)?;
         let _ = writer.flush();
         let mut reader = BufReader::new(stream);
-        let mut lines = Vec::new();
+        let mut lines: Vec<String> = Vec::new();
         loop {
-            let mut line = String::new();
-            let n = reader.read_line(&mut line).map_err(Error::Io)?;
-            if n == 0 {
+            let cap = if lines.is_empty() {
+                MAX_REPLY_LINE
+            } else {
+                MAX_EVENT_LINE
+            };
+            let Some(line) = read_line_capped(&mut reader, cap)? else {
                 break;
-            }
+            };
             let line = line.trim_end().to_string();
             let terminal = !line.starts_with("EV ");
             lines.push(line);
             if terminal {
                 break;
+            }
+            if lines.len() > MAX_EVENT_LINES {
+                return Err(Error::Protocol(format!(
+                    "authority sent more than {MAX_EVENT_LINES} event lines"
+                )));
             }
         }
         if lines.is_empty() {
@@ -1006,6 +1063,47 @@ mod tests {
 
     fn signed(net_seed: &[u8], id: u64, version: u64) -> SignedDescriptor {
         RelayDescriptor::derive(net_seed, id, addr(9000 + id as u16), version).sign(net_seed)
+    }
+
+    #[test]
+    fn over_long_request_lines_get_an_error_and_the_server_keeps_serving() {
+        let server = AuthorityServer::spawn("127.0.0.1:0", b"seed", addr(8999), None).unwrap();
+        let conn = TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let mut writer = conn.try_clone().unwrap();
+        let flood = thread::spawn(move || {
+            // the server hangs up long before the line ends
+            let _ = writer.write_all(&vec![b'A'; 10 << 20]);
+        });
+        let mut reply = String::new();
+        BufReader::new(&conn).read_line(&mut reply).unwrap();
+        assert!(
+            reply.starts_with("ERR ")
+                && reply.contains(&format!("line exceeds {MAX_REQUEST_LINE} bytes")),
+            "{reply:?}"
+        );
+        flood.join().unwrap();
+        let client = AuthorityClient::new(server.addr());
+        client.publish(&signed(b"seed", 1, 1)).unwrap();
+        assert_eq!(client.ping().unwrap(), 1, "the next client is served");
+        server.shutdown();
+    }
+
+    #[test]
+    fn endless_event_streams_are_cut_off() {
+        let fake = TcpListener::bind("127.0.0.1:0").unwrap();
+        let fake_addr = fake.local_addr().unwrap();
+        let streamer = thread::spawn(move || {
+            let (mut conn, _) = fake.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&conn).read_line(&mut request).unwrap();
+            let lines = b"EV 1 JOIN 1\n".repeat(1024);
+            while conn.write_all(&lines).is_ok() {}
+        });
+        let err = AuthorityClient::new(fake_addr).events(0).unwrap_err();
+        assert!(err.to_string().contains("event lines"), "{err}");
+        streamer.join().unwrap();
     }
 
     #[test]
