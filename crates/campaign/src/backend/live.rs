@@ -7,36 +7,22 @@
 //! passive adversary the simulated backend uses — so one grid sweep can
 //! place closed-form math and measured TCP traffic side by side.
 //!
-//! Two guard rails keep live cells sweep-safe:
-//!
-//! * **Budgeting** — clusters claim `n + 1` relay slots from the
-//!   process-wide [`ClusterBudget`] before binding, so a wide rayon pool
-//!   cannot exhaust loopback ports or file descriptors by booting dozens
-//!   of clusters at once.
-//! * **Watchdog** — the cluster runs on a helper thread and the backend
-//!   waits at most `CampaignConfig::live_timeout_ms`; a wedged cluster
-//!   becomes an error string in `CellResult::outcome` naming the phase
-//!   (and span path) it wedged in. The helper thread is *abandoned*, not
-//!   blocked on: it lands in a process-wide registry and the sweep
-//!   reaps it at the end with a bounded join (`join_abandoned`) —
-//!   helpers whose clusters finished their own bounded teardown are
-//!   joined, truly wedged ones stay registered for the next sweep's
-//!   reap rather than hanging anyone. An abandoned cell still queued on
-//!   the budget never boots; one already running returns its slots when
-//!   the cluster's own bounded delivery/teardown deadlines expire.
+//! Clusters claim [`ClusterConfig::budget_slots`] relay slots from the
+//! process-wide [`ClusterBudget`] before binding, so a wide rayon pool
+//! cannot exhaust loopback ports or file descriptors by booting dozens
+//! of clusters at once. The cluster runs inline on the cell's worker
+//! thread: every socket call on its path has a deadline (see
+//! [`anonroute_relay::cluster`]), so a wedged relay ends the run with an
+//! error, which becomes the cell's error string in `CellResult::outcome`.
 //!
 //! Determinism: cluster identities, routes, handshake ephemerals, nonces,
 //! and junk all derive from `ctx.seed`, and the adversary consumes only
 //! the trace's structure, so the measured `H*` is deterministic per seed
 //! even though TCP scheduling is not (pinned by `tests/engines.rs`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
-
 use anonroute_core::SystemModel;
 use anonroute_relay::budget::ClusterBudget;
-use anonroute_relay::{run_cluster_budgeted_observed, ClusterConfig, ClusterOutcome, PhaseCell};
+use anonroute_relay::{run_cluster, ClusterConfig};
 use anonroute_sim::traffic::{SessionTraffic, UniformTraffic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,11 +74,9 @@ impl EvalBackend for LiveBackend {
         .generate(n, &mut StdRng::seed_from_u64(ctx.seed ^ WORKLOAD_SALT));
 
         let evaluate = phase_timer("cell.evaluate");
-        let outcome = run_watchdogged(
-            cluster,
-            arrivals,
-            Duration::from_millis(ctx.config.live_timeout_ms),
-        )?;
+        let permit = ClusterBudget::global().acquire(cluster.budget_slots());
+        let outcome = run_cluster(&cluster, &arrivals).map_err(|e| e.to_string())?;
+        drop(permit);
         let evaluate_us = evaluate.stop_us();
 
         let attack = phase_timer("cell.attack");
@@ -116,8 +100,7 @@ impl EvalBackend for LiveBackend {
 /// space), but it does mean per-node identities are not persistent
 /// across churned epochs. Persistent sessions pin their sender across
 /// epochs; message ids are rewritten to session ids and the folded
-/// traces feed the intersection adversary. The watchdog deadline
-/// applies per epoch.
+/// traces feed the intersection adversary.
 fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
     let n = ctx.model.n();
     let sessions = session_count(ctx.config.live_messages, ctx.scenario.dynamics.epochs);
@@ -142,12 +125,10 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
         cluster.cell_size = ctx.config.live_cell_size;
         let (arrivals, session_of) =
             traffic.epoch_arrivals(&senders, |u| view.local_of(u), &mut rng);
-        let outcome = run_watchdogged(
-            cluster,
-            arrivals,
-            Duration::from_millis(ctx.config.live_timeout_ms),
-        )
-        .map_err(|e| format!("epoch {}: {e}", view.epoch + 1))?;
+        let permit = ClusterBudget::global().acquire(cluster.budget_slots());
+        let outcome = run_cluster(&cluster, &arrivals)
+            .map_err(|e| format!("epoch {}: {e}", view.epoch + 1))?;
+        drop(permit);
         boot_us += outcome.boot_micros;
         traffic_us += outcome.traffic_micros;
         let mut trace = outcome.trace;
@@ -167,85 +148,6 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
     metrics.profile.boot_us = boot_us;
     metrics.profile.traffic_us = traffic_us;
     Ok(metrics)
-}
-
-/// Runs the cluster on a helper thread under the per-cell watchdog. The
-/// helper acquires the global budget itself (via
-/// [`run_cluster_budgeted_observed`], the single slot-accounting path), so
-/// waiting for free relay slots counts against the deadline too — a
-/// sweep can never hang on a permit a wedged cluster will never return.
-/// A cell abandoned by its watchdog while still queued on the budget
-/// never boots its cluster, so timeouts don't cascade by burning slots
-/// on runs nobody will read.
-///
-/// An abandoned cell that had already *started* keeps its slots until
-/// the cluster's own bounded teardown (delivery/join deadlines) finishes
-/// — slots return late, not never, unless a worker wedges in an
-/// unbounded syscall, which loopback sockets make very unlikely.
-fn run_watchdogged(
-    config: ClusterConfig,
-    arrivals: Vec<anonroute_sim::traffic::Arrival>,
-    deadline: Duration,
-) -> Result<ClusterOutcome, String> {
-    let n = config.n;
-    let (tx, rx) = mpsc::channel();
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let abandoned = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&abandoned);
-    let phase = Arc::new(PhaseCell::new());
-    let run_phase = Arc::clone(&phase);
-    let helper = std::thread::spawn(move || {
-        let _done = anonroute_sim::reaper::DoneGuard::new(done_tx);
-        let outcome = run_cluster_budgeted_observed(
-            &config,
-            &arrivals,
-            ClusterBudget::global(),
-            &flag,
-            &run_phase,
-        );
-        if let Some(result) = outcome {
-            // the receiver may have hung up (watchdog fired); nothing to do
-            let _ = tx.send(result);
-        }
-    });
-    match rx.recv_timeout(deadline) {
-        Ok(result) => {
-            // the helper has already sent its outcome: nothing left but
-            // the guard drop and return, so this join is near-instant
-            let _ = helper.join();
-            result.map_err(|e| e.to_string())
-        }
-        Err(_) => {
-            abandoned.store(true, Ordering::SeqCst);
-            // park the helper for the sweep-end bounded reap instead of
-            // detaching it forever
-            anonroute_sim::reaper::global().register(done_rx, helper);
-            // the shared phase cell says where the run was when the
-            // deadline fired — queued on the budget, booting, first
-            // handshake, traffic, drain, or teardown — which is the
-            // difference between "loopback is oversubscribed" and "a
-            // relay is eating cells"; the span path says which part of
-            // the sweep asked for the run
-            Err(format!(
-                "live cell wedged in {} phase (span {}): no cluster outcome within {deadline:?} \
-                 (n={n} relays; raise --live-timeout if the machine is just slow)",
-                phase.get(),
-                anonroute_obs::trace::current_path(),
-            ))
-        }
-    }
-}
-
-/// Reaps watchdog helper threads abandoned by timed-out live cells:
-/// joins (with `deadline` as the *total* bound) every helper whose
-/// cluster has finished its own bounded teardown, and leaves the rest
-/// registered for a later reap. Returns `(joined, still_pending)`. The
-/// runner calls this at the end of every sweep — including drained and
-/// aborted ones — so abandoned threads don't pile up across a campaign.
-///
-/// The registry itself is the process-wide [`anonroute_sim::reaper`].
-pub(crate) fn join_abandoned(deadline: Duration) -> (usize, usize) {
-    anonroute_sim::reaper::global().join_abandoned(deadline)
 }
 
 #[cfg(test)]
@@ -279,20 +181,6 @@ mod tests {
             compromised: (n - c..n).collect(),
         }];
         (scenario, model, views)
-    }
-
-    #[test]
-    fn join_abandoned_reaps_finished_helpers_with_a_bound() {
-        let (done_tx, done_rx) = mpsc::channel();
-        let helper = std::thread::spawn(move || {
-            let _done = anonroute_sim::reaper::DoneGuard::new(done_tx);
-        });
-        while !helper.is_finished() {
-            std::thread::yield_now();
-        }
-        anonroute_sim::reaper::global().register(done_rx, helper);
-        let (joined, _pending) = join_abandoned(Duration::from_secs(5));
-        assert!(joined >= 1, "a finished helper must be reaped");
     }
 
     #[test]

@@ -39,7 +39,10 @@ use crate::settings::{Access, RUN_SETTINGS};
 /// it again (every live cell boots its own cluster) and renders
 /// `config` from the run-settings table ([`RUN_SETTINGS`]), which adds
 /// `config.progress` and `config.metrics_addr`.
-pub const MANIFEST_SCHEMA: &str = "anonroute-campaign-manifest/v4";
+///
+/// v5 drops `config.live_timeout_ms`: live cells run inline, bounded by
+/// the relay layer's socket deadlines instead of a per-cell watchdog.
+pub const MANIFEST_SCHEMA: &str = "anonroute-campaign-manifest/v5";
 
 fn json_str_array<T: std::fmt::Display>(items: &[T]) -> String {
     let rendered: Vec<String> = items

@@ -83,11 +83,6 @@ pub const RUN_SETTINGS: &[RunSetting] = &[
         ),
     },
     RunSetting {
-        key: "live_timeout_ms",
-        flag: "live-timeout",
-        access: Access::Count(|c| c.live_timeout_ms, |c, v| c.live_timeout_ms = v),
-    },
-    RunSetting {
         key: "live_max_n",
         flag: "live-max-n",
         access: Access::Count(|c| c.live_max_n as u64, |c, v| c.live_max_n = v as usize),

@@ -577,5 +577,10 @@ metrics_addr = "127.0.0.1:9464"
         assert!(parse_spec("[nope]\n", &CampaignConfig::default()).is_err());
         assert!(parse_spec("x = 1\n", &CampaignConfig::default()).is_err());
         assert!(parse_spec("[grid]\nn = 10\n", &CampaignConfig::default()).is_err());
+        // a run setting that no longer exists is rejected, not ignored
+        let retired =
+            "[grid]\nn = 10\nc = 1\nstrategies = \"fixed:1\"\n[run]\nlive_timeout_ms = 5\n";
+        let err = parse_spec(retired, &CampaignConfig::default()).unwrap_err();
+        assert!(err.contains("unknown key `live_timeout_ms`"), "{err}");
     }
 }

@@ -237,8 +237,9 @@ pub struct LiveRow {
     /// Closed-form `H*` from the exact backend.
     pub exact: f64,
     /// Measured `H*` from the live cluster's link tap, or the cell's
-    /// error string (e.g. the watchdog fired on an overloaded machine) —
-    /// an errored cell degrades to an inconsistent row, never a panic.
+    /// error string (e.g. a send or delivery deadline passed on an
+    /// overloaded machine) — an errored cell degrades to an inconsistent
+    /// row, never a panic.
     pub live: Result<SampledDegree, String>,
 }
 

@@ -20,9 +20,9 @@
 //!   attached;
 //! * [`control`] — [`SweepControl`], the pause/resume/drain/abort state
 //!   machine a sweep polls at its deterministic scheduling points;
-//! * [`trace`] — deterministic span tracing ([`span`] guards over
-//!   thread-local stacks and buffers, a process-wide [`TraceSink`]) with
-//!   Chrome-trace/Perfetto JSON export.
+//! * [`trace`] — span tracing ([`span`] guards over thread-local
+//!   buffers, a process-wide [`TraceSink`]) with Chrome-trace/Perfetto
+//!   JSON export.
 //!
 //! ## Determinism boundary
 //!
@@ -35,10 +35,9 @@
 //! and that contract holds exactly because nothing numeric ever flows
 //! back out of this crate into an evaluator. Instrument reads
 //! ([`Counter::get`] and friends) exist for exposition and tests only.
-//! The two deliberate, still-deterministic exceptions are
-//! [`trace::current_path`] (built purely from `'static` span names) and
+//! The one deliberate, still-deterministic exception is
 //! [`SweepControl::checkpoint`], which only ever delays or skips whole
-//! units of work at scheduling boundaries — see their module docs.
+//! units of work at scheduling boundaries — see its module docs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,8 @@
 //! Deterministic span/event tracing with Chrome-trace export.
 //!
 //! A [`span`] guard marks a named region of work. Every thread keeps a
-//! **span-name stack** and a local event buffer: entering a span pushes
-//! its `'static` name, leaving pops it and (when the global sink is
-//! enabled) records one complete event with wall-clock `ts`/`dur`.
+//! local event buffer: leaving a span (when the global sink was enabled
+//! at entry) records one complete event with wall-clock `ts`/`dur`.
 //! Buffers flush into the process-wide [`TraceSink`] in batches, so the
 //! hot path touches no lock until a batch boundary.
 //!
@@ -14,18 +13,10 @@
 //!
 //! ## Determinism boundary
 //!
-//! The trace layer is split in two along the workspace's determinism
-//! contract:
-//!
-//! * The **span-name stack** is maintained *unconditionally* — pushes
-//!   and pops of `'static` names, no clocks, no allocation beyond the
-//!   stack itself. [`current_path`] is therefore deterministic and safe
-//!   to embed in error strings that land in seeded artifacts (the live
-//!   cell wedge errors do exactly that).
-//! * **Event recording** (timestamps, durations, the sink) only happens
-//!   while the sink is [enabled](TraceSink::enable), and nothing ever
-//!   reads an event to make a decision — traces are write-only, so
-//!   seeded outputs are byte-identical with tracing on or off.
+//! Event recording (timestamps, durations, the sink) only happens while
+//! the sink is [enabled](TraceSink::enable), and nothing ever reads an
+//! event to make a decision — traces are write-only, so seeded outputs
+//! are byte-identical with tracing on or off.
 //!
 //! Timestamps are microseconds since the sink's first use; thread ids
 //! are small dense integers assigned on each thread's first span. Both
@@ -62,8 +53,7 @@ pub struct TraceEvent {
 
 /// The process-wide collection point for trace events.
 ///
-/// Disabled by default: spans still maintain the name stack, but record
-/// nothing. A sweep that was asked for `--trace-out` enables the sink
+/// Disabled by default: spans record nothing. A sweep that was asked for `--trace-out` enables the sink
 /// for its duration, [drains](TraceSink::drain) it at the end, and
 /// renders the result with [`render_chrome_trace`].
 #[derive(Debug)]
@@ -102,7 +92,7 @@ impl TraceSink {
         self.enabled.store(true, Ordering::SeqCst);
     }
 
-    /// Stops recording; spans keep maintaining the name stack.
+    /// Stops recording.
     pub fn disable(&self) {
         self.enabled.store(false, Ordering::SeqCst);
     }
@@ -136,7 +126,6 @@ impl TraceSink {
 }
 
 struct ThreadTrace {
-    stack: Vec<&'static str>,
     buffer: Vec<TraceEvent>,
     tid: u64,
 }
@@ -149,14 +138,13 @@ impl Drop for ThreadTrace {
 
 thread_local! {
     static THREAD: RefCell<ThreadTrace> = RefCell::new(ThreadTrace {
-        stack: Vec::new(),
         buffer: Vec::new(),
         tid: TraceSink::global().next_tid.fetch_add(1, Ordering::Relaxed),
     });
 }
 
-/// An active span; completing (dropping) it pops the name stack and —
-/// when the sink was enabled at entry — records one [`TraceEvent`].
+/// An active span; completing (dropping) it records one [`TraceEvent`]
+/// when the sink was enabled at entry.
 #[derive(Debug)]
 #[must_use = "a span measures the scope it is alive for"]
 pub struct Span {
@@ -176,7 +164,6 @@ pub fn span(name: &'static str, cat: &'static str) -> Span {
 /// exported event's `args`.
 pub fn span_with(name: &'static str, cat: &'static str, args: &[(&'static str, u64)]) -> Span {
     let sink = TraceSink::global();
-    THREAD.with(|t| t.borrow_mut().stack.push(name));
     let start_us = sink.is_enabled().then(|| sink.now_us());
     Span {
         name,
@@ -191,8 +178,6 @@ impl Drop for Span {
         let end_us = self.start_us.map(|_| TraceSink::global().now_us());
         THREAD.with(|t| {
             let mut t = t.borrow_mut();
-            debug_assert_eq!(t.stack.last(), Some(&self.name), "span stack imbalance");
-            t.stack.pop();
             if let (Some(start), Some(end)) = (self.start_us, end_us) {
                 let tid = t.tid;
                 t.buffer.push(TraceEvent {
@@ -209,19 +194,6 @@ impl Drop for Span {
             }
         });
     }
-}
-
-/// The current thread's span path, innermost last, joined with `/`
-/// (empty when no span is open). Deterministic — built from `'static`
-/// span names only — so it is safe to embed in seeded artifacts such as
-/// per-cell error strings.
-pub fn current_path() -> String {
-    THREAD.with(|t| t.borrow().stack.join("/"))
-}
-
-/// Depth of the current thread's span stack (tests and invariants).
-pub fn current_depth() -> usize {
-    THREAD.with(|t| t.borrow().stack.len())
 }
 
 /// Pushes the calling thread's buffered events into the global sink.
@@ -305,21 +277,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_spans_keep_the_stack_but_record_nothing() {
+    fn disabled_spans_record_nothing() {
         TraceSink::global().disable();
-        let before = TraceSink::global().drain().len();
         {
-            let _outer = span("outer", "test");
-            assert_eq!(current_path(), "outer");
-            {
-                let _inner = span("inner", "test");
-                assert_eq!(current_path(), "outer/inner");
-                assert_eq!(current_depth(), 2);
-            }
-            assert_eq!(current_path(), "outer");
+            let _outer = span("outer", "test-disabled");
+            let _inner = span("inner", "test-disabled");
         }
-        assert_eq!(current_path(), "");
-        let _ = before;
         assert!(
             TraceSink::global()
                 .drain()

@@ -24,9 +24,7 @@
 //!   sender distribution; streamed cover/Poisson processes
 //!   ([`simulation::TrafficProcess`]) that cost O(1) queue memory; and
 //!   persistent multi-epoch sessions ([`traffic::SessionTraffic`]) for
-//!   intersection-attack workloads;
-//! * the [`reaper`] for bounded cleanup of abandoned watchdogged threads
-//!   (the campaign's live-cell watchdog parks its helpers there).
+//!   intersection-attack workloads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +34,6 @@ pub mod event;
 pub mod latency;
 pub mod message;
 pub mod node;
-pub mod reaper;
 pub mod simulation;
 pub mod time;
 pub mod traffic;

@@ -87,15 +87,16 @@ COMMANDS:
                [--spec grid.toml] [--threads 0] [--seed 7]
                [--mc-samples 20000] [--messages 1500]
                [--sim-max-n 1000000]
-               [--live-messages 300] [--live-timeout 120000]
-               [--live-max-n 64] [--live-cell 1024]
+               [--live-messages 300] [--live-max-n 64] [--live-cell 1024]
                [--out <basename>] [--timing]
                [--progress] [--metrics-addr 127.0.0.1:0]
                [--trace-out trace.json]
                lists take values and ranges: 50,100,200 or 1..=5
                writes <basename>.jsonl, <basename>.csv,
                <basename>_timings.csv, <basename>_manifest.json
-               `live` cells boot a real loopback TCP relay cluster per cell
+               `live` cells boot a real loopback TCP relay cluster per cell;
+               every dial and frame write in it has a 5 s deadline, so a
+               wedged relay fails its cell instead of hanging the sweep
                epochs > 1 runs the multi-round intersection adversary:
                persistent sessions, per-epoch compromised-set rotation,
                node churn, and cumulative anonymity-decay scoring
@@ -1135,7 +1136,7 @@ mod tests {
         cmd_campaign(&flags).unwrap();
         let manifest_path = dir.join("obs_manifest.json");
         let text = std::fs::read_to_string(&manifest_path).unwrap();
-        assert!(text.contains("anonroute-campaign-manifest/v4"), "{text}");
+        assert!(text.contains("anonroute-campaign-manifest/v5"), "{text}");
         assert!(text.contains("\"metrics_addr\": \"127.0.0.1:0\""), "{text}");
         assert!(text.contains("\"ok\": 1"), "{text}");
         assert!(text.contains("\"errors\": 1"), "F(40) infeasible: {text}");
