@@ -53,9 +53,10 @@ pub struct TraceEvent {
 
 /// The process-wide collection point for trace events.
 ///
-/// Disabled by default: spans record nothing. A sweep that was asked for `--trace-out` enables the sink
-/// for its duration, [drains](TraceSink::drain) it at the end, and
-/// renders the result with [`render_chrome_trace`].
+/// Disabled by default: spans record nothing. A sweep that was asked
+/// for `--trace-out` enables the sink for its duration,
+/// [drains](TraceSink::drain) it at the end, and renders the result with
+/// [`render_chrome_trace`].
 #[derive(Debug)]
 pub struct TraceSink {
     enabled: AtomicBool,
