@@ -2,7 +2,7 @@
 //! to derive independent per-layer encryption and MAC keys from a node's
 //! long-term key and a packet nonce.
 
-use crate::hmac::hmac_sha256;
+use crate::hmac::{hmac_sha256, HmacKey};
 use crate::sha256::DIGEST_LEN;
 
 /// HKDF-Extract: `PRK = HMAC-SHA-256(salt, ikm)`.
@@ -17,20 +17,23 @@ pub fn extract(salt: &[u8], ikm: &[u8]) -> [u8; DIGEST_LEN] {
 ///
 /// Panics if more than `255 * 32` bytes are requested (RFC 5869 limit).
 pub fn expand(prk: &[u8; DIGEST_LEN], info: &[u8], out: &mut [u8]) {
+    expand_with(&HmacKey::new(prk), info, out);
+}
+
+/// [`expand`] from a PRK already made an [`HmacKey`], for callers that
+/// expand one PRK more than once.
+///
+/// # Panics
+///
+/// As [`expand`].
+pub fn expand_with(prk: &HmacKey, info: &[u8], out: &mut [u8]) {
     assert!(out.len() <= 255 * DIGEST_LEN, "hkdf output too long");
-    let mut t: Vec<u8> = Vec::new();
-    let mut generated = 0;
-    let mut counter = 1u8;
-    while generated < out.len() {
-        let mut msg = t.clone();
-        msg.extend_from_slice(info);
-        msg.push(counter);
-        let block = hmac_sha256(prk, &msg);
-        let take = (out.len() - generated).min(DIGEST_LEN);
-        out[generated..generated + take].copy_from_slice(&block[..take]);
-        generated += take;
-        t = block.to_vec();
-        counter += 1;
+    // T(i) = HMAC(PRK, T(i-1) ‖ info ‖ i), with T(0) empty
+    let mut t = [0u8; DIGEST_LEN];
+    for (i, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
+        let prev: &[u8] = if i == 0 { &[] } else { &t };
+        t = prk.mac_parts(&[prev, info, &[i as u8 + 1]]);
+        chunk.copy_from_slice(&t[..chunk.len()]);
     }
 }
 

@@ -10,6 +10,7 @@ use std::collections::HashMap;
 use std::sync::Mutex;
 
 use crate::hkdf;
+use crate::hmac::HmacKey;
 
 /// A node's long-term 256-bit master key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,12 +25,13 @@ impl std::fmt::Debug for MasterKey {
 
 impl MasterKey {
     /// Derives the per-packet `(encryption, mac)` key pair bound to a
-    /// packet nonce.
+    /// packet nonce: one HKDF-Extract, expanded under two labels.
     pub fn layer_keys(&self, nonce: &[u8; 12]) -> ([u8; 32], [u8; 32]) {
+        let prk = HmacKey::new(&hkdf::extract(nonce, &self.0));
         let mut enc = [0u8; 32];
         let mut mac = [0u8; 32];
-        hkdf::derive(nonce, &self.0, b"anonroute-onion-enc-v1", &mut enc);
-        hkdf::derive(nonce, &self.0, b"anonroute-onion-mac-v1", &mut mac);
+        hkdf::expand_with(&prk, b"anonroute-onion-enc-v1", &mut enc);
+        hkdf::expand_with(&prk, b"anonroute-onion-mac-v1", &mut mac);
         (enc, mac)
     }
 }
@@ -38,7 +40,9 @@ impl MasterKey {
 ///
 /// A key is a pure function of `(seed, id)`, so each is derived by HKDF on
 /// first use and memoized: a store for a large network costs nothing for
-/// the nodes no route ever visits.
+/// the nodes no route ever visits. The seed's HKDF-Extract is the same
+/// for every key, so the store runs it once and keeps the PRK as an
+/// [`HmacKey`].
 ///
 /// # Examples
 ///
@@ -50,7 +54,7 @@ impl MasterKey {
 /// ```
 #[derive(Debug)]
 pub struct KeyStore {
-    seed: Vec<u8>,
+    prk: HmacKey,
     n: usize,
     derived: Mutex<HashMap<usize, MasterKey>>,
 }
@@ -58,7 +62,7 @@ pub struct KeyStore {
 impl Clone for KeyStore {
     fn clone(&self) -> Self {
         KeyStore {
-            seed: self.seed.clone(),
+            prk: self.prk.clone(),
             n: self.n,
             derived: Mutex::new(self.derived.lock().expect("key memo lock").clone()),
         }
@@ -70,7 +74,7 @@ impl KeyStore {
     /// derived when first asked for.
     pub fn from_seed(seed: &[u8], n: usize) -> Self {
         KeyStore {
-            seed: seed.to_vec(),
+            prk: HmacKey::new(&hkdf::extract(b"anonroute-keystore", seed)),
             n,
             derived: Mutex::new(HashMap::new()),
         }
@@ -98,21 +102,20 @@ impl KeyStore {
             .lock()
             .expect("key memo lock")
             .entry(id)
-            .or_insert_with(|| derive_node_key(&self.seed, id))
+            .or_insert_with(|| {
+                // HKDF-Expand of the node's label under the seed's PRK
+                let mut info = [0u8; NODE_KEY_LABEL.len() + 8];
+                info[..NODE_KEY_LABEL.len()].copy_from_slice(NODE_KEY_LABEL);
+                info[NODE_KEY_LABEL.len()..].copy_from_slice(&(id as u64).to_be_bytes());
+                let mut key = [0u8; 32];
+                hkdf::expand_with(&self.prk, &info, &mut key);
+                MasterKey(key)
+            })
     }
 }
 
-/// HKDF of node `id`'s master key from the deployment seed.
-fn derive_node_key(seed: &[u8], id: usize) -> MasterKey {
-    let mut key = [0u8; 32];
-    let info = [
-        b"anonroute-node-key-v1" as &[u8],
-        &(id as u64).to_be_bytes(),
-    ]
-    .concat();
-    hkdf::derive(b"anonroute-keystore", seed, &info, &mut key);
-    MasterKey(key)
-}
+/// HKDF-Expand label of a node key; the node id follows it, big-endian.
+const NODE_KEY_LABEL: &[u8] = b"anonroute-node-key-v1";
 
 #[cfg(test)]
 mod tests {
@@ -181,6 +184,18 @@ mod tests {
         assert_ne!(e1, e2);
         assert_ne!(m1, m2);
         assert_ne!(e1, m1);
+    }
+
+    #[test]
+    fn layer_keys_equal_two_full_derivations() {
+        let k = KeyStore::from_seed(b"layers", 3).key(2);
+        for nonce in [[0u8; 12], [7u8; 12], *b"nonce-bytes!"] {
+            let mut enc = [0u8; 32];
+            let mut mac = [0u8; 32];
+            hkdf::derive(&nonce, &k.0, b"anonroute-onion-enc-v1", &mut enc);
+            hkdf::derive(&nonce, &k.0, b"anonroute-onion-mac-v1", &mut mac);
+            assert_eq!(k.layer_keys(&nonce), (enc, mac));
+        }
     }
 
     #[test]

@@ -140,14 +140,14 @@ pub fn seal(
 ///
 /// `cell` may include tail junk beyond the meaningful bytes (the normal
 /// case on the wire); the embedded length field delimits the real content
-/// and the MAC authenticates exactly that region.
+/// and the MAC authenticates exactly that region. Only that region is
+/// decrypted: the junk tail is never read.
 ///
 /// # Errors
 ///
-/// * [`Error::Malformed`] if the cell is shorter than one layer or the
-///   length field overruns the cell;
+/// * [`Error::Malformed`] if the cell is shorter than one layer;
 /// * [`Error::BadMac`] if authentication fails (wrong node, corrupted
-///   cell, or forged traffic).
+///   cell, or forged traffic) or the length field overruns the cell.
 pub fn peel(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
     if cell.len() < LAYER_OVERHEAD {
         return Err(Error::Malformed(format!(
@@ -156,27 +156,35 @@ pub fn peel(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
         )));
     }
     let nonce: [u8; NONCE_LEN] = cell[..NONCE_LEN].try_into().expect("length checked");
+    let body = &cell[NONCE_LEN..];
     let (enc_key, mac_key) = master.layer_keys(&nonce);
-    let mut body = cell[NONCE_LEN..].to_vec();
-    chacha20::xor_stream(&enc_key, &nonce, 1, &mut body);
-
-    let next = u16::from_be_bytes([body[16], body[17]]);
-    let len = u16::from_be_bytes([body[18], body[19]]) as usize;
-    if HEADER_LEN + len > body.len() {
+    // the first keystream block covers the header
+    let first = chacha20::block(&enc_key, &nonce, 1);
+    let next = u16::from_be_bytes([body[16] ^ first[16], body[17] ^ first[17]]);
+    let len = u16::from_be_bytes([body[18] ^ first[18], body[19] ^ first[19]]) as usize;
+    let end = HEADER_LEN + len;
+    if end > body.len() {
         // An overrunning length field means the cell was not sealed for
         // this key (or was corrupted) — indistinguishable from a MAC
         // failure, and reported as one to avoid oracle behavior.
         return Err(Error::BadMac);
     }
-    let mac = hmac_sha256(&mac_key, &body[16..HEADER_LEN + len]);
-    if !verify_mac(&mac[..16], &body[..16]) {
+    let mut plain = body[..end].to_vec();
+    let (head, tail) = plain.split_at_mut(end.min(first.len()));
+    head.iter_mut().zip(&first).for_each(|(b, k)| *b ^= k);
+    chacha20::xor_stream(&enc_key, &nonce, 2, tail);
+    let mac = hmac_sha256(&mac_key, &plain[16..]);
+    if !verify_mac(&mac[..16], &plain[..16]) {
         return Err(Error::BadMac);
     }
-    let content = body[HEADER_LEN..HEADER_LEN + len].to_vec();
+    plain.drain(..HEADER_LEN);
     Ok(if next == DELIVER {
-        Peeled::Deliver { payload: content }
+        Peeled::Deliver { payload: plain }
     } else {
-        Peeled::Forward { next, content }
+        Peeled::Forward {
+            next,
+            content: plain,
+        }
     })
 }
 
@@ -187,7 +195,7 @@ pub fn peel(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
 /// # Errors
 ///
 /// Returns [`Error::PathTooLong`] when the content does not fit the cell.
-pub fn frame(content: &[u8], cell_size: usize, junk: &mut dyn FnMut() -> u8) -> Result<Vec<u8>> {
+pub fn frame(content: &[u8], cell_size: usize, junk: impl FnMut() -> u8) -> Result<Vec<u8>> {
     if content.len() > cell_size {
         return Err(Error::PathTooLong(format!(
             "content of {} bytes exceeds the {cell_size}-byte cell",
@@ -214,6 +222,7 @@ pub fn max_payload(cell_size: usize, hops: usize) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn keystore() -> KeyStore {
         KeyStore::from_seed(b"onion-tests", 16)
@@ -367,6 +376,98 @@ mod tests {
             peel(&keys.key(0), &[0u8; 10]),
             Err(Error::Malformed(_))
         ));
+    }
+
+    /// `peel` as it was before it decrypted only what a hop reads: the
+    /// whole body, junk tail included, is decrypted first.
+    fn peel_full_body(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
+        if cell.len() < LAYER_OVERHEAD {
+            return Err(Error::Malformed(format!(
+                "cell of {} bytes is shorter than one layer ({LAYER_OVERHEAD})",
+                cell.len()
+            )));
+        }
+        let nonce: [u8; NONCE_LEN] = cell[..NONCE_LEN].try_into().expect("length checked");
+        let (enc_key, mac_key) = master.layer_keys(&nonce);
+        let mut body = cell[NONCE_LEN..].to_vec();
+        chacha20::xor_stream(&enc_key, &nonce, 1, &mut body);
+        let next = u16::from_be_bytes([body[16], body[17]]);
+        let len = u16::from_be_bytes([body[18], body[19]]) as usize;
+        if HEADER_LEN + len > body.len() {
+            return Err(Error::BadMac);
+        }
+        let mac = hmac_sha256(&mac_key, &body[16..HEADER_LEN + len]);
+        if !verify_mac(&mac[..16], &body[..16]) {
+            return Err(Error::BadMac);
+        }
+        let content = body[HEADER_LEN..HEADER_LEN + len].to_vec();
+        Ok(if next == DELIVER {
+            Peeled::Deliver { payload: content }
+        } else {
+            Peeled::Forward { next, content }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        #[test]
+        fn peel_matches_the_full_body_oracle(
+            hops in 1usize..5,
+            payload in proptest::collection::vec(any::<u8>(), 0..100),
+            cell_size in 240usize..2049,
+            junk_seed in any::<u8>(),
+            mode in 0usize..6,
+            at in any::<u64>(),
+            flip in 1u8..=255,
+            peeler in 0usize..16,
+        ) {
+            let keys = keystore();
+            let path: Vec<u16> = (0..hops).map(|i| ((i * 5 + 3) % 16) as u16).collect();
+            let wire = build(&keys, &path, &payload, &nonces(hops)).unwrap();
+            let mut state = junk_seed;
+            let mut cell = frame(&wire, cell_size, || {
+                state = state.wrapping_mul(167).wrapping_add(13);
+                state
+            })
+            .unwrap();
+            let pick = |len: usize| (at % len as u64) as usize;
+            match mode {
+                // intact
+                0 => {}
+                // one tampered byte anywhere: nonce, header, content or junk
+                1 => {
+                    let i = pick(cell.len());
+                    cell[i] ^= flip;
+                }
+                // a tampered length field, usually overrunning the cell
+                2 => {
+                    cell[NONCE_LEN + 18] ^= flip;
+                    cell[NONCE_LEN + 19] ^= (at >> 8) as u8;
+                }
+                // a short cell: cut inside the header, content or junk
+                3 => cell.truncate(pick(cell.len() + 1)),
+                // random bytes
+                4 => {
+                    let mut x = at | 1;
+                    cell.truncate(pick(cell.len() + 1));
+                    for b in &mut cell {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        *b = x as u8;
+                    }
+                }
+                // junk only, from another stream
+                _ => {
+                    for b in &mut cell[wire.len()..] {
+                        *b ^= flip;
+                    }
+                }
+            }
+            // usually the first hop's key; sometimes a node it is not for
+            let key = keys.key(if peeler < 12 { path[0] as usize } else { peeler });
+            prop_assert_eq!(peel(&key, &cell), peel_full_body(&key, &cell));
+        }
     }
 
     #[test]

@@ -70,91 +70,85 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
             self.buffered += take;
             data = &data[take..];
-            if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < BLOCK_LEN {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while data.len() >= BLOCK_LEN {
-            let (block, rest) = data.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            data = rest;
+        let mut blocks = data.chunks_exact(BLOCK_LEN);
+        for block in &mut blocks {
+            compress(&mut self.state, block.try_into().expect("exact chunk"));
         }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffered = data.len();
-        }
+        let rest = blocks.remainder();
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        // self.update changed total_len, but bit_len was captured first
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // 0x80, zeroes, then the 64-bit length: one block, or two when
+        // fewer than 9 bytes are left after the buffered input
+        let mut block = [0u8; BLOCK_LEN];
+        block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        block[self.buffered] = 0x80;
+        if self.buffered >= BLOCK_LEN - 8 {
+            compress(&mut self.state, &block);
+            block = [0u8; BLOCK_LEN];
         }
-        self.total_len = 0; // avoid double counting; padding below is raw
-        let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &block);
         let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The SHA-256 compression function: folds one block into `state`.
+fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    // eight rounds per pass, renaming the working variables instead of
+    // shifting them
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr) => {
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add(($e & $f) ^ (!$e & $g))
+                .wrapping_add(K[$i])
+                .wrapping_add(w[$i]);
+            let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) ^ ($a & $c) ^ ($b & $c));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        };
+    }
+    for i in (0..64).step_by(8) {
+        round!(a, b, c, d, e, f, g, h, i);
+        round!(h, a, b, c, d, e, f, g, i + 1);
+        round!(g, h, a, b, c, d, e, f, i + 2);
+        round!(f, g, h, a, b, c, d, e, i + 3);
+        round!(e, f, g, h, a, b, c, d, i + 4);
+        round!(d, e, f, g, h, a, b, c, i + 5);
+        round!(c, d, e, f, g, h, a, b, i + 6);
+        round!(b, c, d, e, f, g, h, a, i + 7);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -221,6 +215,53 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), want, "split at {split}");
+        }
+    }
+
+    /// `finalize` as it padded before it wrote the padding as one block:
+    /// `0x80`, then one zero byte per `update` until 56 bytes are
+    /// buffered, then the bit length.
+    fn finalize_bytewise(mut h: Sha256) -> [u8; DIGEST_LEN] {
+        let bit_len = h.total_len.wrapping_mul(8);
+        h.update(&[0x80]);
+        while h.buffered != 56 {
+            h.update(&[0]);
+        }
+        let mut block = h.buffer;
+        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut h.state, &block);
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.state.iter().enumerate() {
+            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn block_padding_matches_the_bytewise_oracle_at_every_length() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 151 + 7) as u8).collect();
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let mut oracle = Sha256::new();
+            for b in msg {
+                oracle.update(std::slice::from_ref(b));
+            }
+            let want = finalize_bytewise(oracle);
+            for _ in 0..4 {
+                // xorshift64: two split points per round
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let a = (state % (len as u64 + 1)) as usize;
+                let b = ((state >> 32) % (len as u64 + 1)) as usize;
+                let (a, b) = (a.min(b), a.max(b));
+                let mut h = Sha256::new();
+                h.update(&msg[..a]);
+                h.update(&msg[a..b]);
+                h.update(&msg[b..]);
+                assert_eq!(h.finalize(), want, "len {len}, split at {a} and {b}");
+            }
         }
     }
 
