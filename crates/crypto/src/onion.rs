@@ -195,16 +195,31 @@ pub fn peel(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
 /// # Errors
 ///
 /// Returns [`Error::PathTooLong`] when the content does not fit the cell.
-pub fn frame(content: &[u8], cell_size: usize, junk: impl FnMut() -> u8) -> Result<Vec<u8>> {
+pub fn frame(content: &[u8], cell_size: usize, mut junk: impl FnMut() -> u8) -> Result<Vec<u8>> {
+    frame_filled(content, cell_size, |tail| tail.fill_with(&mut junk))
+}
+
+/// [`frame`] with the whole junk tail filled by one `fill` call, for
+/// generators that produce junk a word at a time.
+///
+/// # Errors
+///
+/// As [`frame`].
+pub fn frame_filled(
+    content: &[u8],
+    cell_size: usize,
+    fill: impl FnOnce(&mut [u8]),
+) -> Result<Vec<u8>> {
     if content.len() > cell_size {
         return Err(Error::PathTooLong(format!(
             "content of {} bytes exceeds the {cell_size}-byte cell",
             content.len()
         )));
     }
-    let mut cell = Vec::with_capacity(cell_size);
-    cell.extend_from_slice(content);
-    cell.resize_with(cell_size, junk);
+    let mut cell = vec![0u8; cell_size];
+    let (head, tail) = cell.split_at_mut(content.len());
+    head.copy_from_slice(content);
+    fill(tail);
     Ok(cell)
 }
 
@@ -367,6 +382,29 @@ mod tests {
     #[test]
     fn frame_rejects_oversized_content() {
         assert!(frame(&[0u8; 600], 512, &mut || 0).is_err());
+        assert!(frame_filled(&[0u8; 600], 512, |_| {}).is_err());
+    }
+
+    #[test]
+    fn filled_frames_keep_the_content_and_junk_only_the_tail() {
+        let content = [9u8; 40];
+        let mut tail_len = 0;
+        let cell = frame_filled(&content, 128, |tail| {
+            tail_len = tail.len();
+            tail.fill(0xEE);
+        })
+        .unwrap();
+        assert_eq!(tail_len, 88);
+        assert_eq!(&cell[..40], &content);
+        assert!(cell[40..].iter().all(|&b| b == 0xEE));
+        let mut n = 0u8;
+        let per_byte = frame(&content, 128, || {
+            n = n.wrapping_add(1);
+            n
+        })
+        .unwrap();
+        let expected: Vec<u8> = (1..=88).collect();
+        assert_eq!(&per_byte[40..], &expected[..], "junk is drawn in order");
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! encryption layer per hop ([`anonroute_crypto::onion`]), and transmits a
 //! fixed-size cell. Each router peels its layer, learns only its successor,
 //! and re-frames the cell with fresh junk so consecutive cells are bitwise
-//! unlinkable.
+//! unlinkable. Junk comes from the simulation's RNG eight bytes per draw.
 
 use std::sync::Arc;
 
 use anonroute_crypto::keys::KeyStore;
 use anonroute_crypto::onion::{self, Peeled};
 use anonroute_sim::{Ctx, Endpoint, Message, NodeBehavior, NodeId};
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 use crate::error::{Error, Result};
 use crate::route::RouteSampler;
@@ -87,12 +87,8 @@ impl NodeBehavior for OnionNode {
         let nonces: Vec<[u8; 12]> = (0..hops.len()).map(|_| ctx.rng().gen()).collect();
         let wire = onion::build(&self.keys, &hops, &msg.bytes, &nonces)
             .expect("route and payload validated against the cell size");
-        let cell = {
-            let rng = ctx.rng();
-            let mut junk = || rng.gen::<u8>();
-            onion::frame(&wire, self.cell_size, &mut junk)
-                .expect("content fits: checked at construction")
-        };
+        let cell = onion::frame_filled(&wire, self.cell_size, |tail| ctx.rng().fill_bytes(tail))
+            .expect("content fits: checked at construction");
         ctx.send(route[0], Message::new(msg.id, cell));
     }
 
@@ -100,12 +96,10 @@ impl NodeBehavior for OnionNode {
         match onion::peel(&self.keys.key(self.id), &msg.bytes) {
             Ok(Peeled::Forward { next, content }) => {
                 self.relayed += 1;
-                let cell = {
-                    let rng = ctx.rng();
-                    let mut junk = || rng.gen::<u8>();
-                    onion::frame(&content, self.cell_size, &mut junk)
-                        .expect("peeled content is smaller than the incoming cell")
-                };
+                let cell = onion::frame_filled(&content, self.cell_size, |tail| {
+                    ctx.rng().fill_bytes(tail)
+                })
+                .expect("peeled content is smaller than the incoming cell");
                 ctx.send(next as NodeId, Message::new(msg.id, cell));
             }
             Ok(Peeled::Deliver { payload }) => {
