@@ -29,7 +29,8 @@
 //!   on a peer stalled mid-frame after 100 stalled reads (5 s at the
 //!   default 50 ms);
 //! * the drain waits at most `deliver_timeout` for the cell's deliveries;
-//! * teardown joins each relay and the receiver with `join_timeout`.
+//! * teardown signals every relay, then joins each relay and the
+//!   receiver with `join_timeout`.
 //!
 //! A stalled peer therefore holds a relay worker for at most one send
 //! deadline, and a run that fails returns a typed [`Error`] after at
@@ -525,6 +526,11 @@ impl SharedCluster {
         let mut stats = Vec::with_capacity(self.config.n);
         let relays: Vec<Option<Relay>> =
             std::mem::take(&mut *self.relays.lock().expect("relay roster lock"));
+        // signal every relay before joining any, so their workers' read
+        // polls run out together instead of one relay after another
+        for relay in relays.iter().flatten() {
+            relay.shutdown();
+        }
         for slot in relays {
             match slot {
                 Some(relay) => match relay.join(self.config.join_timeout) {
@@ -631,6 +637,24 @@ mod tests {
                 .count();
             assert_eq!(receiver_edges, 1, "{:?}", o.msg);
         }
+    }
+
+    #[test]
+    fn relays_share_one_connection_per_next_hop() {
+        let n = 8;
+        let config = ClusterConfig::new(n, PathLengthDist::uniform(1, 3).unwrap());
+        let outcome = run_cluster(&config, &workload(n, 400, 12)).unwrap();
+        assert_eq!(outcome.deliveries.len(), 400);
+        // each relay dials each other relay at most once, and the client
+        // dials each first hop once: n² connections at most, where one
+        // connection per route prefix would take several times as many
+        let accepted: u64 = outcome.stats.iter().map(|s| s.accepted).sum();
+        assert!(accepted > 0, "the stats count accepted connections");
+        assert!(
+            accepted <= (n * n) as u64,
+            "relays accepted {accepted} connections, more than n² = {}",
+            n * n
+        );
     }
 
     #[test]

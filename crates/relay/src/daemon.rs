@@ -3,10 +3,14 @@
 //! Each relay owns one `TcpListener`; every accepted connection gets a
 //! worker thread that reads [`wire`] frames, peels cells with the relay's
 //! static identity ([`crate::circuit::peel`]), re-frames the inner prefix
-//! with fresh junk, and writes it to the next hop (or the receiver) over
-//! a cached downstream connection. Dialing and writing there each give
-//! up after a 5 s send deadline, so a next hop that stops reading costs
-//! the worker one dropped cell, not the rest of its life.
+//! with fresh junk, and writes it to the next hop (or the receiver). All
+//! of a relay's workers share one outbound connection per next hop, so a
+//! cluster of `n` relays holds at most `n + 1` connections out of each
+//! relay, however many routes pass through it. Dialing and writing there
+//! each give up after a 5 s send deadline, and for one deadline after
+//! that the hop's cells are dropped without waiting, so a next hop that
+//! stops reading costs the workers dropped cells, not the rest of their
+//! lives.
 //!
 //! Shutdown is graceful and bounded: [`Relay::shutdown`] raises a flag
 //! and wakes the blocked `accept`; workers observe the flag within one
@@ -21,7 +25,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use anonroute_obs::Registry;
 
@@ -79,6 +83,8 @@ pub struct RelayStats {
     /// signal that distinguishes a misdelivered or corrupted circuit
     /// from transport-level trouble.
     pub peel_failures: u64,
+    /// Inbound connections accepted.
+    pub accepted: u64,
 }
 
 #[derive(Debug, Default)]
@@ -87,6 +93,7 @@ struct Counters {
     delivered: AtomicU64,
     dropped: AtomicU64,
     peel_failures: AtomicU64,
+    accepted: AtomicU64,
     /// Worker connections currently open (accept .. socket close).
     connections: AtomicI64,
     /// Inbound queue: live (unreaped) worker threads on the accept loop.
@@ -104,6 +111,7 @@ impl Counters {
             delivered: self.delivered.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed),
             peel_failures: self.peel_failures.load(Ordering::Relaxed),
+            accepted: self.accepted.load(Ordering::Relaxed),
         }
     }
 }
@@ -447,6 +455,7 @@ fn accept_loop(
     seed: u64,
 ) -> Result<()> {
     let label = format!("relay {id}");
+    let outbound = Arc::new(Outbound::default());
     workers::accept_loop(
         listener,
         &shutdown,
@@ -460,10 +469,13 @@ fn accept_loop(
             let topology = topology.clone();
             let tap = tap.clone();
             let counters = Arc::clone(&counters);
+            counters.accepted.fetch_add(1, Ordering::Relaxed);
             let shutdown = Arc::clone(&shutdown);
+            let outbound = Arc::clone(&outbound);
             std::thread::spawn(move || {
                 serve_conn(
                     stream, id, identity, topology, tap, counters, shutdown, config, junk_rng,
+                    &outbound,
                 )
             })
         },
@@ -481,12 +493,10 @@ fn serve_conn(
     shutdown: Arc<AtomicBool>,
     config: RelayConfig,
     mut junk_rng: StdRng,
+    outbound: &Outbound,
 ) {
     counters.connections.fetch_add(1, Ordering::Relaxed);
     let _open = ConnectionGuard(Arc::clone(&counters));
-    // downstream connections cached per next hop (receiver = usize::MAX),
-    // owned by this worker so no locks sit on the forwarding path
-    let mut downstream: HashMap<usize, TcpStream> = HashMap::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             break;
@@ -506,7 +516,7 @@ fn serve_conn(
                     &counters,
                     &config,
                     &mut junk_rng,
-                    &mut downstream,
+                    outbound,
                 );
             }
             Ok(ReadOutcome::Frame(Frame::Deliver { .. })) => {
@@ -543,7 +553,7 @@ fn handle_cell(
     counters: &Counters,
     config: &RelayConfig,
     junk_rng: &mut StdRng,
-    downstream: &mut HashMap<usize, TcpStream>,
+    outbound: &Outbound,
 ) {
     if cell.len() != config.cell_size {
         counters.dropped.fetch_add(1, Ordering::Relaxed);
@@ -568,7 +578,7 @@ fn handle_cell(
             let frame = Frame::Cell { msg, cell: framed };
             let _fwd_span = anonroute_obs::span("relay.forward", "relay");
             counters.outbound.enter();
-            let sent = send_cached(downstream, next_id, info.addr, &frame);
+            let sent = outbound.send(next_id, info.addr, &frame);
             counters.outbound.exit();
             if sent.is_ok() {
                 counters.relayed.fetch_add(1, Ordering::Relaxed);
@@ -585,7 +595,7 @@ fn handle_cell(
             };
             let _deliver_span = anonroute_obs::span("relay.deliver", "relay");
             counters.outbound.enter();
-            let sent = send_cached(downstream, usize::MAX, directory.receiver(), &frame);
+            let sent = outbound.send(usize::MAX, directory.receiver(), &frame);
             counters.outbound.exit();
             if sent.is_ok() {
                 counters.delivered.fetch_add(1, Ordering::Relaxed);
@@ -600,6 +610,55 @@ fn handle_cell(
             counters.peel_failures.fetch_add(1, Ordering::Relaxed);
             counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
+    }
+}
+
+/// A relay's outbound connections: one slot per next hop (the receiver
+/// is `usize::MAX`), shared by all of the relay's workers. The map lock
+/// is held only to find or insert a slot; a slot's own lock is held
+/// across its dial and write, which keeps each frame whole on the shared
+/// stream.
+#[derive(Debug, Default)]
+struct Outbound {
+    slots: Mutex<HashMap<usize, Arc<Mutex<Slot>>>>,
+}
+
+/// One next hop's connection, and when a send to it last timed out.
+#[derive(Debug, Default)]
+struct Slot {
+    stream: Option<TcpStream>,
+    stalled_at: Option<Instant>,
+}
+
+impl Outbound {
+    /// Writes `frame` to next hop `key` at `addr` over the shared
+    /// connection, as [`send_cached`] does. A worker queued behind a send
+    /// that timed out does not wait out a deadline of its own: for one
+    /// [`wire::SEND_DEADLINE`] after a timeout, sends to that hop fail at
+    /// once.
+    fn send(&self, key: usize, addr: SocketAddr, frame: &Frame) -> Result<()> {
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .expect("outbound map lock")
+                .entry(key)
+                .or_default(),
+        );
+        let mut slot = slot.lock().expect("outbound slot lock");
+        if slot
+            .stalled_at
+            .is_some_and(|at| at.elapsed() < wire::SEND_DEADLINE)
+        {
+            return Err(Error::Timeout(format!(
+                "a send to {addr} timed out within the last {:?}",
+                wire::SEND_DEADLINE
+            )));
+        }
+        let sent = send_on(&mut slot.stream, addr, frame);
+        if matches!(&sent, Err(Error::Io(e)) if timed_out(e)) {
+            slot.stalled_at = Some(Instant::now());
+        }
+        sent
     }
 }
 
@@ -618,25 +677,39 @@ pub(crate) fn send_cached(
     addr: SocketAddr,
     frame: &Frame,
 ) -> Result<()> {
-    if let Some(stream) = conns.get_mut(&key) {
+    let mut stream = conns.remove(&key);
+    let sent = send_on(&mut stream, addr, frame);
+    if let Some(stream) = stream {
+        conns.insert(key, stream);
+    }
+    sent
+}
+
+/// [`send_cached`] over one connection slot, which is left empty when
+/// the connection is spoiled.
+fn send_on(slot: &mut Option<TcpStream>, addr: SocketAddr, frame: &Frame) -> Result<()> {
+    if let Some(stream) = slot {
         match wire::send_frame(stream, frame) {
             Ok(()) => return Ok(()),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                conns.remove(&key);
+            Err(e) if timed_out(&e) => {
+                *slot = None;
                 return Err(e.into());
             }
             // stale: the peer restarted or timed us out
-            Err(_) => {
-                conns.remove(&key);
-            }
+            Err(_) => *slot = None,
         }
     }
     let mut stream = TcpStream::connect_timeout(&addr, wire::SEND_DEADLINE)?;
     stream.set_write_timeout(Some(wire::SEND_DEADLINE))?;
     let _ = stream.set_nodelay(true);
     wire::send_frame(&mut stream, frame)?;
-    conns.insert(key, stream);
+    *slot = Some(stream);
     Ok(())
+}
+
+/// Whether a socket error is a missed deadline rather than a dead peer.
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 #[cfg(test)]

@@ -415,12 +415,14 @@ mod tests {
                     delivered: 1,
                     dropped: 0,
                     peel_failures: 0,
+                    accepted: 1,
                 },
                 RelayStats {
                     relayed: 2,
                     delivered: 0,
                     dropped: 4,
                     peel_failures: 4,
+                    accepted: 2,
                 },
             ],
         );
