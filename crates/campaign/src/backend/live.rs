@@ -80,7 +80,13 @@ impl EvalBackend for LiveBackend {
         let evaluate_us = evaluate.stop_us();
 
         let attack = phase_timer("cell.attack");
-        let est = attack_and_score(ctx.model, ctx.dist, &outcome.trace, &outcome.originations)?;
+        let est = attack_and_score(
+            ctx.cache,
+            ctx.model,
+            ctx.dist,
+            &outcome.trace,
+            &outcome.originations,
+        )?;
         let mut metrics = CellMetrics::from_sampled(ctx.model, ctx.dist, est);
         metrics.profile.attack_us = attack.stop_us();
         metrics.profile.evaluate_us = evaluate_us;

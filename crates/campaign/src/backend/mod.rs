@@ -54,7 +54,7 @@ pub mod simulated;
 
 use std::time::Instant;
 
-use anonroute_adversary::{attack_trace, intersection_attack, Adversary, EpochTrace};
+use anonroute_adversary::{attack_trace_with, intersection_attack, Adversary, EpochTrace};
 use anonroute_core::engine::EvaluatorCache;
 use anonroute_core::epochs::{DecayCurve, EpochView};
 use anonroute_core::{PathLengthDist, SampledDegree, SystemModel};
@@ -269,8 +269,11 @@ impl CellMetrics {
 /// computed, and the mean posterior entropy becomes the empirical `H*`.
 /// The one attack-and-score path shared by every backend that produces
 /// a trace (simulated and live), so their scoring can never drift:
-/// `samples` is always the number of messages actually attacked.
+/// `samples` is always the number of messages actually attacked. The
+/// strategy's `O(n)` fold workspace comes from the cell's `cache`, so
+/// cells of one `(model, strategy)` pair build it once.
 pub(crate) fn attack_and_score(
+    cache: &EvaluatorCache,
     model: &SystemModel,
     dist: &PathLengthDist,
     trace: &[TransferRecord],
@@ -279,8 +282,12 @@ pub(crate) fn attack_and_score(
     let n = model.n();
     let compromised: Vec<usize> = (n - model.c()..n).collect();
     let adversary = Adversary::new(n, &compromised).map_err(|e| e.to_string())?;
-    let report =
-        attack_trace(&adversary, model, dist, trace, originations).map_err(|e| e.to_string())?;
+    let workspace = cache.workspace(model, dist).map_err(|e| {
+        // worded as attack_trace words it
+        anonroute_adversary::Error::BadInput(format!("posterior failed: {e}")).to_string()
+    })?;
+    let report = attack_trace_with(&adversary, &workspace, trace, originations)
+        .map_err(|e| e.to_string())?;
     Ok(SampledDegree {
         h_star: report.empirical_h_star,
         std_error: report.std_error,

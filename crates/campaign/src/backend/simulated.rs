@@ -18,7 +18,7 @@
 //! `ctx.seed`.
 
 use anonroute_core::epochs::EpochView;
-use anonroute_core::{PathKind, PathLengthDist, SystemModel};
+use anonroute_core::{PathKind, SystemModel};
 use anonroute_protocols::crowds::crowd;
 use anonroute_protocols::onion_routing::onion_network;
 use anonroute_protocols::RouteSampler;
@@ -70,23 +70,14 @@ impl EvalBackend for SimulatedBackend {
                 attack_simulation(
                     nodes,
                     LatencyModel::Uniform { lo: 50, hi: 500 },
-                    ctx.model,
-                    ctx.dist,
+                    ctx,
                     messages,
-                    ctx.seed,
                 )
             }
             PathKind::Cyclic => {
                 let forward_prob = crowds_forward_prob(ctx)?;
                 let nodes = crowd(ctx.model.n(), forward_prob).map_err(|e| e.to_string())?;
-                attack_simulation(
-                    nodes,
-                    LatencyModel::Constant(100),
-                    ctx.model,
-                    ctx.dist,
-                    messages,
-                    ctx.seed,
-                )
+                attack_simulation(nodes, LatencyModel::Constant(100), ctx, messages)
             }
         }
     }
@@ -199,11 +190,10 @@ fn run_epoch(
 fn attack_simulation<B: anonroute_sim::NodeBehavior>(
     nodes: Vec<B>,
     latency: LatencyModel,
-    model: &SystemModel,
-    dist: &PathLengthDist,
+    ctx: &CellCtx<'_>,
     messages: usize,
-    seed: u64,
 ) -> Result<CellMetrics, String> {
+    let (model, dist, seed) = (ctx.model, ctx.dist, ctx.seed);
     let n = model.n();
     let evaluate = phase_timer("cell.evaluate");
     let mut sim = Simulation::new(nodes, latency, seed);
@@ -221,7 +211,7 @@ fn attack_simulation<B: anonroute_sim::NodeBehavior>(
     sim.run();
     let evaluate_us = evaluate.stop_us();
     let attack = phase_timer("cell.attack");
-    let est = attack_and_score(model, dist, sim.trace(), sim.originations())?;
+    let est = attack_and_score(ctx.cache, model, dist, sim.trace(), sim.originations())?;
     let mut metrics = CellMetrics::from_sampled(model, dist, est);
     metrics.profile.evaluate_us = evaluate_us;
     metrics.profile.attack_us = attack.stop_us();
@@ -269,5 +259,48 @@ mod tests {
         };
         let err = SimulatedBackend.evaluate(&ctx).unwrap_err();
         assert!(err.contains("sim_max_n"), "{err}");
+    }
+
+    #[test]
+    fn one_shot_cells_take_their_fold_workspace_from_the_cache() {
+        let n = 12;
+        let scenario = Scenario {
+            n,
+            c: 1,
+            path_kind: PathKind::Simple,
+            strategy: StrategySpec::Uniform(1, 3),
+            dynamics: anonroute_core::EpochSchedule::one_shot(),
+            engine: EngineKind::Simulated,
+        };
+        let model = SystemModel::new(n, 1).unwrap();
+        let dist = scenario.strategy.realize(&model).unwrap();
+        let views = vec![EpochView {
+            epoch: 0,
+            active: (0..n).collect(),
+            compromised: (n - 1..n).collect(),
+        }];
+        let config = CampaignConfig {
+            sim_messages: 50,
+            ..CampaignConfig::default()
+        };
+        let cache = anonroute_core::engine::EvaluatorCache::new();
+        for seed in [1, 2] {
+            let ctx = CellCtx {
+                scenario: &scenario,
+                model: &model,
+                dist: &dist,
+                views: &views,
+                seed,
+                dynamics_seed: 1,
+                config: &config,
+                cache: &cache,
+            };
+            let metrics = SimulatedBackend.evaluate(&ctx).unwrap();
+            assert_eq!(metrics.samples, Some(50));
+        }
+        // two cells of one (model, strategy): one workspace, built once
+        let stats = cache.workspace_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 1));
+        assert_eq!(cache.workspace_len(), 1);
     }
 }
