@@ -738,22 +738,37 @@ fn cmd_send(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
+/// The grid-axis flags of `campaign`, which a spec file replaces.
+const CAMPAIGN_AXES: &[&str] = &[
+    "n",
+    "c",
+    "strategies",
+    "paths",
+    "engines",
+    "epochs",
+    "rotation",
+    "churn",
+];
+
 fn cmd_campaign(flags: &Flags) -> Result<(), String> {
+    // a flag campaign does not read would change nothing without a word,
+    // so reject it as spec files reject unknown keys
+    let mut names: Vec<&String> = flags.keys().collect();
+    names.sort();
+    for name in names {
+        let known = CAMPAIGN_AXES.contains(&name.as_str())
+            || ["spec", "out", "timing"].contains(&name.as_str())
+            || RUN_SETTINGS.iter().any(|s| s.flag == name);
+        if !known {
+            return Err(format!("campaign does not take --{name}"));
+        }
+    }
     let mut config = CampaignConfig::default();
     let (grid, spec_config) = match flags.get("spec") {
         Some(path) => {
             // a spec file owns the grid axes; axis flags alongside it would
             // be silently ignored, so reject the combination outright
-            for axis in [
-                "n",
-                "c",
-                "strategies",
-                "paths",
-                "engines",
-                "epochs",
-                "rotation",
-                "churn",
-            ] {
+            for &axis in CAMPAIGN_AXES {
                 if flags.contains_key(axis) {
                     return Err(format!(
                         "--{axis} conflicts with --spec: the spec file defines the grid axes \
@@ -1264,6 +1279,22 @@ mod tests {
         let err =
             cmd_campaign(&flags(&[("spec", "/nonexistent/grid.toml"), ("n", "500")])).unwrap_err();
         assert!(err.contains("--n conflicts with --spec"), "{err}");
+    }
+
+    #[test]
+    fn campaign_rejects_flags_it_does_not_take() {
+        let args = |extra: &[&str]| -> Vec<String> {
+            ["campaign", "--n", "4", "--c", "1", "--strategies", "fixed:1"]
+                .iter()
+                .chain(extra)
+                .map(|s| s.to_string())
+                .collect()
+        };
+        let err = run(&args(&["--bogus", "1"])).unwrap_err();
+        assert_eq!(err, "campaign does not take --bogus");
+        // the watchdog's timeout flag is gone and must not pass silently
+        let err = run(&args(&["--live-timeout", "5"])).unwrap_err();
+        assert_eq!(err, "campaign does not take --live-timeout");
     }
 
     #[test]
