@@ -256,14 +256,17 @@ impl PendingRelay {
             .expect("bound listener has an address");
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(Counters::default());
+        let outbound = Arc::new(Outbound::default());
         let (done_tx, done_rx) = mpsc::channel::<()>();
         let thread = {
             let shutdown = Arc::clone(&shutdown);
             let counters = Arc::clone(&counters);
+            let outbound = Arc::clone(&outbound);
             std::thread::spawn(move || {
                 let _done = workers::DoneGuard(done_tx);
                 accept_loop(
-                    listener, id, identity, topology, tap, counters, shutdown, config, seed,
+                    listener, id, identity, topology, tap, counters, outbound, shutdown, config,
+                    seed,
                 )
             })
         };
@@ -272,6 +275,7 @@ impl PendingRelay {
             addr,
             shutdown,
             counters,
+            outbound,
             thread,
             done: done_rx,
         }
@@ -285,6 +289,7 @@ pub struct Relay {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
+    outbound: Arc<Outbound>,
     thread: JoinHandle<Result<()>>,
     done: mpsc::Receiver<()>,
 }
@@ -397,10 +402,13 @@ impl Relay {
         }
     }
 
-    /// Requests shutdown: raises the flag and wakes the blocked accept.
+    /// Requests shutdown: raises the flag, wakes the blocked accept, and
+    /// closes the idle outbound connections, so the next hops' workers
+    /// read their end of file instead of waiting out a read poll.
     /// Idempotent; returns immediately — pair with [`Relay::join`].
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        self.outbound.close_idle();
         // wake the accept loop; the connection itself is discarded there
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
@@ -450,12 +458,12 @@ fn accept_loop(
     topology: Topology,
     tap: LinkTap,
     counters: Arc<Counters>,
+    outbound: Arc<Outbound>,
     shutdown: Arc<AtomicBool>,
     config: RelayConfig,
     seed: u64,
 ) -> Result<()> {
     let label = format!("relay {id}");
-    let outbound = Arc::new(Outbound::default());
     workers::accept_loop(
         listener,
         &shutdown,
@@ -659,6 +667,15 @@ impl Outbound {
             slot.stalled_at = Some(Instant::now());
         }
         sent
+    }
+
+    /// Closes every connection no worker is writing to.
+    fn close_idle(&self) {
+        for slot in self.slots.lock().expect("outbound map lock").values() {
+            if let Ok(mut slot) = slot.try_lock() {
+                slot.stream = None;
+            }
+        }
     }
 }
 
