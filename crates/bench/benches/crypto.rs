@@ -1,9 +1,13 @@
-//! Benchmarks of the crypto substrate: hash/cipher throughput and
-//! per-hop onion costs.
+//! Benchmarks of the crypto substrate: hash/cipher throughput, the
+//! per-hop onion costs of the simulated network, and the X25519
+//! handshake of the live relays.
 
+use anonroute_crypto::handshake::{send_layer_key, NodeIdentity};
 use anonroute_crypto::keys::KeyStore;
-use anonroute_crypto::{chacha20, hmac, onion, sha256};
+use anonroute_crypto::{chacha20, hmac, onion, sha256, x25519};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 use std::hint::black_box;
 
 fn bench_sha256(c: &mut Criterion) {
@@ -54,11 +58,88 @@ fn bench_onion(c: &mut Criterion) {
     });
 }
 
+/// One hop of the simulated onion network at its default 2,048-byte
+/// cell: key derivation, peeling, and re-framing with fresh junk, each
+/// alone and together as `OnionNode` runs them. `frame_2048` draws junk
+/// a byte at a time, as the relays do; `frame_filled_2048` a word at a
+/// time, as the simulation does.
+fn bench_sim_hop(c: &mut Criterion) {
+    let keys = KeyStore::from_seed(b"bench", 64);
+    let path: Vec<u16> = vec![3, 17, 42, 8];
+    let nonces: Vec<[u8; 12]> = (0..4).map(|i| [i as u8 + 1; 12]).collect();
+    let payload = [0u8; 4];
+    let mut rng = StdRng::seed_from_u64(11);
+    let wire = onion::build(&keys, &path, &payload, &nonces).unwrap();
+    let cell = onion::frame(&wire, 2048, &mut || rng.gen::<u8>()).unwrap();
+    let key = keys.key(3);
+    let onion::Peeled::Forward { content, .. } = onion::peel(&key, &cell).unwrap() else {
+        unreachable!("a 4-hop onion forwards at its first hop")
+    };
+
+    let mut group = c.benchmark_group("onion");
+    group.bench_function("layer_keys", |b| {
+        b.iter(|| key.layer_keys(black_box(&[7u8; 12])))
+    });
+    let mut id = 0usize;
+    group.bench_function("keystore_first_key", |b| {
+        b.iter(|| {
+            // a fresh store: the key is derived, not memoized
+            id = (id + 1) % 64;
+            KeyStore::from_seed(black_box(b"bench"), 64).key(id)
+        })
+    });
+    group.bench_function("build_4_hops", |b| {
+        b.iter(|| onion::build(&keys, black_box(&path), black_box(&payload), &nonces).unwrap())
+    });
+    group.bench_function("peel_2048", |b| {
+        b.iter(|| onion::peel(&key, black_box(&cell)).unwrap())
+    });
+    group.bench_function("frame_2048", |b| {
+        b.iter(|| onion::frame(black_box(&content), 2048, &mut || rng.gen::<u8>()).unwrap())
+    });
+    group.bench_function("frame_filled_2048", |b| {
+        b.iter(|| {
+            onion::frame_filled(black_box(&content), 2048, |tail| rng.fill_bytes(tail)).unwrap()
+        })
+    });
+    group.bench_function("sim_hop_2048", |b| {
+        b.iter(|| {
+            let onion::Peeled::Forward { content, .. } =
+                onion::peel(&key, black_box(&cell)).unwrap()
+            else {
+                unreachable!()
+            };
+            onion::frame_filled(&content, 2048, |tail| rng.fill_bytes(tail)).unwrap()
+        })
+    });
+    group.finish();
+}
+
+/// The live relays' key agreement: one X25519 scalar multiplication, and
+/// the handshake both sides run per hop (three multiplications).
+fn bench_x25519(c: &mut Criterion) {
+    let node = NodeIdentity::derive(b"bench", 1);
+    let scalar = [0x5au8; 32];
+    let mut group = c.benchmark_group("x25519");
+    group.bench_function("scalar_mult", |b| {
+        b.iter(|| x25519::shared_secret(black_box(&scalar), node.public()))
+    });
+    group.bench_function("handshake", |b| {
+        b.iter(|| {
+            let (key, eph_pub) = send_layer_key(black_box(&scalar), node.public());
+            assert_eq!(node.recv_layer_key(&eph_pub), key);
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_sha256,
     bench_hmac,
     bench_chacha20,
-    bench_onion
+    bench_onion,
+    bench_sim_hop,
+    bench_x25519
 );
 criterion_main!(benches);
