@@ -416,8 +416,8 @@ mod tests {
         ));
     }
 
-    /// `peel` as it was before it decrypted only what a hop reads: the
-    /// whole body, junk tail included, is decrypted first.
+    /// Reference `peel` that decrypts the whole body, junk tail
+    /// included, before it reads the header.
     fn peel_full_body(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
         if cell.len() < LAYER_OVERHEAD {
             return Err(Error::Malformed(format!(

@@ -218,9 +218,8 @@ mod tests {
         }
     }
 
-    /// `finalize` as it padded before it wrote the padding as one block:
-    /// `0x80`, then one zero byte per `update` until 56 bytes are
-    /// buffered, then the bit length.
+    /// Reference padding for `finalize`, one byte at a time: `0x80`,
+    /// zero bytes until 56 bytes are buffered, then the bit length.
     fn finalize_bytewise(mut h: Sha256) -> [u8; DIGEST_LEN] {
         let bit_len = h.total_len.wrapping_mul(8);
         h.update(&[0x80]);

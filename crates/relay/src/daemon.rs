@@ -996,6 +996,33 @@ mod tests {
     }
 
     #[test]
+    fn shared_sends_to_a_stalled_hop_fail_at_once_for_a_deadline() {
+        let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = stalled.local_addr().unwrap();
+        within(3 * wire::SEND_DEADLINE, move || {
+            let outbound = Outbound::default();
+            let frame = Frame::Cell {
+                msg: 1,
+                cell: vec![0u8; wire::MAX_FRAME - 9],
+            };
+            // the socket buffers absorb the first few megabytes
+            let first = loop {
+                if let Err(e) = outbound.send(0, addr, &frame) {
+                    break e;
+                }
+            };
+            assert!(matches!(first, Error::Io(_)), "{first}");
+            // a worker queued behind that send does not wait out a
+            // deadline of its own
+            let start = std::time::Instant::now();
+            let next = outbound.send(0, addr, &frame).unwrap_err();
+            assert!(matches!(next, Error::Timeout(_)), "{next}");
+            assert!(start.elapsed() < Duration::from_secs(1));
+            drop(stalled);
+        });
+    }
+
+    #[test]
     fn relays_drop_cells_for_a_next_hop_that_never_reads() {
         let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
         let receiver = TcpListener::bind("127.0.0.1:0").unwrap();
