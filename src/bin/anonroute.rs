@@ -1284,11 +1284,19 @@ mod tests {
     #[test]
     fn campaign_rejects_flags_it_does_not_take() {
         let args = |extra: &[&str]| -> Vec<String> {
-            ["campaign", "--n", "4", "--c", "1", "--strategies", "fixed:1"]
-                .iter()
-                .chain(extra)
-                .map(|s| s.to_string())
-                .collect()
+            [
+                "campaign",
+                "--n",
+                "4",
+                "--c",
+                "1",
+                "--strategies",
+                "fixed:1",
+            ]
+            .iter()
+            .chain(extra)
+            .map(|s| s.to_string())
+            .collect()
         };
         let err = run(&args(&["--bogus", "1"])).unwrap_err();
         assert_eq!(err, "campaign does not take --bogus");
