@@ -29,7 +29,7 @@ use rand::SeedableRng;
 
 use crate::backend::{
     attack_and_score, intersect_and_score, phase_timer, remap_to_sessions, session_count, CellCtx,
-    CellMetrics, EpochRun, EvalBackend,
+    CellMetrics, EpochRun, EvalBackend, PhaseTimer,
 };
 use crate::grid::{EngineKind, StrategySpec};
 
@@ -61,6 +61,9 @@ impl EvalBackend for SimulatedBackend {
             return evaluate_epochs(ctx);
         }
         let messages = ctx.config.sim_messages;
+        // building the network is part of the evidence: at large n it
+        // costs more than simulating the messages
+        let evaluate = phase_timer("cell.evaluate");
         match ctx.model.path_kind() {
             PathKind::Simple => {
                 let sampler = RouteSampler::new(ctx.model.n(), ctx.dist.clone(), PathKind::Simple)
@@ -68,6 +71,7 @@ impl EvalBackend for SimulatedBackend {
                 let nodes = onion_network(ctx.model.n(), &sampler, 2048, b"anonroute-campaign")
                     .map_err(|e| e.to_string())?;
                 attack_simulation(
+                    evaluate,
                     nodes,
                     LatencyModel::Uniform { lo: 50, hi: 500 },
                     ctx,
@@ -77,7 +81,7 @@ impl EvalBackend for SimulatedBackend {
             PathKind::Cyclic => {
                 let forward_prob = crowds_forward_prob(ctx)?;
                 let nodes = crowd(ctx.model.n(), forward_prob).map_err(|e| e.to_string())?;
-                attack_simulation(nodes, LatencyModel::Constant(100), ctx, messages)
+                attack_simulation(evaluate, nodes, LatencyModel::Constant(100), ctx, messages)
             }
         }
     }
@@ -186,8 +190,10 @@ fn run_epoch(
 }
 
 /// Drives `messages` originations through `nodes`, then scores the
-/// passive adversary's attack on the trace.
+/// passive adversary's attack on the trace. `evaluate` already times the
+/// network's construction.
 fn attack_simulation<B: anonroute_sim::NodeBehavior>(
+    evaluate: PhaseTimer,
     nodes: Vec<B>,
     latency: LatencyModel,
     ctx: &CellCtx<'_>,
@@ -195,7 +201,6 @@ fn attack_simulation<B: anonroute_sim::NodeBehavior>(
 ) -> Result<CellMetrics, String> {
     let (model, dist, seed) = (ctx.model, ctx.dist, ctx.seed);
     let n = model.n();
-    let evaluate = phase_timer("cell.evaluate");
     let mut sim = Simulation::new(nodes, latency, seed);
     let mut salt = seed | 1;
     for i in 0..messages as u64 {
@@ -212,6 +217,8 @@ fn attack_simulation<B: anonroute_sim::NodeBehavior>(
     let evaluate_us = evaluate.stop_us();
     let attack = phase_timer("cell.attack");
     let est = attack_and_score(ctx.cache, model, dist, sim.trace(), sim.originations())?;
+    // freeing the network and its trace is the attack phase's last step
+    drop(sim);
     let mut metrics = CellMetrics::from_sampled(model, dist, est);
     metrics.profile.evaluate_us = evaluate_us;
     metrics.profile.attack_us = attack.stop_us();

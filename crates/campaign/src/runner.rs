@@ -53,9 +53,9 @@ pub struct CampaignConfig {
     pub sim_messages: usize,
     /// Largest system size a simulated cell may build. The discrete-event
     /// engine itself is happy at 10⁶ nodes, but each sim cell still
-    /// provisions `n` onion keys and an `n`-wide posterior per attacked
-    /// message, so an accidental `--n 10000000` sweep should fail fast
-    /// with a clear message rather than thrash.
+    /// builds `n` protocol nodes, each with its own copy of the strategy,
+    /// so an accidental `--n 10000000` sweep should fail fast with a clear
+    /// message rather than thrash.
     pub sim_max_n: usize,
     /// Message count for live TCP engine cells.
     pub live_messages: usize,

@@ -247,3 +247,31 @@ fn multi_epoch_cells_are_deterministic_per_seed_at_any_thread_count() {
     assert!(serial.contains("\"epochs\":2"));
     assert!(serial.contains("\"dynamics\":\"epochs=2;churn=iid:0.2\""));
 }
+
+/// A one-shot sim cell's phases must account for its wall time, including
+/// building the `n`-node onion network and freeing the simulation. With
+/// few messages those two are about a quarter of the cell.
+#[test]
+fn one_shot_sim_cell_phases_cover_its_wall_time() {
+    let grid = ScenarioGrid::new()
+        .ns([20_000])
+        .cs([10])
+        .strategies([StrategySpec::Uniform(1, 6)])
+        .engines([EngineKind::Simulated]);
+    let config = CampaignConfig {
+        threads: 1,
+        sim_messages: 50,
+        ..CampaignConfig::default()
+    };
+    let outcome = run(&grid, &config);
+    let cell = &outcome.cells[0];
+    let metrics = cell.outcome.as_ref().unwrap();
+    let covered = metrics.profile.total_us() as f64 / cell.elapsed_micros as f64;
+    assert!(
+        covered >= 0.95,
+        "phases cover {:.1}% of the cell: {:?} vs {} us",
+        100.0 * covered,
+        metrics.profile,
+        cell.elapsed_micros
+    );
+}
