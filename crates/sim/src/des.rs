@@ -19,7 +19,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::event::{EventId, EventQueue};
+use crate::event::EventQueue;
 use crate::time::SimTime;
 
 /// Seeded clock + PRNG + event queue: the engine-agnostic kernel of a
@@ -59,7 +59,7 @@ impl<E> DesCore<E> {
         self.events_processed
     }
 
-    /// Pending (scheduled, not yet fired or canceled) events.
+    /// Pending (scheduled, not yet fired) events.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
@@ -74,25 +74,19 @@ impl<E> DesCore<E> {
     /// # Panics
     ///
     /// Panics if `at` is in the past (the clock is monotone).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, event)
+        self.queue.push(at, event);
     }
 
     /// Schedules `event` after `delay_us` virtual microseconds.
-    pub fn schedule_after(&mut self, delay_us: u64, event: E) -> EventId {
+    pub fn schedule_after(&mut self, delay_us: u64, event: E) {
         let at = self.now.after_micros(delay_us);
-        self.queue.push(at, event)
-    }
-
-    /// Cancels a scheduled event, returning its payload if it was still
-    /// pending.
-    pub fn cancel(&mut self, id: EventId) -> Option<E> {
-        self.queue.cancel(id)
+        self.queue.push(at, event);
     }
 
     /// Time of the next pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -158,16 +152,6 @@ mod tests {
         core.schedule_at(SimTime::from_micros(5), ());
         core.pop_due(SimTime(u64::MAX));
         core.schedule_at(SimTime::from_micros(1), ());
-    }
-
-    #[test]
-    fn cancel_prevents_firing() {
-        let mut core: DesCore<u8> = DesCore::new(4);
-        let id = core.schedule_at(SimTime::from_micros(1), 9);
-        core.schedule_at(SimTime::from_micros(2), 7);
-        assert_eq!(core.cancel(id), Some(9));
-        assert_eq!(core.pop_due(SimTime(u64::MAX)), Some(7));
-        assert!(core.is_idle());
     }
 
     #[test]

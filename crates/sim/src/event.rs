@@ -1,5 +1,5 @@
-//! The deterministic, cancelable event queue at the heart of the
-//! discrete-event engine.
+//! The deterministic event queue at the heart of the discrete-event
+//! engine.
 //!
 //! Ordering is a total order on `(time, sequence number)`: events pop in
 //! nondecreasing time, and events scheduled for the same instant pop in
@@ -8,25 +8,13 @@
 //! history — no hash maps, no pointer addresses, nothing that could vary
 //! between runs.
 //!
-//! Payloads live in a slab indexed by stable slots; the binary heap holds
-//! only small `Copy` keys. Cancellation marks the slot free and bumps its
-//! generation counter — the stale heap key is skipped lazily when it
-//! surfaces, so `cancel` is O(1) and `pop` stays amortized O(log m).
+//! Payloads live in a slab indexed by stable slots, recycled as events
+//! pop; the binary heap holds only small `Copy` keys.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
-
-/// Handle to a scheduled event, usable to cancel it before it fires.
-///
-/// Ids are invalidated when their event pops or is canceled; a stale id
-/// is detected (generation counter) and `cancel` returns `None`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    slot: u32,
-    gen: u32,
-}
 
 /// Heap key: full ordering state plus the slab address of the payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +22,6 @@ struct HeapKey {
     at: SimTime,
     seq: u64,
     slot: u32,
-    gen: u32,
 }
 
 impl PartialOrd for HeapKey {
@@ -49,17 +36,8 @@ impl Ord for HeapKey {
     }
 }
 
-/// One slab slot: a generation counter plus the payload (present while
-/// the event is live).
-#[derive(Debug)]
-struct Slot<T> {
-    gen: u32,
-    payload: Option<T>,
-}
-
 /// A seeded simulation's pending-event set: push events for future
-/// instants, pop them in deterministic `(time, seq)` order, cancel by
-/// [`EventId`].
+/// instants, pop them in deterministic `(time, seq)` order.
 ///
 /// # Examples
 ///
@@ -69,9 +47,9 @@ struct Slot<T> {
 ///
 /// let mut q = EventQueue::new();
 /// q.push(SimTime::from_micros(20), "late");
-/// let early = q.push(SimTime::from_micros(5), "early");
+/// q.push(SimTime::from_micros(5), "early");
 /// q.push(SimTime::from_micros(5), "early-tie");
-/// assert_eq!(q.cancel(early), Some("early"));
+/// assert_eq!(q.pop(), Some((SimTime::from_micros(5), "early")));
 /// assert_eq!(q.pop(), Some((SimTime::from_micros(5), "early-tie")));
 /// assert_eq!(q.pop(), Some((SimTime::from_micros(20), "late")));
 /// assert_eq!(q.pop(), None);
@@ -79,10 +57,10 @@ struct Slot<T> {
 #[derive(Debug)]
 pub struct EventQueue<T> {
     heap: BinaryHeap<Reverse<HeapKey>>,
-    slots: Vec<Slot<T>>,
+    /// Payloads of pending events; `None` marks a slot on the free list.
+    slots: Vec<Option<T>>,
     free: Vec<u32>,
     seq: u64,
-    live: usize,
 }
 
 impl<T> Default for EventQueue<T> {
@@ -94,13 +72,7 @@ impl<T> Default for EventQueue<T> {
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
-            seq: 0,
-            live: 0,
-        }
+        Self::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `capacity` pending events.
@@ -110,18 +82,17 @@ impl<T> EventQueue<T> {
             slots: Vec::with_capacity(capacity),
             free: Vec::new(),
             seq: 0,
-            live: 0,
         }
     }
 
-    /// Number of live (pushed, not yet popped or canceled) events.
+    /// Number of pending (pushed, not yet popped) events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
     /// Total events ever pushed (the deterministic tie-break sequence).
@@ -131,73 +102,38 @@ impl<T> EventQueue<T> {
 
     /// Schedules `payload` for time `at`. Events at equal times pop in
     /// push order.
-    pub fn push(&mut self, at: SimTime, payload: T) -> EventId {
+    pub fn push(&mut self, at: SimTime, payload: T) {
         let seq = self.seq;
         self.seq += 1;
         let slot = match self.free.pop() {
             Some(slot) => {
                 let s = &mut self.slots[slot as usize];
-                debug_assert!(s.payload.is_none(), "free slot must be vacant");
-                s.payload = Some(payload);
+                debug_assert!(s.is_none(), "free slot must be vacant");
+                *s = Some(payload);
                 slot
             }
             None => {
                 let slot = u32::try_from(self.slots.len()).expect("more than 2^32 pending events");
-                self.slots.push(Slot {
-                    gen: 0,
-                    payload: Some(payload),
-                });
+                self.slots.push(Some(payload));
                 slot
             }
         };
-        let gen = self.slots[slot as usize].gen;
-        self.heap.push(Reverse(HeapKey { at, seq, slot, gen }));
-        self.live += 1;
-        EventId { slot, gen }
-    }
-
-    /// Cancels a pending event, returning its payload; `None` if the id
-    /// already fired or was already canceled. O(1) — the heap entry is
-    /// skipped lazily.
-    pub fn cancel(&mut self, id: EventId) -> Option<T> {
-        let slot = self.slots.get_mut(id.slot as usize)?;
-        if slot.gen != id.gen {
-            return None;
-        }
-        let payload = slot.payload.take()?;
-        slot.gen = slot.gen.wrapping_add(1);
-        self.free.push(id.slot);
-        self.live -= 1;
-        Some(payload)
+        self.heap.push(Reverse(HeapKey { at, seq, slot }));
     }
 
     /// The time of the next event to fire, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_stale();
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(k)| k.at)
     }
 
     /// Pops the next event in `(time, seq)` order.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.skip_stale();
         let Reverse(key) = self.heap.pop()?;
-        let slot = &mut self.slots[key.slot as usize];
-        let payload = slot.payload.take().expect("live head has a payload");
-        slot.gen = slot.gen.wrapping_add(1);
+        let payload = self.slots[key.slot as usize]
+            .take()
+            .expect("a pending key has a payload");
         self.free.push(key.slot);
-        self.live -= 1;
         Some((key.at, payload))
-    }
-
-    /// Drops heap keys whose slot was canceled (generation mismatch).
-    fn skip_stale(&mut self) {
-        while let Some(Reverse(key)) = self.heap.peek() {
-            let slot = &self.slots[key.slot as usize];
-            if slot.gen == key.gen && slot.payload.is_some() {
-                return;
-            }
-            self.heap.pop();
-        }
     }
 }
 
@@ -216,48 +152,13 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_exactly_one_event() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 1);
-        q.push(SimTime::from_micros(1), 2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.cancel(a), Some(1));
-        assert_eq!(q.cancel(a), None, "double cancel is a no-op");
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 2)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn stale_ids_do_not_cancel_reused_slots() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 1);
-        assert_eq!(q.pop(), Some((SimTime::from_micros(1), 1)));
-        // the slot is recycled for a new event; the old id must not bite
-        let b = q.push(SimTime::from_micros(2), 2);
-        assert_eq!(q.cancel(a), None);
-        assert_eq!(q.cancel(b), Some(2));
-    }
-
-    #[test]
-    fn peek_time_skips_canceled_heads() {
-        let mut q = EventQueue::new();
-        let a = q.push(SimTime::from_micros(1), 1);
-        q.push(SimTime::from_micros(5), 2);
-        q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
-    }
-
-    #[test]
     fn slots_are_reused_not_leaked() {
         let mut q = EventQueue::new();
-        for round in 0..100u64 {
-            let id = q.push(SimTime::from_micros(round), round);
-            if round % 2 == 0 {
-                q.cancel(id);
-            } else {
-                q.pop();
-            }
+        q.push(SimTime::ZERO, 0);
+        for round in 1..100u64 {
+            q.push(SimTime::from_micros(round), round);
+            assert_eq!(q.pop().map(|(_, p)| p), Some(round - 1));
+            assert_eq!(q.len(), 1);
         }
         assert!(q.slots.len() <= 2, "slab must recycle: {}", q.slots.len());
     }

@@ -10,7 +10,7 @@
 //! provides:
 //!
 //! * a seeded **discrete-event core** ([`des::DesCore`]): one monotone
-//!   clock, one per-simulation PRNG, and a cancelable
+//!   clock, one per-simulation PRNG, and an
 //!   [`event::EventQueue`] with deterministic `(time, sequence)`
 //!   ordering — the dslab-style kernel that lets one process simulate
 //!   10⁵–10⁶ member nodes;
@@ -39,7 +39,7 @@ pub mod time;
 pub mod traffic;
 
 pub use des::DesCore;
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use latency::LatencyModel;
 pub use message::{Delivery, Endpoint, Message, MsgId, NodeId, TransferRecord};
 pub use node::{Action, Ctx, NodeBehavior};
@@ -49,7 +49,7 @@ pub use time::SimTime;
 /// Commonly used items in one import.
 pub mod prelude {
     pub use crate::des::DesCore;
-    pub use crate::event::{EventId, EventQueue};
+    pub use crate::event::EventQueue;
     pub use crate::latency::LatencyModel;
     pub use crate::message::{Delivery, Endpoint, Message, MsgId, NodeId, TransferRecord};
     pub use crate::node::{Action, Ctx, NodeBehavior};

@@ -4,7 +4,6 @@
 //! scenarios; these cover the same contracts under randomized inputs:
 //!
 //! * the event queue pops in monotone time order, FIFO within a time;
-//! * cancellation removes exactly the canceled events, once;
 //! * a seeded simulation is a pure function of its seed — two runs with
 //!   the same seed produce byte-identical `TransferRecord` streams (and
 //!   one RNG draw of divergence would reorder everything after it).
@@ -91,39 +90,6 @@ proptest! {
         }
         prop_assert_eq!(popped, times.len());
         prop_assert!(q.is_empty());
-    }
-
-    #[test]
-    fn cancel_removes_exactly_the_canceled_events_once(
-        times in arb_times(),
-        cancel_mask in proptest::collection::vec(any::<bool>(), 200),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<EventId> = times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| q.push(SimTime::from_micros(t), i))
-            .collect();
-        let mut kept = Vec::new();
-        for (i, id) in ids.iter().enumerate() {
-            if cancel_mask[i % cancel_mask.len()] {
-                prop_assert_eq!(q.cancel(*id), Some(i), "first cancel yields the payload");
-                prop_assert_eq!(q.cancel(*id), None, "second cancel is a no-op");
-            } else {
-                kept.push(i);
-            }
-        }
-        let mut survivors = Vec::new();
-        while let Some((_, i)) = q.pop() {
-            // a popped event's id is spent: canceling it must miss
-            prop_assert_eq!(q.cancel(ids[i]), None);
-            survivors.push(i);
-        }
-        // ordering is (time, seq); within equal times seq is push order,
-        // so the kept set sorted stably by time is the exact pop order
-        let mut expect = kept;
-        expect.sort_by_key(|&i| times[i]);
-        prop_assert_eq!(survivors, expect);
     }
 
     #[test]
