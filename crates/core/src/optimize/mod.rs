@@ -154,9 +154,10 @@ pub fn best_uniform_with_mean(
 /// `mean`, projected onto the slice `E[L] = mean`. Near the ends of the
 /// support the band shrinks to `{⌊mean⌋, ⌈mean⌉}`.
 fn band_start(lmax: usize, mean: f64) -> Vec<f64> {
+    // halfwidth ≤ ⌊mean⌋ and ⌈mean⌉ + halfwidth ≤ lmax, so a..=b fits
     let halfwidth = mean.min(lmax as f64 - mean).floor() as usize;
-    let a = (mean as isize - halfwidth as isize).max(0) as usize;
-    let b = (mean.ceil() as usize + halfwidth).min(lmax);
+    let a = mean as usize - halfwidth;
+    let b = mean.ceil() as usize + halfwidth;
     let mut band = vec![0.0; lmax + 1];
     let width = (b - a + 1) as f64;
     for slot in &mut band[a..=b] {
