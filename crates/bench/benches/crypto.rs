@@ -115,14 +115,19 @@ fn bench_sim_hop(c: &mut Criterion) {
     group.finish();
 }
 
-/// The live relays' key agreement: one X25519 scalar multiplication, and
-/// the handshake both sides run per hop (three multiplications).
+/// The live relays' key agreement: one variable-base X25519 scalar
+/// multiplication (the ladder), one fixed-base one (the comb behind
+/// `public_key`), and the handshake both sides run per hop (one fixed-base
+/// and two variable-base multiplications).
 fn bench_x25519(c: &mut Criterion) {
     let node = NodeIdentity::derive(b"bench", 1);
     let scalar = [0x5au8; 32];
     let mut group = c.benchmark_group("x25519");
     group.bench_function("scalar_mult", |b| {
         b.iter(|| x25519::shared_secret(black_box(&scalar), node.public()))
+    });
+    group.bench_function("public_key", |b| {
+        b.iter(|| x25519::public_key(black_box(&scalar)))
     });
     group.bench_function("handshake", |b| {
         b.iter(|| {
