@@ -11,12 +11,17 @@
 //! same shutdown discipline as the relay daemon — an atomic flag plus a
 //! self-connect to wake the accept loop, then a bounded join.
 //!
+//! Hostile input is bounded: a request or header line longer than 8 KiB
+//! or more than 64 header lines get a `431` and a close, having buffered
+//! at most one capped line; past 32 concurrent connections, a new one
+//! gets a `503` and a close without a handler thread.
+//!
 //! This is an operator endpoint for `curl` and Prometheus scrapers, not
 //! a general web server: no keep-alive, no TLS, no request bodies.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -27,6 +32,15 @@ use crate::registry::Registry;
 
 /// How long a handler waits for a request line before hanging up.
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Longest request or header line accepted, line terminator included.
+const MAX_LINE: usize = 8 * 1024;
+
+/// Most header lines accepted after the request line.
+const MAX_HEADERS: usize = 64;
+
+/// Most connections served at once.
+const MAX_CONNECTIONS: usize = 32;
 
 /// A running observability endpoint; shuts down when dropped.
 #[derive(Debug)]
@@ -104,19 +118,96 @@ fn accept_loop(
     health: Arc<Health>,
     control: Option<Arc<SweepControl>>,
 ) {
+    let active = Arc::new(AtomicUsize::new(0));
     for stream in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = stream else { continue };
+        let Ok(mut stream) = stream else { continue };
+        // Only this loop increments `active`, so the check cannot race
+        // another admission.
+        if active.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+            // A fresh socket's send buffer takes the short reply without
+            // blocking the loop.
+            respond(
+                &mut stream,
+                "503 Service Unavailable",
+                "text/plain; charset=utf-8",
+                "too many connections\n",
+            );
+            continue;
+        }
+        active.fetch_add(1, Ordering::SeqCst);
+        let slot = ConnectionSlot(Arc::clone(&active));
         let health = Arc::clone(&health);
         let control = control.clone();
         // Handlers are detached: each is bounded by READ_TIMEOUT plus one
         // response write, so none outlives shutdown by more than that.
         let _ = std::thread::Builder::new()
             .name("obs-conn".to_string())
-            .spawn(move || handle_connection(stream, registry, &health, control.as_deref()));
+            .spawn(move || {
+                let _slot = slot;
+                handle_connection(stream, registry, &health, control.as_deref());
+            });
     }
+}
+
+/// One admitted connection; frees its place when the handler ends (or
+/// when its thread fails to start).
+struct ConnectionSlot(Arc<AtomicUsize>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// What reading a request's head found.
+enum Head {
+    /// The request line; the headers were read and ignored.
+    Request(String),
+    /// A line longer than [`MAX_LINE`] or more than [`MAX_HEADERS`]
+    /// header lines.
+    TooLarge,
+    /// The peer closed or stalled before sending a request line.
+    Gone,
+}
+
+/// Reads one line, terminator included, buffering at most [`MAX_LINE`]
+/// bytes: `Ok(None)` when the line is longer. An empty line means end of
+/// stream.
+fn read_line_capped(reader: &mut impl BufRead) -> io::Result<Option<Vec<u8>>> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut line)?;
+    if line.len() == MAX_LINE && line.last() != Some(&b'\n') {
+        return Ok(None);
+    }
+    Ok(Some(line))
+}
+
+/// Reads the request line, then drains the headers: we answer from the
+/// request line alone, but reading the head lets well-behaved clients
+/// see a clean close. A head that ends early still gets its answer.
+fn read_head(reader: &mut impl BufRead) -> Head {
+    let request_line = match read_line_capped(reader) {
+        Ok(Some(line)) if !line.is_empty() => line,
+        Ok(Some(_)) | Err(_) => return Head::Gone,
+        Ok(None) => return Head::TooLarge,
+    };
+    let request_line = String::from_utf8_lossy(&request_line).into_owned();
+    // up to MAX_HEADERS header lines, then the blank line that ends the head
+    for _ in 0..=MAX_HEADERS {
+        match read_line_capped(reader) {
+            Ok(None) => return Head::TooLarge,
+            Ok(Some(line)) if !matches!(line.as_slice(), b"" | b"\r\n" | b"\n") => {}
+            // a blank line ends the head; so does a peer that stops early
+            Ok(Some(_)) | Err(_) => return Head::Request(request_line),
+        }
+    }
+    Head::TooLarge
 }
 
 fn handle_connection(
@@ -126,36 +217,34 @@ fn handle_connection(
     control: Option<&SweepControl>,
 ) {
     let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
-    let peer = stream.peer_addr();
     let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    if reader.read_line(&mut request_line).is_err() || request_line.is_empty() {
-        return;
-    }
-    // We answer from the request line alone; drain headers best-effort so
-    // well-behaved clients see a clean close.
-    loop {
-        let mut header = String::new();
-        match reader.read_line(&mut header) {
-            Ok(0) => break,
-            Ok(_) if header == "\r\n" || header == "\n" => break,
-            Ok(_) => continue,
-            Err(_) => break,
-        }
-    }
+    let head = read_head(&mut reader);
     let mut stream = reader.into_inner();
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let path = parts.next().unwrap_or("");
-    let (status, content_type, body) = route(method, path, registry, health, control);
+    let (status, content_type, body) = match head {
+        Head::Request(request_line) => {
+            let mut parts = request_line.split_whitespace();
+            let method = parts.next().unwrap_or("");
+            let path = parts.next().unwrap_or("");
+            route(method, path, registry, health, control)
+        }
+        Head::TooLarge => (
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head too large\n".to_string(),
+        ),
+        Head::Gone => return,
+    };
+    respond(&mut stream, status, content_type, &body);
+}
+
+/// Writes one `Connection: close` response. A scraper that hung up
+/// mid-response needs nothing more, so write errors are ignored.
+fn respond(stream: &mut TcpStream, status: &str, content_type: &str, body: &str) {
     let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    if stream.write_all(response.as_bytes()).is_err() {
-        // The scraper hung up mid-response; nothing to do.
-        let _ = peer;
-    }
+    let _ = stream.write_all(response.as_bytes());
 }
 
 fn route(
@@ -358,5 +447,93 @@ mod tests {
         let server = ObsServer::serve("127.0.0.1:0", test_registry(), health).expect("bind");
         let response = post(server.addr(), "/control/pause");
         assert!(response.starts_with("HTTP/1.1 404"), "{response}");
+    }
+
+    /// Reads until the server closes; a reset after the response (the
+    /// server closed with request bytes unread) ends the read too.
+    fn read_reply(stream: &mut TcpStream) -> String {
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 4096];
+        while let Ok(n) = stream.read(&mut buf) {
+            if n == 0 {
+                break;
+            }
+            reply.extend_from_slice(&buf[..n]);
+        }
+        String::from_utf8_lossy(&reply).into_owned()
+    }
+
+    #[test]
+    fn capped_line_reads_stop_at_the_cap() {
+        let flood = io::repeat(b'a').take(10 << 20);
+        let mut reader = BufReader::new(flood);
+        assert!(read_line_capped(&mut reader).expect("read").is_none());
+        // only the cap and one buffer refill were pulled from the flood
+        let consumed = (10 << 20) - reader.into_inner().limit();
+        assert!(consumed <= (MAX_LINE + 8 * 1024) as u64, "{consumed}");
+    }
+
+    #[test]
+    fn a_10mb_request_line_gets_a_prompt_431() {
+        let health = Arc::new(Health::new());
+        let server = ObsServer::serve("127.0.0.1:0", test_registry(), health).expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let flood = std::thread::spawn(move || {
+            let chunk = [b'a'; 64 * 1024];
+            // the server stops reading at the cap; the rest may fail
+            for _ in 0..160 {
+                if writer.write_all(&chunk).is_err() {
+                    break;
+                }
+            }
+        });
+        let started = std::time::Instant::now();
+        let _ = stream.set_read_timeout(Some(2 * READ_TIMEOUT));
+        let reply = read_reply(&mut stream);
+        assert!(reply.starts_with("HTTP/1.1 431"), "{reply:?}");
+        assert!(started.elapsed() < READ_TIMEOUT, "{:?}", started.elapsed());
+        drop(stream);
+        flood.join().expect("flood thread");
+    }
+
+    #[test]
+    fn too_many_header_lines_get_431() {
+        let health = Arc::new(Health::new());
+        let server = ObsServer::serve("127.0.0.1:0", test_registry(), health).expect("bind");
+        let send = |headers: usize| {
+            let mut stream = TcpStream::connect(server.addr()).expect("connect");
+            let mut head = "GET /healthz HTTP/1.1\r\n".to_string();
+            for i in 0..headers {
+                head.push_str(&format!("X-Filler-{i}: x\r\n"));
+            }
+            head.push_str("\r\n");
+            stream.write_all(head.as_bytes()).expect("request");
+            read_reply(&mut stream)
+        };
+        assert!(send(MAX_HEADERS).starts_with("HTTP/1.1 200 OK"));
+        assert!(send(MAX_HEADERS + 1).starts_with("HTTP/1.1 431"));
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_503() {
+        let health = Arc::new(Health::new());
+        let server = ObsServer::serve("127.0.0.1:0", test_registry(), health).expect("bind");
+        let addr = server.addr();
+        // idle connections hold every handler in its read
+        let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        // accepted in order, so the extra one finds the cap reached
+        let mut extra = TcpStream::connect(addr).expect("connect");
+        let reply = read_reply(&mut extra);
+        assert!(reply.starts_with("HTTP/1.1 503"), "{reply:?}");
+        // closing the idle ones frees their places
+        drop(idle);
+        let deadline = std::time::Instant::now() + READ_TIMEOUT;
+        while !get(addr, "/healthz").starts_with("HTTP/1.1 200") {
+            assert!(std::time::Instant::now() < deadline, "slots never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }
