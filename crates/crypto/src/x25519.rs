@@ -297,32 +297,38 @@ pub fn x25519(scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
     let mut z3 = Fe::ONE;
     let mut swap = 0u64;
 
-    // x2, z2, x3, z3 are always reduced (initial values or products), so
-    // every add and sub below stays under 2⁵³ and may feed a product.
     for t in (0..255).rev() {
         let k_t = ((k[t / 8] >> (t % 8)) & 1) as u64;
         swap ^= k_t;
         Fe::cswap(&mut x2, &mut x3, swap);
         Fe::cswap(&mut z2, &mut z3, swap);
         swap = k_t;
-
-        let a = x2.add(z2);
-        let aa = a.square();
-        let b = x2.sub(z2);
-        let bb = b.square();
-        let e = aa.sub(bb);
-        let c = x3.add(z3);
-        let d = x3.sub(z3);
-        let da = d.mul(a);
-        let cb = c.mul(b);
-        x3 = da.add(cb).square();
-        z3 = x1.mul(da.sub(cb).square());
-        x2 = aa.mul(bb);
-        z2 = e.mul(aa.add(e.mul_small(121665)));
+        (x2, z2, x3, z3) = ladder_step(x1, x2, z2, x3, z3);
     }
     Fe::cswap(&mut x2, &mut x3, swap);
     Fe::cswap(&mut z2, &mut z3, swap);
     x2.mul(z2.invert()).to_bytes()
+}
+
+/// One differential add-and-double: `(x2 : z2)` doubles and `(x3 : z3)`
+/// becomes their sum, given their difference `x1`. The inputs are
+/// reduced (initial values or products), so every `add` and `sub` stays
+/// below 2⁵³ and may feed a product; so are the outputs.
+#[inline(always)]
+fn ladder_step(x1: Fe, x2: Fe, z2: Fe, x3: Fe, z3: Fe) -> (Fe, Fe, Fe, Fe) {
+    let a = x2.add(z2);
+    let aa = a.square();
+    let b = x2.sub(z2);
+    let bb = b.square();
+    let e = aa.sub(bb);
+    let da = x3.sub(z3).mul(a);
+    let cb = x3.add(z3).mul(b);
+    (
+        aa.mul(bb),
+        e.mul(aa.add(e.mul_small(121665))),
+        da.add(cb).square(),
+        x1.mul(da.sub(cb).square()),
+    )
 }
 
 /// The curve's base point `u = 9`.
@@ -890,21 +896,13 @@ mod tests {
 
     #[test]
     fn ladder_step_stays_within_its_limb_bounds_from_the_widest_state() {
-        // every ladder input at the top of the reduced range: each lazy
+        // every input at the top of the reduced range: each lazy
         // add/sub/mul_small asserts its documented bound as it runs
         let w = Fe([REDUCED - 1; 5]);
-        let (x1, x2, z2, x3, z3) = (w, w, w, w, w);
-        let a = x2.add(z2);
-        let aa = a.square();
-        let b = x2.sub(z2);
-        let bb = b.square();
-        let e = aa.sub(bb);
-        let da = x3.sub(z3).mul(a);
-        let cb = x3.add(z3).mul(b);
-        da.add(cb).square();
-        x1.mul(da.sub(cb).square());
-        aa.mul(bb);
-        e.mul(aa.add(e.mul_small(121665)));
+        let (x2, z2, x3, z3) = ladder_step(w, w, w, w, w);
+        for out in [x2, z2, x3, z3] {
+            assert!(out.0.iter().all(|&limb| limb < REDUCED), "{out:?}");
+        }
     }
 
     fn bytes32(v: Vec<u8>) -> [u8; 32] {
