@@ -11,7 +11,7 @@
 //! a pure function of `(grid, config)`, so the bytes are stable across
 //! runs and thread counts by the campaign's determinism contract.
 
-use anonroute_campaign::{report, run, CampaignConfig, ScenarioGrid, StrategySpec};
+use anonroute_campaign::{report, run, CampaignConfig, EngineKind, ScenarioGrid, StrategySpec};
 
 fn golden_grid() -> ScenarioGrid {
     ScenarioGrid::new()
@@ -117,5 +117,80 @@ fn artifacts_are_byte_identical_with_observability_enabled() {
         report::render_csv(&outcome),
         GOLDEN_CSV,
         "enabling the metrics endpoint changed the CSV artifact"
+    );
+}
+
+/// The trace and sampling engines' grid: mc and sim cells, one-shot and
+/// two-epoch, on simple paths (onion routing) and cyclic paths (Crowds,
+/// hence the geometric strategy). Their bytes depend on every RNG stream
+/// the backends draw from — cell seeds, salts, origination schedules,
+/// key labels, epoch seeds — so a refactor that reorders a draw fails
+/// here even when the estimates stay statistically sound.
+fn sampled_golden_grid() -> ScenarioGrid {
+    ScenarioGrid::new()
+        .ns([12])
+        .cs([1])
+        .path_kinds([
+            anonroute_core::PathKind::Simple,
+            anonroute_core::PathKind::Cyclic,
+        ])
+        .strategies([StrategySpec::Geometric {
+            forward_prob: 0.5,
+            lmax: 6,
+        }])
+        .engines([EngineKind::MonteCarlo, EngineKind::Simulated])
+        .epochs([1, 2])
+}
+
+fn sampled_golden_config() -> CampaignConfig {
+    CampaignConfig {
+        threads: 2,
+        seed: 13,
+        mc_samples: 400,
+        sim_messages: 60,
+        ..CampaignConfig::default()
+    }
+}
+
+/// The pinned JSONL of [`sampled_golden_grid`]. Regenerate deliberately
+/// with the `PRINT_GOLDEN` command above.
+const SAMPLED_GOLDEN_JSONL: &str = r#"{"cell":0,"n":12,"c":1,"path":"simple","strategy":"geometric:0.5:6","family":"geometric","engine":"mc","dynamics":"epochs=1","seed":14180207640020093695,"status":"ok","h_star":2.8976777554871744,"normalized":0.8082867686633468,"mean_len":1.96875,"p_exposed":null,"std_error":0.047038503205734,"samples":400,"epochs":1,"h_epoch1":null}
+{"cell":1,"n":12,"c":1,"path":"simple","strategy":"geometric:0.5:6","family":"geometric","engine":"mc","dynamics":"epochs=2","seed":6063221543909367921,"status":"ok","h_star":2.766586324025543,"normalized":0.7717197386218162,"mean_len":1.96875,"p_exposed":null,"std_error":0.05533365078133057,"samples":200,"epochs":2,"h_epoch1":2.9895382848644645}
+{"cell":2,"n":12,"c":1,"path":"simple","strategy":"geometric:0.5:6","family":"geometric","engine":"sim","dynamics":"epochs=1","seed":11674071465944544456,"status":"ok","h_star":3.0120146176202933,"normalized":0.8401802297832661,"mean_len":1.96875,"p_exposed":null,"std_error":0.1086363137656329,"samples":60,"epochs":1,"h_epoch1":null}
+{"cell":3,"n":12,"c":1,"path":"simple","strategy":"geometric:0.5:6","family":"geometric","engine":"sim","dynamics":"epochs=2","seed":5378838118255245427,"status":"ok","h_star":2.7776856460950343,"normalized":0.7748158162146107,"mean_len":1.96875,"p_exposed":null,"std_error":0.11776575465062301,"samples":30,"epochs":2,"h_epoch1":3.0342939498419543}
+{"cell":4,"n":12,"c":1,"path":"cyclic","strategy":"geometric:0.5:6","family":"geometric","engine":"mc","dynamics":"epochs=1","seed":15063182406006667107,"status":"ok","h_star":3.0629922647835186,"normalized":0.8544000848453401,"mean_len":1.96875,"p_exposed":null,"std_error":0.04502317162858219,"samples":400,"epochs":1,"h_epoch1":null}
+{"cell":5,"n":12,"c":1,"path":"cyclic","strategy":"geometric:0.5:6","family":"geometric","engine":"mc","dynamics":"epochs=2","seed":6445725183182362148,"status":"ok","h_star":2.863529204479099,"normalized":0.7987612712554365,"mean_len":1.96875,"p_exposed":null,"std_error":0.0683766013889189,"samples":200,"epochs":2,"h_epoch1":3.0598467081103418}
+{"cell":6,"n":12,"c":1,"path":"cyclic","strategy":"geometric:0.5:6","family":"geometric","engine":"sim","dynamics":"epochs=1","seed":13390128619908158103,"status":"ok","h_star":2.9836411761506327,"normalized":0.832265658441459,"mean_len":1.96875,"p_exposed":null,"std_error":0.13632225916013954,"samples":60,"epochs":1,"h_epoch1":null}
+{"cell":7,"n":12,"c":1,"path":"cyclic","strategy":"geometric:0.5:6","family":"geometric","engine":"sim","dynamics":"epochs=2","seed":7257335845043740244,"status":"ok","h_star":2.542909566171202,"normalized":0.7093266849122317,"mean_len":1.96875,"p_exposed":null,"std_error":0.26280249813338463,"samples":30,"epochs":2,"h_epoch1":2.5793186827691863}
+"#;
+
+/// The pinned CSV of [`sampled_golden_grid`].
+const SAMPLED_GOLDEN_CSV: &str = r#"cell,n,c,path,strategy,family,engine,dynamics,seed,status,h_star,normalized,mean_len,p_exposed,std_error,samples,epochs,h_epoch1,error
+0,12,1,simple,geometric:0.5:6,geometric,mc,epochs=1,14180207640020093695,ok,2.8976777554871744,0.8082867686633468,1.96875,,0.047038503205734,400,1,,
+1,12,1,simple,geometric:0.5:6,geometric,mc,epochs=2,6063221543909367921,ok,2.766586324025543,0.7717197386218162,1.96875,,0.05533365078133057,200,2,2.9895382848644645,
+2,12,1,simple,geometric:0.5:6,geometric,sim,epochs=1,11674071465944544456,ok,3.0120146176202933,0.8401802297832661,1.96875,,0.1086363137656329,60,1,,
+3,12,1,simple,geometric:0.5:6,geometric,sim,epochs=2,5378838118255245427,ok,2.7776856460950343,0.7748158162146107,1.96875,,0.11776575465062301,30,2,3.0342939498419543,
+4,12,1,cyclic,geometric:0.5:6,geometric,mc,epochs=1,15063182406006667107,ok,3.0629922647835186,0.8544000848453401,1.96875,,0.04502317162858219,400,1,,
+5,12,1,cyclic,geometric:0.5:6,geometric,mc,epochs=2,6445725183182362148,ok,2.863529204479099,0.7987612712554365,1.96875,,0.0683766013889189,200,2,3.0598467081103418,
+6,12,1,cyclic,geometric:0.5:6,geometric,sim,epochs=1,13390128619908158103,ok,2.9836411761506327,0.832265658441459,1.96875,,0.13632225916013954,60,1,,
+7,12,1,cyclic,geometric:0.5:6,geometric,sim,epochs=2,7257335845043740244,ok,2.542909566171202,0.7093266849122317,1.96875,,0.26280249813338463,30,2,2.5793186827691863,
+"#;
+
+#[test]
+fn sampled_engine_artifacts_are_byte_identical_to_the_golden_file() {
+    let outcome = run(&sampled_golden_grid(), &sampled_golden_config());
+    let jsonl = report::render_jsonl(&outcome, false);
+    let csv = report::render_csv(&outcome);
+    if std::env::var_os("PRINT_GOLDEN").is_some() {
+        println!("=== SAMPLED JSONL ===\n{jsonl}=== SAMPLED CSV ===\n{csv}");
+    }
+    assert_eq!(outcome.error_count(), 0, "{jsonl}");
+    assert_eq!(
+        jsonl, SAMPLED_GOLDEN_JSONL,
+        "mc/sim JSONL values drifted from the golden file"
+    );
+    assert_eq!(
+        csv, SAMPLED_GOLDEN_CSV,
+        "mc/sim CSV values drifted from the golden file"
     );
 }
