@@ -19,7 +19,7 @@
 
 use anonroute_core::{engine, epochs, PathKind};
 
-use crate::backend::{phase_timer, session_count, CellCtx, CellMetrics, EvalBackend, PhaseProfile};
+use crate::backend::{session_count, CellCtx, CellMetrics, EvalBackend, Phase};
 use crate::grid::EngineKind;
 
 /// Stream separator from the Monte-Carlo backend's decay sessions.
@@ -35,7 +35,7 @@ impl EvalBackend for ExactBackend {
     }
 
     fn evaluate(&self, ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
-        let evaluate = phase_timer("cell.evaluate");
+        let evaluate = ctx.clock.phase(Phase::Evaluate);
         let analysis = match ctx.model.path_kind() {
             PathKind::Simple => {
                 // one shared evaluator per model covers every strategy on it
@@ -47,7 +47,7 @@ impl EvalBackend for ExactBackend {
             }
             PathKind::Cyclic => engine::analysis(ctx.model, ctx.dist).map_err(|e| e.to_string())?,
         };
-        let evaluate_us = evaluate.stop_us();
+        drop(evaluate);
         if ctx.scenario.dynamics.is_one_shot() {
             return Ok(CellMetrics {
                 h_star: analysis.h_star,
@@ -58,13 +58,9 @@ impl EvalBackend for ExactBackend {
                 samples: None,
                 epochs: 1,
                 h_epoch1: None,
-                profile: PhaseProfile {
-                    evaluate_us,
-                    ..PhaseProfile::default()
-                },
             });
         }
-        let fold = phase_timer("cell.fold");
+        let _fold = ctx.clock.phase(Phase::Fold);
         let sessions = session_count(ctx.config.mc_samples, ctx.scenario.dynamics.epochs);
         // the shared cache hands every epoch its memoized fold workspace,
         // so sweeps over one model amortize the per-epoch table builds
@@ -81,8 +77,6 @@ impl EvalBackend for ExactBackend {
         let mut metrics = CellMetrics::from_decay(ctx.model, ctx.dist, &curve);
         // the anchor is free here: report the closed form, not a sample
         metrics.h_epoch1 = Some(analysis.h_star);
-        metrics.profile.evaluate_us = evaluate_us;
-        metrics.profile.fold_us = fold.stop_us();
         Ok(metrics)
     }
 }
@@ -126,6 +120,7 @@ mod tests {
             dynamics_seed: 1,
             config: &config,
             cache: &cache,
+            clock: &Default::default(),
         };
         let via_backend = ExactBackend.evaluate(&ctx).unwrap();
         let direct = engine::anonymity_degree(&model, &dist).unwrap();

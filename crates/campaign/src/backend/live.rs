@@ -22,14 +22,14 @@
 
 use anonroute_core::SystemModel;
 use anonroute_relay::budget::ClusterBudget;
-use anonroute_relay::{run_cluster, ClusterConfig};
-use anonroute_sim::traffic::{SessionTraffic, UniformTraffic};
+use anonroute_relay::{run_cluster, ClusterConfig, ClusterOutcome};
+use anonroute_sim::traffic::{Arrival, SessionTraffic, UniformTraffic};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::backend::{
-    attack_and_score, intersect_and_score, phase_timer, remap_to_sessions, session_count, CellCtx,
-    CellMetrics, EpochRun, EvalBackend,
+    attack_and_score, intersect_and_score, remap_to_sessions, session_count, CellCtx, CellMetrics,
+    EpochRun, EvalBackend, Phase,
 };
 use crate::grid::EngineKind;
 
@@ -62,24 +62,16 @@ impl EvalBackend for LiveBackend {
         if !ctx.scenario.dynamics.is_one_shot() {
             return evaluate_epochs(ctx);
         }
-        let mut cluster = ClusterConfig::new(n, ctx.dist.clone());
-        cluster.path_kind = ctx.model.path_kind();
-        cluster.seed = ctx.seed;
-        cluster.cell_size = ctx.config.live_cell_size;
         let arrivals = UniformTraffic {
             count: ctx.config.live_messages,
             interval_us: 0,
             payload_len: 8,
         }
         .generate(n, &mut StdRng::seed_from_u64(ctx.seed ^ WORKLOAD_SALT));
-
-        let evaluate = phase_timer("cell.evaluate");
-        let permit = ClusterBudget::global().acquire(cluster.budget_slots());
-        let outcome = run_cluster(&cluster, &arrivals).map_err(|e| e.to_string())?;
-        drop(permit);
-        let evaluate_us = evaluate.stop_us();
-
-        let attack = phase_timer("cell.attack");
+        let evaluate = ctx.clock.phase(Phase::Evaluate);
+        let outcome = run_live(ctx, n, 0, &arrivals).map_err(|e| e.to_string())?;
+        drop(evaluate);
+        let _attack = ctx.clock.phase(Phase::Attack);
         let est = attack_and_score(
             ctx.cache,
             ctx.model,
@@ -87,13 +79,30 @@ impl EvalBackend for LiveBackend {
             &outcome.trace,
             &outcome.originations,
         )?;
-        let mut metrics = CellMetrics::from_sampled(ctx.model, ctx.dist, est);
-        metrics.profile.attack_us = attack.stop_us();
-        metrics.profile.evaluate_us = evaluate_us;
-        metrics.profile.boot_us = outcome.boot_micros;
-        metrics.profile.traffic_us = outcome.traffic_micros;
-        Ok(metrics)
+        Ok(CellMetrics::from_sampled(ctx.model, ctx.dist, est))
     }
+}
+
+/// The one cluster runner: boots `ne` relays keyed by the cell seed and
+/// `epoch` once the process-wide [`ClusterBudget`] grants their slots,
+/// drives `arrivals` through them, and adds the run's boot and traffic
+/// time to the cell's profile.
+fn run_live(
+    ctx: &CellCtx<'_>,
+    ne: usize,
+    epoch: u64,
+    arrivals: &[Arrival],
+) -> anonroute_relay::Result<ClusterOutcome> {
+    let mut cluster = ClusterConfig::new(ne, ctx.dist.clone());
+    cluster.path_kind = ctx.model.path_kind();
+    cluster.seed = ctx.seed;
+    cluster.epoch = epoch;
+    cluster.cell_size = ctx.config.live_cell_size;
+    let _permit = ClusterBudget::global().acquire(cluster.budget_slots());
+    let outcome = run_cluster(&cluster, arrivals)?;
+    ctx.clock
+        .add_cluster_run(outcome.boot_micros, outcome.traffic_micros);
+    Ok(outcome)
 }
 
 /// One live TCP cluster run per epoch: the cluster keeps one identity
@@ -117,28 +126,20 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
     };
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ LIVE_SESSION_SALT);
     let senders = traffic.senders(n, &mut rng);
-    let evaluate = phase_timer("cell.evaluate");
-    let (mut boot_us, mut traffic_us) = (0u64, 0u64);
+    let evaluate = ctx.clock.phase(Phase::Evaluate);
     let mut runs = Vec::with_capacity(ctx.views.len());
     for view in ctx.views {
         let ne = view.n();
         let model = SystemModel::with_path_kind(ne, ctx.model.c(), ctx.model.path_kind())
             .map_err(|e| e.to_string())?;
-        let mut cluster = ClusterConfig::new(ne, ctx.dist.clone());
-        cluster.path_kind = ctx.model.path_kind();
-        cluster.seed = ctx.seed;
-        cluster.epoch = view.epoch as u64;
-        cluster.cell_size = ctx.config.live_cell_size;
         let (arrivals, session_of) =
             traffic.epoch_arrivals(&senders, |u| view.local_of(u), &mut rng);
-        let permit = ClusterBudget::global().acquire(cluster.budget_slots());
-        let outcome = run_cluster(&cluster, &arrivals)
+        let ClusterOutcome {
+            mut trace,
+            mut originations,
+            ..
+        } = run_live(ctx, ne, view.epoch as u64, &arrivals)
             .map_err(|e| format!("epoch {}: {e}", view.epoch + 1))?;
-        drop(permit);
-        boot_us += outcome.boot_micros;
-        traffic_us += outcome.traffic_micros;
-        let mut trace = outcome.trace;
-        let mut originations = outcome.originations;
         remap_to_sessions(&mut trace, &mut originations, &session_of);
         runs.push(EpochRun {
             model,
@@ -146,14 +147,9 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
             originations,
         });
     }
-    let evaluate_us = evaluate.stop_us();
-    let fold = phase_timer("cell.fold");
-    let mut metrics = intersect_and_score(ctx, &runs)?;
-    metrics.profile.fold_us = fold.stop_us();
-    metrics.profile.evaluate_us = evaluate_us;
-    metrics.profile.boot_us = boot_us;
-    metrics.profile.traffic_us = traffic_us;
-    Ok(metrics)
+    drop(evaluate);
+    let _fold = ctx.clock.phase(Phase::Fold);
+    intersect_and_score(ctx, &runs)
 }
 
 #[cfg(test)]
@@ -207,6 +203,7 @@ mod tests {
             dynamics_seed: 33,
             config: &config,
             cache: &cache,
+            clock: &Default::default(),
         };
         let metrics = LiveBackend.evaluate(&ctx).unwrap();
         let exact = engine::anonymity_degree(&model, &dist).unwrap();
@@ -233,6 +230,7 @@ mod tests {
             dynamics_seed: 1,
             config: &config,
             cache: &cache,
+            clock: &Default::default(),
         };
         let err = LiveBackend.evaluate(&ctx).unwrap_err();
         assert!(err.contains("live_max_n"), "{err}");

@@ -93,15 +93,20 @@ pub struct CellCtx<'a> {
     pub config: &'a CampaignConfig,
     /// Shared memoized exact-evaluator tables.
     pub cache: &'a EvaluatorCache,
+    /// The cell's phase clock: the backend opens its `evaluate`,
+    /// `attack` and `fold` phases on it.
+    pub clock: &'a PhaseClock,
 }
 
 /// Where one cell's wall-clock went, phase by phase, in microseconds.
 ///
 /// Operator observability only: every field is wall-clock and therefore
-/// **nondeterministic** — profiles are excluded from `CellMetrics`
-/// equality and from all seeded artifacts (they appear in JSONL only
+/// **nondeterministic** — profiles ride on
+/// [`CellResult`](crate::runner::CellResult), outside [`CellMetrics`],
+/// and stay out of all seeded artifacts (they appear in JSONL only
 /// under `--timing`, in the timings CSV, and as aggregate totals in the
-/// run manifest). For live cells `boot_us`/`traffic_us` are sub-phases
+/// run manifest). The four top-level phases are timed by the cell's
+/// [`PhaseClock`]; for live cells `boot_us`/`traffic_us` are sub-phases
 /// *inside* `evaluate_us`, so [`total_us`](PhaseProfile::total_us) sums
 /// only the four top-level phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -133,35 +138,95 @@ impl PhaseProfile {
     }
 }
 
-/// Times one cell phase and marks it as a trace span. Consuming it with
-/// [`stop_us`](PhaseTimer::stop_us) closes the span and yields the
-/// elapsed microseconds for the cell's [`PhaseProfile`].
-pub(crate) struct PhaseTimer {
+/// A cell's four top-level phases, each traced as a `cell.*` span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Phase {
+    /// [`PhaseProfile::setup_us`], traced as `cell.setup`.
+    Setup,
+    /// [`PhaseProfile::evaluate_us`], traced as `cell.evaluate`.
+    Evaluate,
+    /// [`PhaseProfile::attack_us`], traced as `cell.attack`.
+    Attack,
+    /// [`PhaseProfile::fold_us`], traced as `cell.fold`.
+    Fold,
+}
+
+/// One cell's phase clock: the [`PhaseProfile`] that its phase guards
+/// add to. The runner owns one per cell and lends it to the backend
+/// through [`CellCtx::clock`]; a cell runs on one thread, so the profile
+/// sits in a `Cell`.
+#[derive(Debug, Default)]
+pub struct PhaseClock(std::cell::Cell<PhaseProfile>);
+
+impl PhaseClock {
+    /// Opens `phase`: its trace span starts now, and its time is added
+    /// to the profile when the returned guard drops. Phases of one cell
+    /// must not overlap, so their sum never exceeds the cell's wall time.
+    pub(crate) fn phase(&self, phase: Phase) -> PhaseGuard<'_> {
+        let name = match phase {
+            Phase::Setup => "cell.setup",
+            Phase::Evaluate => "cell.evaluate",
+            Phase::Attack => "cell.attack",
+            Phase::Fold => "cell.fold",
+        };
+        PhaseGuard {
+            clock: self,
+            phase,
+            start: Instant::now(),
+            _span: anonroute_obs::span(name, "campaign"),
+        }
+    }
+
+    /// Adds a live cluster run's boot and traffic time, the sub-phases
+    /// of `evaluate` that the relay layer measures itself.
+    pub(crate) fn add_cluster_run(&self, boot_us: u64, traffic_us: u64) {
+        self.update(|p| {
+            p.boot_us += boot_us;
+            p.traffic_us += traffic_us;
+        });
+    }
+
+    /// The profile accumulated so far.
+    pub(crate) fn profile(&self) -> PhaseProfile {
+        self.0.get()
+    }
+
+    fn update(&self, f: impl FnOnce(&mut PhaseProfile)) {
+        let mut profile = self.0.get();
+        f(&mut profile);
+        self.0.set(profile);
+    }
+}
+
+/// An open cell phase: its `cell.*` trace span and its clock in one.
+/// Dropping the guard closes the span and adds the elapsed microseconds
+/// to the phase's field of the cell's [`PhaseProfile`].
+#[must_use = "a phase lasts until its guard is dropped"]
+pub(crate) struct PhaseGuard<'a> {
+    clock: &'a PhaseClock,
+    phase: Phase,
     start: Instant,
     _span: anonroute_obs::Span,
 }
 
-/// Starts timing the phase traced as `name` (category `"campaign"`).
-pub(crate) fn phase_timer(name: &'static str) -> PhaseTimer {
-    PhaseTimer {
-        start: Instant::now(),
-        _span: anonroute_obs::span(name, "campaign"),
+impl Drop for PhaseGuard<'_> {
+    fn drop(&mut self) {
+        let us = self.start.elapsed().as_micros() as u64;
+        let phase = self.phase;
+        self.clock.update(|p| {
+            *match phase {
+                Phase::Setup => &mut p.setup_us,
+                Phase::Evaluate => &mut p.evaluate_us,
+                Phase::Attack => &mut p.attack_us,
+                Phase::Fold => &mut p.fold_us,
+            } += us;
+        });
     }
 }
 
-impl PhaseTimer {
-    /// Stops the timer (closing its trace span) and returns elapsed µs.
-    pub(crate) fn stop_us(self) -> u64 {
-        self.start.elapsed().as_micros() as u64
-    }
-}
-
-/// Numeric outcome of one feasible cell.
-///
-/// Equality deliberately ignores [`profile`](CellMetrics::profile):
-/// backends promise *equal contexts → equal metrics*, and the phase
-/// profile is wall-clock noise riding along for operators.
-#[derive(Debug, Clone, Copy)]
+/// Numeric outcome of one feasible cell: a pure function of its
+/// [`CellCtx`] (wall-clock lives in the cell's [`PhaseProfile`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellMetrics {
     /// Anonymity degree `H*` in bits (exact, estimated, or empirical,
     /// per the cell's engine). For multi-epoch cells this is the
@@ -187,35 +252,6 @@ pub struct CellMetrics {
     /// sampled mean otherwise). `None` for one-shot cells, where
     /// `h_star` *is* the single-round value.
     pub h_epoch1: Option<f64>,
-    /// Nondeterministic per-phase wall-clock breakdown (excluded from
-    /// equality and from seeded artifacts).
-    pub profile: PhaseProfile,
-}
-
-impl PartialEq for CellMetrics {
-    fn eq(&self, other: &Self) -> bool {
-        // profile is wall-clock observability; the determinism contract
-        // ("equal contexts → equal CellMetrics") is over the numbers only
-        (
-            self.h_star,
-            self.normalized,
-            self.mean_len,
-            self.p_exposed,
-            self.std_error,
-            self.samples,
-            self.epochs,
-            self.h_epoch1,
-        ) == (
-            other.h_star,
-            other.normalized,
-            other.mean_len,
-            other.p_exposed,
-            other.std_error,
-            other.samples,
-            other.epochs,
-            other.h_epoch1,
-        )
-    }
 }
 
 impl CellMetrics {
@@ -231,7 +267,6 @@ impl CellMetrics {
             samples: Some(est.samples),
             epochs: 1,
             h_epoch1: None,
-            profile: PhaseProfile::default(),
         }
     }
 
@@ -250,7 +285,6 @@ impl CellMetrics {
             samples: Some(last.sessions),
             epochs: curve.per_epoch.len(),
             h_epoch1: Some(curve.first().mean_entropy_bits),
-            profile: PhaseProfile::default(),
         }
     }
 
@@ -390,11 +424,6 @@ pub fn backend(kind: EngineKind) -> &'static dyn EvalBackend {
         .expect("every EngineKind has a registered backend")
 }
 
-/// Iterates over every registered backend.
-pub fn backends() -> impl Iterator<Item = &'static dyn EvalBackend> {
-    BACKENDS.iter().copied()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,7 +433,7 @@ mod tests {
         for kind in EngineKind::ALL {
             assert_eq!(backend(kind).kind(), kind);
         }
-        assert_eq!(backends().count(), EngineKind::ALL.len());
+        assert_eq!(BACKENDS.len(), EngineKind::ALL.len());
     }
 
     #[test]
@@ -424,22 +453,18 @@ mod tests {
     }
 
     #[test]
-    fn equality_ignores_the_phase_profile() {
-        let model = SystemModel::new(20, 1).unwrap();
-        let dist = PathLengthDist::fixed(3);
-        let est = SampledDegree {
-            h_star: 3.5,
-            std_error: 0.04,
-            samples: 500,
-        };
-        let a = CellMetrics::from_sampled(&model, &dist, est);
-        let mut b = a;
-        b.profile.evaluate_us = 123_456;
-        b.profile.boot_us = 9;
-        assert_eq!(a, b, "profiles are wall-clock noise, not results");
-        assert_eq!(b.profile.total_us(), 123_456, "boot is inside evaluate");
-        let mut c = a;
-        c.h_star += 1.0;
-        assert_ne!(a, c);
+    fn phase_guards_add_their_time_to_their_own_phase() {
+        let clock = PhaseClock::default();
+        {
+            let _evaluate = clock.phase(Phase::Evaluate);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        drop(clock.phase(Phase::Evaluate));
+        clock.add_cluster_run(5, 7);
+        let p = clock.profile();
+        assert!(p.evaluate_us >= 2_000, "{p:?}");
+        assert_eq!((p.setup_us, p.attack_us, p.fold_us), (0, 0, 0));
+        assert_eq!((p.boot_us, p.traffic_us), (5, 7));
+        assert_eq!(p.total_us(), p.evaluate_us, "boot is inside evaluate");
     }
 }

@@ -7,7 +7,7 @@
 
 use anonroute_core::{engine, epochs, SampledDegree};
 
-use crate::backend::{phase_timer, session_count, CellCtx, CellMetrics, EvalBackend};
+use crate::backend::{session_count, CellCtx, CellMetrics, EvalBackend, Phase};
 use crate::grid::EngineKind;
 
 /// Stream separator from the exact backend's decay sessions.
@@ -26,7 +26,7 @@ impl EvalBackend for MonteCarloBackend {
 
     fn evaluate(&self, ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
         if !ctx.scenario.dynamics.is_one_shot() {
-            let fold = phase_timer("cell.fold");
+            let _fold = ctx.clock.phase(Phase::Fold);
             let sessions = session_count(ctx.config.mc_samples, ctx.scenario.dynamics.epochs);
             // shares per-epoch fold workspaces through the campaign cache
             let curve = epochs::estimate_decay_with(
@@ -39,15 +39,13 @@ impl EvalBackend for MonteCarloBackend {
                 ctx.cache,
             )
             .map_err(|e| e.to_string())?;
-            let mut metrics = CellMetrics::from_decay(ctx.model, ctx.dist, &curve);
-            metrics.profile.fold_us = fold.stop_us();
-            return Ok(metrics);
+            return Ok(CellMetrics::from_decay(ctx.model, ctx.dist, &curve));
         }
-        let evaluate = phase_timer("cell.evaluate");
+        let _evaluate = ctx.clock.phase(Phase::Evaluate);
         let est =
             engine::estimate_anonymity_degree(ctx.model, ctx.dist, ctx.config.mc_samples, ctx.seed)
                 .map_err(|e| e.to_string())?;
-        let mut metrics = CellMetrics::from_sampled(
+        Ok(CellMetrics::from_sampled(
             ctx.model,
             ctx.dist,
             SampledDegree {
@@ -55,8 +53,6 @@ impl EvalBackend for MonteCarloBackend {
                 std_error: est.std_error,
                 samples: est.samples,
             },
-        );
-        metrics.profile.evaluate_us = evaluate.stop_us();
-        Ok(metrics)
+        ))
     }
 }

@@ -22,14 +22,16 @@ use anonroute_core::{PathKind, SystemModel};
 use anonroute_protocols::crowds::crowd;
 use anonroute_protocols::onion_routing::onion_network;
 use anonroute_protocols::RouteSampler;
-use anonroute_sim::traffic::SessionTraffic;
-use anonroute_sim::{LatencyModel, NodeId, SimTime, Simulation};
+use anonroute_sim::traffic::{Arrival, SessionTraffic};
+use anonroute_sim::{
+    LatencyModel, NodeBehavior, NodeId, Origination, SimTime, Simulation, TransferRecord,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::backend::{
-    attack_and_score, intersect_and_score, phase_timer, remap_to_sessions, session_count, CellCtx,
-    CellMetrics, EpochRun, EvalBackend, PhaseTimer,
+    attack_and_score, intersect_and_score, remap_to_sessions, session_count, CellCtx, CellMetrics,
+    EpochRun, EvalBackend, Phase,
 };
 use crate::grid::{EngineKind, StrategySpec};
 
@@ -60,30 +62,31 @@ impl EvalBackend for SimulatedBackend {
         if !ctx.scenario.dynamics.is_one_shot() {
             return evaluate_epochs(ctx);
         }
-        let messages = ctx.config.sim_messages;
         // building the network is part of the evidence: at large n it
         // costs more than simulating the messages
-        let evaluate = phase_timer("cell.evaluate");
-        match ctx.model.path_kind() {
-            PathKind::Simple => {
-                let sampler = RouteSampler::new(ctx.model.n(), ctx.dist.clone(), PathKind::Simple)
-                    .map_err(|e| e.to_string())?;
-                let nodes = onion_network(ctx.model.n(), &sampler, 2048, b"anonroute-campaign")
-                    .map_err(|e| e.to_string())?;
-                attack_simulation(
-                    evaluate,
-                    nodes,
-                    LatencyModel::Uniform { lo: 50, hi: 500 },
-                    ctx,
-                    messages,
-                )
-            }
-            PathKind::Cyclic => {
-                let forward_prob = crowds_forward_prob(ctx)?;
-                let nodes = crowd(ctx.model.n(), forward_prob).map_err(|e| e.to_string())?;
-                attack_simulation(evaluate, nodes, LatencyModel::Constant(100), ctx, messages)
-            }
-        }
+        let evaluate = ctx.clock.phase(Phase::Evaluate);
+        // one message every 100 µs from an LCG-drawn sender
+        let mut salt = ctx.seed | 1;
+        let arrivals = (0..ctx.config.sim_messages as u64)
+            .map(|i| {
+                salt = salt
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                Arrival {
+                    at: SimTime::from_micros(i * 100),
+                    sender: (salt >> 33) as usize % n,
+                    payload: vec![0u8; 4],
+                }
+            })
+            .collect();
+        let (trace, originations) = simulate(ctx, n, b"anonroute-campaign", ctx.seed, arrivals)?;
+        drop(evaluate);
+        let attack = ctx.clock.phase(Phase::Attack);
+        let est = attack_and_score(ctx.cache, ctx.model, ctx.dist, &trace, &originations)?;
+        // freeing the trace is the attack phase's last step
+        drop((trace, originations));
+        drop(attack);
+        Ok(CellMetrics::from_sampled(ctx.model, ctx.dist, est))
     }
 }
 
@@ -100,35 +103,43 @@ fn crowds_forward_prob(ctx: &CellCtx<'_>) -> Result<f64, String> {
     }
 }
 
-/// Builds one epoch's protocol network over `ne` active nodes.
-fn epoch_nodes(
+/// The one simulation runner: builds the cell's protocol network over
+/// `ne` nodes (onion routing keyed by `key_label` on simple paths,
+/// Crowds on cyclic ones), runs `arrivals` through it on the event
+/// stream of `seed`, and returns the owned trace and originations.
+fn simulate(
     ctx: &CellCtx<'_>,
     ne: usize,
-) -> Result<(Vec<Box<dyn anonroute_sim::NodeBehavior>>, LatencyModel), String> {
+    key_label: &[u8],
+    seed: u64,
+    arrivals: Vec<Arrival>,
+) -> Result<(Vec<TransferRecord>, Vec<Origination>), String> {
+    fn run<B: NodeBehavior>(
+        nodes: Vec<B>,
+        latency: LatencyModel,
+        seed: u64,
+        arrivals: Vec<Arrival>,
+    ) -> (Vec<TransferRecord>, Vec<Origination>) {
+        let mut sim = Simulation::new(nodes, latency, seed);
+        sim.schedule_arrivals(arrivals);
+        sim.run();
+        sim.into_artifacts()
+    }
     match ctx.model.path_kind() {
         PathKind::Simple => {
             let sampler = RouteSampler::new(ne, ctx.dist.clone(), PathKind::Simple)
                 .map_err(|e| e.to_string())?;
-            let nodes = onion_network(ne, &sampler, 2048, b"anonroute-epochs")
-                .map_err(|e| e.to_string())?;
-            Ok((
-                nodes
-                    .into_iter()
-                    .map(|n| Box::new(n) as Box<dyn anonroute_sim::NodeBehavior>)
-                    .collect(),
+            let nodes = onion_network(ne, &sampler, 2048, key_label).map_err(|e| e.to_string())?;
+            Ok(run(
+                nodes,
                 LatencyModel::Uniform { lo: 50, hi: 500 },
+                seed,
+                arrivals,
             ))
         }
         PathKind::Cyclic => {
-            let forward_prob = crowds_forward_prob(ctx)?;
-            let nodes = crowd(ne, forward_prob).map_err(|e| e.to_string())?;
-            Ok((
-                nodes
-                    .into_iter()
-                    .map(|n| Box::new(n) as Box<dyn anonroute_sim::NodeBehavior>)
-                    .collect(),
-                LatencyModel::Constant(100),
-            ))
+            let nodes = crowd(ne, crowds_forward_prob(ctx)?).map_err(|e| e.to_string())?;
+            Ok(run(nodes, LatencyModel::Constant(100), seed, arrivals))
         }
     }
 }
@@ -145,17 +156,14 @@ fn evaluate_epochs(ctx: &CellCtx<'_>) -> Result<CellMetrics, String> {
     };
     let mut rng = StdRng::seed_from_u64(ctx.seed ^ SIM_SESSION_SALT);
     let senders = traffic.senders(n, &mut rng);
-    let evaluate = phase_timer("cell.evaluate");
+    let evaluate = ctx.clock.phase(Phase::Evaluate);
     let mut runs = Vec::with_capacity(ctx.views.len());
     for view in ctx.views {
         runs.push(run_epoch(ctx, view, &traffic, &senders, &mut rng)?);
     }
-    let evaluate_us = evaluate.stop_us();
-    let fold = phase_timer("cell.fold");
-    let mut metrics = intersect_and_score(ctx, &runs)?;
-    metrics.profile.evaluate_us = evaluate_us;
-    metrics.profile.fold_us = fold.stop_us();
-    Ok(metrics)
+    drop(evaluate);
+    let _fold = ctx.clock.phase(Phase::Fold);
+    intersect_and_score(ctx, &runs)
 }
 
 /// One epoch: a fresh network over the active set, one origination per
@@ -170,59 +178,19 @@ fn run_epoch(
     let ne = view.n();
     let model = SystemModel::with_path_kind(ne, ctx.model.c(), ctx.model.path_kind())
         .map_err(|e| e.to_string())?;
-    let (nodes, latency) = epoch_nodes(ctx, ne)?;
     // each epoch gets its own deterministic event stream
     let epoch_seed = ctx
         .seed
         .wrapping_add((view.epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    let mut sim = Simulation::new(nodes, latency, epoch_seed);
     let (arrivals, session_of) = traffic.epoch_arrivals(senders, |u| view.local_of(u), rng);
-    sim.schedule_arrivals(arrivals);
-    sim.run();
-    // take ownership of the per-epoch artifacts instead of copying them
-    let (mut trace, mut originations) = sim.into_artifacts();
+    let (mut trace, mut originations) =
+        simulate(ctx, ne, b"anonroute-epochs", epoch_seed, arrivals)?;
     remap_to_sessions(&mut trace, &mut originations, &session_of);
     Ok(EpochRun {
         model,
         trace,
         originations,
     })
-}
-
-/// Drives `messages` originations through `nodes`, then scores the
-/// passive adversary's attack on the trace. `evaluate` already times the
-/// network's construction.
-fn attack_simulation<B: anonroute_sim::NodeBehavior>(
-    evaluate: PhaseTimer,
-    nodes: Vec<B>,
-    latency: LatencyModel,
-    ctx: &CellCtx<'_>,
-    messages: usize,
-) -> Result<CellMetrics, String> {
-    let (model, dist, seed) = (ctx.model, ctx.dist, ctx.seed);
-    let n = model.n();
-    let mut sim = Simulation::new(nodes, latency, seed);
-    let mut salt = seed | 1;
-    for i in 0..messages as u64 {
-        salt = salt
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        sim.schedule_origination(
-            SimTime::from_micros(i * 100),
-            (salt >> 33) as usize % n,
-            vec![0u8; 4],
-        );
-    }
-    sim.run();
-    let evaluate_us = evaluate.stop_us();
-    let attack = phase_timer("cell.attack");
-    let est = attack_and_score(ctx.cache, model, dist, sim.trace(), sim.originations())?;
-    // freeing the network and its trace is the attack phase's last step
-    drop(sim);
-    let mut metrics = CellMetrics::from_sampled(model, dist, est);
-    metrics.profile.evaluate_us = evaluate_us;
-    metrics.profile.attack_us = attack.stop_us();
-    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -263,6 +231,7 @@ mod tests {
             dynamics_seed: 1,
             config: &config,
             cache: &cache,
+            clock: &Default::default(),
         };
         let err = SimulatedBackend.evaluate(&ctx).unwrap_err();
         assert!(err.contains("sim_max_n"), "{err}");
@@ -301,6 +270,7 @@ mod tests {
                 dynamics_seed: 1,
                 config: &config,
                 cache: &cache,
+                clock: &Default::default(),
             };
             let metrics = SimulatedBackend.evaluate(&ctx).unwrap();
             assert_eq!(metrics.samples, Some(50));

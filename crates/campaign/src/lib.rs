@@ -78,7 +78,7 @@ pub mod spec;
 
 pub use anonroute_core::epochs::{ChurnModel, EpochSchedule, RotationPolicy};
 pub use anonroute_obs::{SweepControl, SweepState};
-pub use backend::{CellCtx, CellMetrics, EvalBackend, PhaseProfile};
+pub use backend::{CellCtx, CellMetrics, EvalBackend, PhaseClock, PhaseProfile};
 pub use grid::{parse_path_kind, EngineKind, Scenario, ScenarioGrid, StrategySpec};
 pub use manifest::{render_manifest, validate_manifest, write_manifest};
 pub use progress::{ObsSession, SweepProgress};

@@ -125,13 +125,13 @@ pub fn render_manifest(
     // profile; zeros when a phase does not apply to the engines swept
     let mut phases = crate::backend::PhaseProfile::default();
     for cell in &outcome.cells {
-        if let Ok(m) = &cell.outcome {
-            phases.setup_us += m.profile.setup_us;
-            phases.evaluate_us += m.profile.evaluate_us;
-            phases.attack_us += m.profile.attack_us;
-            phases.fold_us += m.profile.fold_us;
-            phases.boot_us += m.profile.boot_us;
-            phases.traffic_us += m.profile.traffic_us;
+        if cell.outcome.is_ok() {
+            phases.setup_us += cell.profile.setup_us;
+            phases.evaluate_us += cell.profile.evaluate_us;
+            phases.attack_us += cell.profile.attack_us;
+            phases.fold_us += cell.profile.fold_us;
+            phases.boot_us += cell.profile.boot_us;
+            phases.traffic_us += cell.profile.traffic_us;
         }
     }
     out.push_str("    \"profile\": {");

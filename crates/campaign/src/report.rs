@@ -13,6 +13,7 @@ use std::path::Path;
 
 use anonroute_obs::json_escape;
 
+use crate::backend::PhaseProfile;
 use crate::runner::{CampaignOutcome, CellResult};
 
 /// Renders one cell as a JSON object (one line, no trailing newline).
@@ -61,8 +62,8 @@ pub fn jsonl_line(cell: &CellResult, include_timing: bool) -> String {
     if include_timing {
         write!(out, ",\"elapsed_us\":{}", cell.elapsed_micros)
             .expect("writing to a String cannot fail");
-        if let Ok(m) = &cell.outcome {
-            let p = m.profile;
+        if cell.outcome.is_ok() {
+            let p = cell.profile;
             write!(
                 out,
                 ",\"profile\":{{\"setup_us\":{},\"evaluate_us\":{},\"attack_us\":{},\"fold_us\":{},\"boot_us\":{},\"traffic_us\":{}}}",
@@ -184,7 +185,11 @@ pub fn write_timings_csv(path: &Path, outcome: &CampaignOutcome) -> std::io::Res
     for cell in &outcome.cells {
         let s = &cell.scenario;
         // error cells carry a zeroed profile: the columns stay aligned
-        let p = cell.outcome.as_ref().map(|m| m.profile).unwrap_or_default();
+        let p = if cell.outcome.is_ok() {
+            cell.profile
+        } else {
+            PhaseProfile::default()
+        };
         writeln!(
             f,
             "{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -381,6 +386,7 @@ mod tests {
             },
             seed: 99,
             elapsed_micros: 1,
+            profile: Default::default(),
             outcome: Err(error.to_string()),
         }
     }

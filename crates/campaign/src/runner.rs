@@ -36,7 +36,7 @@ use anonroute_obs::{trace, Checkpoint, SweepControl, SweepState, TraceSink};
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
 
-use crate::backend::{self, phase_timer, CellCtx, CellMetrics};
+use crate::backend::{self, CellCtx, CellMetrics, Phase, PhaseClock, PhaseProfile};
 use crate::grid::{EngineKind, Scenario, ScenarioGrid};
 use crate::progress::{ObsSession, SweepProgress};
 
@@ -132,6 +132,10 @@ pub struct CellResult {
     pub seed: u64,
     /// Wall-clock time spent on this cell, in microseconds.
     pub elapsed_micros: u64,
+    /// Where [`elapsed_micros`](CellResult::elapsed_micros) went, phase
+    /// by phase (nondeterministic, like the elapsed time). Artifacts
+    /// report it for ok cells only.
+    pub profile: PhaseProfile,
     /// Metrics, or the reason the cell was infeasible.
     pub outcome: Result<CellMetrics, String>,
 }
@@ -233,7 +237,8 @@ pub fn run_controlled(
                         ("epochs", scenario.dynamics.epochs as u64),
                     ],
                 );
-                let outcome = run_cell(&scenario, seed, config, &cache);
+                let clock = PhaseClock::default();
+                let outcome = run_cell(&scenario, seed, config, &cache, &clock);
                 drop(cell_span);
                 // rayon pool threads outlive the sweep; hand buffered
                 // events to the sink at this natural quiescence point
@@ -245,6 +250,7 @@ pub fn run_controlled(
                     scenario,
                     seed,
                     elapsed_micros: elapsed.as_micros() as u64,
+                    profile: clock.profile(),
                     outcome,
                 })
             })
@@ -330,14 +336,15 @@ pub fn dynamics_seed(campaign_seed: u64, scenario: &Scenario) -> u64 {
 /// Schedules one cell: realize the model, strategy, and epoch views
 /// (the engine-agnostic feasibility gate — including per-epoch strategy
 /// feasibility under churn), then hand the context to the registered
-/// backend for the cell's engine.
+/// backend for the cell's engine. Every phase is timed on `clock`.
 fn run_cell(
     scenario: &Scenario,
     seed: u64,
     config: &CampaignConfig,
     cache: &EvaluatorCache,
+    clock: &PhaseClock,
 ) -> Result<CellMetrics, String> {
-    let setup = phase_timer("cell.setup");
+    let setup = clock.phase(Phase::Setup);
     let model = SystemModel::with_path_kind(scenario.n, scenario.c, scenario.path_kind)
         .map_err(|e| e.to_string())?;
     let dist = scenario.strategy.realize(&model)?;
@@ -367,8 +374,8 @@ fn run_cell(
         }
         views
     };
-    let setup_us = setup.stop_us();
-    let mut metrics = backend::backend(scenario.engine).evaluate(&CellCtx {
+    drop(setup);
+    backend::backend(scenario.engine).evaluate(&CellCtx {
         scenario,
         model: &model,
         dist: &dist,
@@ -377,9 +384,8 @@ fn run_cell(
         dynamics_seed: dyn_seed,
         config,
         cache,
-    })?;
-    metrics.profile.setup_us = setup_us;
-    Ok(metrics)
+        clock,
+    })
 }
 
 #[cfg(test)]

@@ -126,6 +126,7 @@ fn every_registered_backend_scores_through_the_trait_object() {
             dynamics_seed: 17,
             config: &config,
             cache: &cache,
+            clock: &Default::default(),
         };
         let metrics = backend::backend(kind).evaluate(&ctx).unwrap();
         match metrics.sampled() {
@@ -248,30 +249,58 @@ fn multi_epoch_cells_are_deterministic_per_seed_at_any_thread_count() {
     assert!(serial.contains("\"dynamics\":\"epochs=2;churn=iid:0.2\""));
 }
 
-/// A one-shot sim cell's phases must account for its wall time, including
-/// building the `n`-node onion network and freeing the simulation. With
-/// few messages those two are about a quarter of the cell.
+/// Every engine's phases must account for its cells' wall time, one-shot
+/// and multi-epoch alike: setup + evaluate + attack + fold cover at least
+/// 95% of `elapsed_us` and never exceed it. That includes building the
+/// `n`-node onion network and freeing the simulation, which with few
+/// messages are about a quarter of a sim cell. Cells are sized to run
+/// for 10 ms or more, so fixed per-cell overhead cannot dominate.
 #[test]
-fn one_shot_sim_cell_phases_cover_its_wall_time() {
-    let grid = ScenarioGrid::new()
-        .ns([20_000])
-        .cs([10])
-        .strategies([StrategySpec::Uniform(1, 6)])
-        .engines([EngineKind::Simulated]);
+fn every_engines_phases_cover_its_cells_wall_time() {
+    // (engine, epochs, n, c): a one-shot exact cell needs a large n to
+    // take 10 ms, a multi-epoch one does not
+    let cells = [
+        (EngineKind::Exact, 1, 500_000, 10),
+        (EngineKind::Exact, 2, 20_000, 10),
+        (EngineKind::MonteCarlo, 1, 20_000, 10),
+        (EngineKind::MonteCarlo, 2, 20_000, 10),
+        (EngineKind::Simulated, 1, 20_000, 10),
+        (EngineKind::Simulated, 2, 20_000, 10),
+        (EngineKind::Live, 1, 12, 1),
+        (EngineKind::Live, 2, 12, 1),
+    ];
     let config = CampaignConfig {
         threads: 1,
-        sim_messages: 50,
+        seed: 101,
+        mc_samples: 4_000,
+        sim_messages: 200,
+        live_messages: 60,
         ..CampaignConfig::default()
     };
-    let outcome = run(&grid, &config);
-    let cell = &outcome.cells[0];
-    let metrics = cell.outcome.as_ref().unwrap();
-    let covered = metrics.profile.total_us() as f64 / cell.elapsed_micros as f64;
-    assert!(
-        covered >= 0.95,
-        "phases cover {:.1}% of the cell: {:?} vs {} us",
-        100.0 * covered,
-        metrics.profile,
-        cell.elapsed_micros
-    );
+    for (engine, epochs, n, c) in cells {
+        let grid = ScenarioGrid::new()
+            .ns([n])
+            .cs([c])
+            .strategies([StrategySpec::Uniform(1, 6)])
+            .engines([engine])
+            .epochs([epochs]);
+        let outcome = run(&grid, &config);
+        let cell = &outcome.cells[0];
+        assert!(
+            cell.outcome.is_ok(),
+            "{}: {:?}",
+            cell.scenario,
+            cell.outcome
+        );
+        let total = cell.profile.total_us();
+        let covered = total as f64 / cell.elapsed_micros as f64;
+        assert!(
+            total <= cell.elapsed_micros && covered >= 0.95,
+            "{}: phases cover {:.1}% of the cell: {:?} vs {} us",
+            cell.scenario,
+            100.0 * covered,
+            cell.profile,
+            cell.elapsed_micros
+        );
+    }
 }

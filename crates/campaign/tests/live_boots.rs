@@ -45,7 +45,7 @@ fn every_live_cell_boots_its_own_cluster() {
             cell.scenario
         );
         assert!(
-            metrics.profile.boot_us > 0,
+            cell.profile.boot_us > 0,
             "{}: boot unreported",
             cell.scenario
         );
