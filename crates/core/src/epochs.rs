@@ -1052,15 +1052,6 @@ impl DecayCurve {
             .expect("a curve has at least one epoch")
     }
 
-    /// First one-based epoch at which the identification rate reaches
-    /// `threshold`, if any — "rounds to identification".
-    pub fn rounds_to_identification(&self, threshold: f64) -> Option<usize> {
-        self.per_epoch
-            .iter()
-            .find(|s| s.identification_rate >= threshold)
-            .map(|s| s.epoch)
-    }
-
     /// Whether the mean cumulative entropy is non-increasing across
     /// epochs, allowing `slack` bits of upward noise per step (use 0.0
     /// for strict monotonicity).
@@ -1641,7 +1632,6 @@ mod tests {
         let early = curve.first().identification_rate;
         let late = curve.last().identification_rate;
         assert!(late > early, "rotation must leak identity over time");
-        assert!(curve.rounds_to_identification(late).is_some());
         assert!(curve.last().mean_support < curve.first().mean_support);
     }
 

@@ -91,17 +91,6 @@ impl LnFact {
     }
 }
 
-/// Numerically stable `ln(Σ exp(x_i))`. Returns `f64::NEG_INFINITY` for an
-/// empty slice.
-pub fn log_sum_exp(xs: &[f64]) -> f64 {
-    let m = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    if !m.is_finite() {
-        return m;
-    }
-    let s: f64 = xs.iter().map(|x| (x - m).exp()).sum();
-    m + s.ln()
-}
-
 /// Binary entropy `h(p) = -p·log2(p) - (1-p)·log2(1-p)` in bits.
 ///
 /// Returns `0` at the endpoints `p ∈ {0, 1}`.
@@ -248,14 +237,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn log_sum_exp_basics() {
-        assert!(close(log_sum_exp(&[0.0, 0.0]), 2f64.ln()));
-        assert_eq!(log_sum_exp(&[]), f64::NEG_INFINITY);
-        // stability with large magnitudes
-        assert!(close(log_sum_exp(&[1000.0, 1000.0]), 1000.0 + 2f64.ln()));
     }
 
     #[test]

@@ -50,16 +50,6 @@ impl AnonymityReport {
             expected_path_length: dist.mean(),
         })
     }
-
-    /// Anonymity gained per unit of rerouting overhead, in bits per
-    /// expected hop. Degenerates to `h_star` for direct sending.
-    pub fn efficiency(&self) -> f64 {
-        if self.expected_path_length <= 0.0 {
-            self.h_star
-        } else {
-            self.h_star / self.expected_path_length
-        }
-    }
 }
 
 /// A sampled estimate of an anonymity degree — the common shape of every
@@ -139,14 +129,6 @@ mod tests {
         assert!((r.normalized - r.h_star / 50f64.log2()).abs() < 1e-12);
         assert!((r.expected_path_length - 5.0).abs() < 1e-12);
         assert!(r.p_exposed >= 2.0 / 50.0 - 1e-12); // at least the compromised-sender mass
-        assert!(r.efficiency() > 0.0);
-    }
-
-    #[test]
-    fn efficiency_of_direct_send_is_h_star() {
-        let model = SystemModel::new(50, 0).unwrap();
-        let r = AnonymityReport::evaluate(&model, &PathLengthDist::fixed(0)).unwrap();
-        assert_eq!(r.efficiency(), r.h_star);
     }
 
     #[test]

@@ -17,8 +17,6 @@ use crate::error::{Error, Result};
 pub struct JondoNode {
     n: usize,
     forward_prob: f64,
-    forwarded: u64,
-    submitted: u64,
 }
 
 impl JondoNode {
@@ -38,22 +36,7 @@ impl JondoNode {
         if n == 0 {
             return Err(Error::Config("a crowd needs at least one jondo".into()));
         }
-        Ok(JondoNode {
-            n,
-            forward_prob,
-            forwarded: 0,
-            submitted: 0,
-        })
-    }
-
-    /// Requests this jondo forwarded to another jondo.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Requests this jondo submitted to the end server.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
+        Ok(JondoNode { n, forward_prob })
     }
 }
 
@@ -68,11 +51,9 @@ impl NodeBehavior for JondoNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Endpoint, msg: Message) {
         let coin: f64 = ctx.rng().gen();
         if coin < self.forward_prob {
-            self.forwarded += 1;
             let next = ctx.rng().gen_range(0..self.n);
             ctx.send(next, msg);
         } else {
-            self.submitted += 1;
             ctx.send_to_receiver(msg);
         }
     }

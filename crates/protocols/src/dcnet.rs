@@ -118,12 +118,6 @@ impl DcNet {
         self.round += 1;
         Ok(round)
     }
-
-    /// Per-round broadcast cost in bytes for a `payload_len` message:
-    /// every participant announces `payload_len` bytes to everyone.
-    pub fn broadcast_bytes(&self, payload_len: usize) -> usize {
-        self.n * self.n * payload_len
-    }
 }
 
 impl Round {
@@ -226,12 +220,6 @@ mod tests {
         assert!((h1 - 0.99 * 99f64.log2()).abs() < 1e-12);
         // DC-nets dominate rerouting at equal c (no path leakage at all)
         assert!(h1 > 6.5);
-    }
-
-    #[test]
-    fn cost_scales_quadratically() {
-        let net = DcNet::new(b"s", 10).unwrap();
-        assert_eq!(net.broadcast_bytes(100), 10 * 10 * 100);
     }
 
     #[test]

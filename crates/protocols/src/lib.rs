@@ -10,8 +10,6 @@
 //!   [`route::RouteSampler`]);
 //! * [`crowds::JondoNode`] — hop-by-hop probabilistic forwarding with
 //!   cycles (Crowds);
-//! * [`mix::MixNode`] — threshold Chaum mixes: onion routing plus batching
-//!   and reordering;
 //! * [`dcnet::DcNet`] — the non-rerouting dining-cryptographers baseline.
 //!
 //! Together with `anonroute_core::strategies`, each system's route
@@ -26,7 +24,6 @@
 pub mod crowds;
 pub mod dcnet;
 pub mod error;
-pub mod mix;
 pub mod onion_routing;
 pub mod route;
 

@@ -6,7 +6,7 @@
 //!
 //! The simulator is deliberately protocol-agnostic: member nodes implement
 //! [`NodeBehavior`] (the protocol logic — Crowds forwarding, onion peeling,
-//! mix batching, … — lives in `anonroute-protocols`), while this crate
+//! … — lives in `anonroute-protocols`), while this crate
 //! provides:
 //!
 //! * a seeded **discrete-event core** ([`des::DesCore`]): one monotone

@@ -82,8 +82,7 @@ impl<'a> Ctx<'a> {
 /// Protocol logic of one member node.
 ///
 /// Implementations live in `anonroute-protocols` (Crowds jondos, onion
-/// routers, threshold mixes); the simulator is
-/// protocol-agnostic.
+/// routers); the simulator is protocol-agnostic.
 pub trait NodeBehavior {
     /// A fresh message originates here: this node is the sender and must
     /// route `msg` toward the receiver.

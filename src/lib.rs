@@ -17,7 +17,7 @@
 //! * [`crypto`] ([`anonroute_crypto`]) — SHA-256 / HMAC / HKDF / ChaCha20
 //!   and layered onion cells, from scratch;
 //! * [`protocols`] ([`anonroute_protocols`]) — Crowds, Onion Routing,
-//!   Freedom, PipeNet, threshold mixes, and a DC-Net baseline;
+//!   Freedom, PipeNet, and a DC-Net baseline;
 //! * [`adversary`] ([`anonroute_adversary`]) — the paper's passive
 //!   adversary: collection, correlation, Bayesian inference, Monte-Carlo
 //!   anonymity estimation;

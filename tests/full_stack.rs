@@ -5,7 +5,6 @@ use anonroute::adversary::{attack_trace, ground_truth_path, Adversary};
 use anonroute::core::engine::observe;
 use anonroute::prelude::*;
 use anonroute::protocols::crowds::crowd;
-use anonroute::protocols::mix::mix_network;
 use anonroute::protocols::onion_routing::onion_network;
 use anonroute::protocols::RouteSampler;
 use anonroute::sim::{LatencyModel, SimTime, Simulation};
@@ -66,32 +65,6 @@ fn simulated_attack_tracks_exact_h_star_across_strategies() {
             "dist {dist}: empirical {} vs exact {exact}",
             report.empirical_h_star
         );
-    }
-}
-
-#[test]
-fn mix_network_preserves_payloads_and_breaks_timing_order() {
-    let n = 12;
-    let sampler = RouteSampler::new(n, PathLengthDist::fixed(3), PathKind::Simple).unwrap();
-    let nodes = mix_network(n, &sampler, 2048, 4, 100_000, b"mixnet").unwrap();
-    let mut sim = Simulation::new(nodes, LatencyModel::Constant(1_000), 13);
-    for i in 0..60u64 {
-        sim.schedule_origination(
-            SimTime::from_micros(i * 10),
-            (i % n as u64) as usize,
-            vec![i as u8],
-        );
-    }
-    sim.run();
-    assert_eq!(sim.deliveries().len(), 60);
-    // batching must have reordered deliveries relative to origination order
-    let order: Vec<u64> = sim.deliveries().iter().map(|d| d.msg.0).collect();
-    let mut sorted = order.clone();
-    sorted.sort_unstable();
-    assert_ne!(order, sorted, "mixes should reorder messages");
-    // and each payload arrives intact
-    for d in sim.deliveries() {
-        assert_eq!(d.payload, vec![d.msg.0 as u8]);
     }
 }
 
