@@ -43,24 +43,7 @@ impl Directory {
     /// [`Error::Config`] when ids are out of order, the directory is
     /// empty, or too large for the 16-bit next-hop field.
     pub fn new(nodes: Vec<NodeInfo>, receiver: SocketAddr) -> Result<Self> {
-        if nodes.is_empty() {
-            return Err(Error::Config("a directory needs at least one relay".into()));
-        }
-        // the onion next-hop field is u16 with u16::MAX reserved for DELIVER
-        if nodes.len() >= u16::MAX as usize {
-            return Err(Error::Config(format!(
-                "{} relays exceed the 16-bit id space",
-                nodes.len()
-            )));
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            if node.id != i {
-                return Err(Error::Config(format!(
-                    "directory entry {i} has id {} (entries must be dense and ordered)",
-                    node.id
-                )));
-            }
-        }
+        check_ids(nodes.iter().map(|node| node.id))?;
         Ok(Directory { nodes, receiver })
     }
 
@@ -165,6 +148,10 @@ impl Directory {
         let receiver = receiver
             .ok_or_else(|| Error::Config("directory has no receiver line".into()))?
             .0;
+        // reject before deriving: an identity costs an HKDF and a
+        // scalar multiplication, so an oversized or sparse directory
+        // would otherwise pay one per line just to be refused
+        check_ids(entries.iter().map(|&(id, _)| id))?;
         let nodes = entries
             .into_iter()
             .map(|(id, addr)| NodeInfo {
@@ -173,8 +160,31 @@ impl Directory {
                 public: *NodeIdentity::derive(net_seed, id as u64).public(),
             })
             .collect();
-        Directory::new(nodes, receiver)
+        Ok(Directory { nodes, receiver })
     }
+}
+
+/// Checks a directory's ids, in entry order: at least one relay, few
+/// enough for the 16-bit next-hop field, and dense (entry `i` has id `i`).
+fn check_ids(ids: impl ExactSizeIterator<Item = usize>) -> Result<()> {
+    let len = ids.len();
+    if len == 0 {
+        return Err(Error::Config("a directory needs at least one relay".into()));
+    }
+    // the onion next-hop field is u16 with u16::MAX reserved for DELIVER
+    if len >= u16::MAX as usize {
+        return Err(Error::Config(format!(
+            "{len} relays exceed the 16-bit id space"
+        )));
+    }
+    for (i, id) in ids.enumerate() {
+        if id != i {
+            return Err(Error::Config(format!(
+                "directory entry {i} has id {id} (entries must be dense and ordered)"
+            )));
+        }
+    }
+    Ok(())
 }
 
 /// A hot-swappable handle to the current [`Directory`].
@@ -296,6 +306,22 @@ receiver 127.0.0.1:9000
         );
         // empty
         assert!(Directory::parse("receiver 127.0.0.1:1", b"s").is_err());
+    }
+
+    /// Oversized and sparse directories are refused with the same
+    /// messages [`Directory::new`] gives, before any identity is derived.
+    #[test]
+    fn parse_rejects_oversized_and_sparse_directories_before_deriving() {
+        let mut text = String::from("receiver 10.255.255.255:1\n");
+        for id in 0..70_000usize {
+            let [_, a, b, c] = (id as u32).to_be_bytes();
+            text.push_str(&format!("{id} 10.{a}.{b}.{c}:9000\n"));
+        }
+        assert_eq!(config_err(&text), "70000 relays exceed the 16-bit id space");
+        assert_eq!(
+            config_err("receiver 127.0.0.1:1\n0 127.0.0.1:2\n2 127.0.0.1:3"),
+            "directory entry 1 has id 2 (entries must be dense and ordered)"
+        );
     }
 
     #[test]
