@@ -335,8 +335,15 @@ fn get<'a>(obj: &'a [(String, json::Value)], key: &str) -> Result<&'a json::Valu
 /// A self-contained JSON reader, just big enough to validate manifests
 /// (strings with the escapes the writer emits, numbers via `f64`
 /// parsing, arrays, objects, literals). Not a general-purpose parser —
-/// it rejects anything the grammar doesn't cover rather than guessing.
+/// it rejects anything the grammar doesn't cover rather than guessing,
+/// including containers nested deeper than [`json::MAX_DEPTH`].
 mod json {
+    /// Deepest container nesting the reader accepts. A v5 manifest
+    /// nests four levels (document → `outcome` → `engines` → one
+    /// engine's tallies); the cap bounds the reader's recursion, so a
+    /// file of 200,000 `[` is an error instead of a stack overflow.
+    pub const MAX_DEPTH: usize = 64;
+
     /// A parsed JSON value. Objects keep insertion order (duplicates
     /// would be a writer bug and are rejected).
     #[derive(Debug, Clone, PartialEq)]
@@ -389,7 +396,7 @@ mod json {
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -417,11 +424,18 @@ mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    /// Parses the value at `pos`, inside `depth` enclosing containers.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(bytes, pos);
+        if matches!(bytes.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+            return Err(format!(
+                "containers nested deeper than {MAX_DEPTH} levels at byte {pos}",
+                pos = *pos
+            ));
+        }
         match bytes.get(*pos) {
-            Some(b'{') => parse_object(bytes, pos),
-            Some(b'[') => parse_array(bytes, pos),
+            Some(b'{') => parse_object(bytes, pos, depth + 1),
+            Some(b'[') => parse_array(bytes, pos, depth + 1),
             Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
             Some(b't') => parse_literal(bytes, pos, "true", Value::Bool(true)),
             Some(b'f') => parse_literal(bytes, pos, "false", Value::Bool(false)),
@@ -497,18 +511,22 @@ mod json {
                     *pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar (bytes is valid UTF-8: it
-                    // came from a &str)
-                    let rest = std::str::from_utf8(&bytes[*pos..]).expect("input was a str");
-                    let ch = rest.chars().next().expect("non-empty");
-                    out.push(ch);
-                    *pos += ch.len_utf8();
+                    // copy the run up to the next quote or backslash: both
+                    // are ASCII, so the run is whole characters of the
+                    // input (a &str), and a long string costs linear time
+                    let start = *pos;
+                    while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                        *pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&bytes[start..*pos]).expect("input was a str"),
+                    );
                 }
             }
         }
     }
 
-    fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(bytes, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(bytes, pos);
@@ -517,7 +535,7 @@ mod json {
             return Ok(Value::Array(items));
         }
         loop {
-            items.push(parse_value(bytes, pos)?);
+            items.push(parse_value(bytes, pos, depth)?);
             skip_ws(bytes, pos);
             match bytes.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -530,7 +548,7 @@ mod json {
         }
     }
 
-    fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(bytes, pos, b'{')?;
         let mut fields: Vec<(String, Value)> = Vec::new();
         skip_ws(bytes, pos);
@@ -546,7 +564,7 @@ mod json {
             }
             skip_ws(bytes, pos);
             expect(bytes, pos, b':')?;
-            let value = parse_value(bytes, pos)?;
+            let value = parse_value(bytes, pos, depth)?;
             fields.push((key, value));
             skip_ws(bytes, pos);
             match bytes.get(*pos) {
@@ -689,5 +707,94 @@ mod tests {
         assert!(parse("[1,2,]").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("\"\\u0041\"").unwrap() == Value::String("A".to_string()));
+        // runs of multi-byte characters between escapes come through whole
+        let text = parse("\"é😀\\tx\\u00e9ü\"").unwrap();
+        assert_eq!(text, Value::String("é😀\txéü".to_string()));
+    }
+
+    /// `depth` nested containers, `[` or `{"k":` chosen by `picks`,
+    /// around a `0`, each closed again.
+    fn nested(depth: usize, picks: &[bool]) -> String {
+        let object = |i: usize| picks.get(i).copied().unwrap_or(false);
+        let mut text = String::new();
+        for i in 0..depth {
+            text.push_str(if object(i) { "{\"k\": " } else { "[" });
+        }
+        text.push('0');
+        for i in (0..depth).rev() {
+            text.push(if object(i) { '}' } else { ']' });
+        }
+        text
+    }
+
+    #[test]
+    fn json_reader_caps_nesting_depth() {
+        use super::json::{parse, MAX_DEPTH};
+        let hostile = "[".repeat(200_000);
+        let err = validate_manifest(&hostile).unwrap_err();
+        assert!(err.contains("nested deeper than 64 levels"), "{err}");
+        assert!(parse(&nested(MAX_DEPTH, &[true, false])).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1, &[true, false])).is_err());
+    }
+
+    /// JSON's own characters, a few it has not, and non-ASCII, so that
+    /// arbitrary text often gets deep into the reader.
+    const JSON_ALPHABET: &[&str] = &[
+        "{",
+        "}",
+        "[",
+        "]",
+        "\"",
+        ":",
+        ",",
+        "\\",
+        "u",
+        "0",
+        "1",
+        "9",
+        ".",
+        "e",
+        "-",
+        "+",
+        "t",
+        "r",
+        "f",
+        "a",
+        "l",
+        "s",
+        "n",
+        " ",
+        "\n",
+        "é",
+        "\u{1F600}",
+        "x",
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn json_reader_never_panics_on_arbitrary_input(
+            raw in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..=512),
+        ) {
+            let text = String::from_utf8_lossy(&raw);
+            let _ = super::json::parse(&text);
+            let _ = validate_manifest(&text);
+            let picked: String = raw
+                .iter()
+                .map(|&b| JSON_ALPHABET[b as usize % JSON_ALPHABET.len()])
+                .collect();
+            let _ = super::json::parse(&picked);
+            let _ = validate_manifest(&picked);
+        }
+
+        #[test]
+        fn json_nesting_is_accepted_exactly_up_to_the_cap(
+            depth in 0usize..=160,
+            picks in proptest::collection::vec(proptest::prelude::any::<bool>(), 160),
+        ) {
+            let parsed = super::json::parse(&nested(depth, &picks));
+            proptest::prop_assert_eq!(parsed.is_ok(), depth <= super::json::MAX_DEPTH);
+        }
     }
 }
