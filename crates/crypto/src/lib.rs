@@ -10,6 +10,13 @@
 //! vectors: FIPS 180-4 for SHA-256, RFC 4231 for HMAC, RFC 5869 for HKDF
 //! and RFC 8439 for ChaCha20.
 //!
+//! SHA-256 compresses blocks with the x86 SHA extensions when the CPU
+//! has them and with portable Rust otherwise; the digests are the same
+//! (see [`sha256`]). The lint is `deny(unsafe_code)`, not `forbid`, for
+//! the one `unsafe` block in the crate: the call into that kernel, made
+//! only after a run-time check that the CPU has the features it was
+//! compiled for.
+//!
 //! **Scope note:** this crate exists so that the simulated protocols carry
 //! real layered encryption with authenticated peeling and bitwise
 //! unlinkability — the properties the paper's system model presumes. It has
@@ -37,7 +44,7 @@
 //! # Ok::<(), anonroute_crypto::Error>(())
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chacha20;
