@@ -219,7 +219,7 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
     let schema = get(top, "schema")?.as_str("schema")?;
     if schema != MANIFEST_SCHEMA {
         return Err(format!(
-            "schema mismatch: expected \"{MANIFEST_SCHEMA}\", found \"{schema}\""
+            "schema mismatch: expected \"{MANIFEST_SCHEMA}\", found \"{schema:.64}\""
         ));
     }
     get(top, "version")?.as_str("version")?;
@@ -312,7 +312,7 @@ pub fn validate_manifest(text: &str) -> Result<(), String> {
     let engines = get(outcome, "engines")?.as_object("outcome.engines")?;
     let mut engine_cells = 0.0;
     for (engine, tally) in engines {
-        let tally = tally.as_object(engine)?;
+        let tally = tally.as_object(&format!("outcome.engines.{engine:.64}"))?;
         engine_cells += get(tally, "cells")?.as_number("engine cells")?;
         get(tally, "errors")?.as_number("engine errors")?;
         get(tally, "seconds")?.as_number("engine seconds")?;
@@ -338,6 +338,8 @@ fn get<'a>(obj: &'a [(String, json::Value)], key: &str) -> Result<&'a json::Valu
 /// it rejects anything the grammar doesn't cover rather than guessing,
 /// including containers nested deeper than [`json::MAX_DEPTH`].
 mod json {
+    use std::collections::HashSet;
+
     /// Deepest container nesting the reader accepts. A v5 manifest
     /// nests four levels (document → `outcome` → `engines` → one
     /// engine's tallies); the cap bounds the reader's recursion, so a
@@ -363,31 +365,48 @@ mod json {
     }
 
     impl Value {
+        /// What the value is, for an error message: a hostile document
+        /// may hold megabytes where an object was expected, so an error
+        /// names the kind found, never the value.
+        fn kind(&self) -> &'static str {
+            match self {
+                Value::Null => "null",
+                Value::Bool(_) => "a boolean",
+                Value::Number(_) => "a number",
+                Value::String(_) => "a string",
+                Value::Array(_) => "an array",
+                Value::Object(_) => "an object",
+            }
+        }
+
         pub fn as_object(&self, what: &str) -> Result<&[(String, Value)], String> {
             match self {
                 Value::Object(fields) => Ok(fields),
-                other => Err(format!("{what}: expected an object, found {other:?}")),
+                other => Err(format!(
+                    "{what}: expected an object, found {}",
+                    other.kind()
+                )),
             }
         }
 
         pub fn as_array(&self, what: &str) -> Result<&[Value], String> {
             match self {
                 Value::Array(items) => Ok(items),
-                other => Err(format!("{what}: expected an array, found {other:?}")),
+                other => Err(format!("{what}: expected an array, found {}", other.kind())),
             }
         }
 
         pub fn as_str(&self, what: &str) -> Result<&str, String> {
             match self {
                 Value::String(s) => Ok(s),
-                other => Err(format!("{what}: expected a string, found {other:?}")),
+                other => Err(format!("{what}: expected a string, found {}", other.kind())),
             }
         }
 
         pub fn as_number(&self, what: &str) -> Result<f64, String> {
             match self {
                 Value::Number(n) => Ok(*n),
-                other => Err(format!("{what}: expected a number, found {other:?}")),
+                other => Err(format!("{what}: expected a number, found {}", other.kind())),
             }
         }
     }
@@ -551,6 +570,8 @@ mod json {
     fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(bytes, pos, b'{')?;
         let mut fields: Vec<(String, Value)> = Vec::new();
+        // keys seen so far, so that checking for duplicates is linear
+        let mut seen = HashSet::new();
         skip_ws(bytes, pos);
         if bytes.get(*pos) == Some(&b'}') {
             *pos += 1;
@@ -559,7 +580,7 @@ mod json {
         loop {
             skip_ws(bytes, pos);
             let key = parse_string(bytes, pos)?;
-            if fields.iter().any(|(k, _)| *k == key) {
+            if !seen.insert(key.clone()) {
                 return Err(format!("duplicate key {key:?}"));
             }
             skip_ws(bytes, pos);
@@ -735,6 +756,53 @@ mod tests {
         assert!(err.contains("nested deeper than 64 levels"), "{err}");
         assert!(parse(&nested(MAX_DEPTH, &[true, false])).is_ok());
         assert!(parse(&nested(MAX_DEPTH + 1, &[true, false])).is_err());
+    }
+
+    /// A one-line object of `keys` distinct keys, all numbers.
+    fn wide_object(keys: usize) -> String {
+        let fields: Vec<String> = (0..keys).map(|i| format!("\"k{i}\":{i}")).collect();
+        format!("{{{}}}", fields.join(","))
+    }
+
+    #[test]
+    fn json_reader_reads_wide_objects_and_rejects_any_duplicate() {
+        let err = validate_manifest(&wide_object(100_000)).unwrap_err();
+        assert_eq!(err, "missing required key \"schema\"");
+        let keys = 1_000;
+        for at in [0, 1, keys / 2, keys - 1] {
+            // the last field repeats field `at`'s key
+            let text = wide_object(keys).replacen('}', &format!(",\"k{at}\":0}}"), 1);
+            let err = json::parse(&text).unwrap_err();
+            assert_eq!(err, format!("duplicate key \"k{at}\""));
+        }
+        // one key spelled two ways is still one key
+        let err = json::parse("{\"a\":1,\"\\u0061\":2}").unwrap_err();
+        assert_eq!(err, "duplicate key \"a\"");
+    }
+
+    #[test]
+    fn type_errors_name_the_kind_found_not_the_value() {
+        let huge = "x".repeat(300_000);
+        let err = validate_manifest(&format!("\"{huge}\"")).unwrap_err();
+        assert_eq!(err, "manifest: expected an object, found a string");
+        let (grid, config, outcome) = swept();
+        let good = render_manifest(&grid, &config, &outcome);
+        let hostile = [
+            (good.replacen(MANIFEST_SCHEMA, &huge, 1), "schema mismatch"),
+            (
+                good.replacen(
+                    "\"exact\": {",
+                    &format!("\"{huge}\": [\"{huge}\"], \"exact\": {{"),
+                    1,
+                ),
+                "expected an object, found an array",
+            ),
+        ];
+        for (text, want) in hostile {
+            let err = validate_manifest(&text).unwrap_err();
+            assert!(err.contains(want), "{want}: {}", &err[..err.len().min(200)]);
+            assert!(err.len() < 200, "{} bytes: {}", err.len(), &err[..200]);
+        }
     }
 
     /// JSON's own characters, a few it has not, and non-ASCII, so that
