@@ -1,20 +1,18 @@
-//! Process health: liveness, readiness, and a status note.
+//! Process health: readiness and a status note.
 //!
-//! The split follows the usual orchestration contract: **liveness**
-//! ("is the process making progress at all?") should flip to false only
-//! when the process is wedged beyond recovery, while **readiness** ("can
-//! it do useful work right now?") starts false, flips true once startup
-//! completes (relays bound, directory built, sweep scheduled), and flips
-//! back to false during drain/shutdown so probes stop routing to it.
+//! **Readiness** ("can it do useful work right now?") starts false,
+//! flips true once startup completes (relays bound, directory built,
+//! sweep scheduled), and flips back to false during drain/shutdown so
+//! probes stop routing to it. Liveness needs no state: `/healthz`
+//! answers 200 whenever the server answers at all.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// Shared liveness/readiness state served by
+/// Shared readiness state and status note served by
 /// [`ObsServer`](crate::ObsServer)'s `/healthz` and `/readyz`.
 #[derive(Debug)]
 pub struct Health {
-    live: AtomicBool,
     ready: AtomicBool,
     status: Mutex<String>,
 }
@@ -26,28 +24,17 @@ impl Default for Health {
 }
 
 impl Health {
-    /// A fresh process: live, not yet ready, status `"starting"`.
+    /// A fresh process: not yet ready, status `"starting"`.
     pub fn new() -> Self {
         Health {
-            live: AtomicBool::new(true),
             ready: AtomicBool::new(false),
             status: Mutex::new("starting".to_string()),
         }
     }
 
-    /// Whether the process is making progress.
-    pub fn is_live(&self) -> bool {
-        self.live.load(Ordering::Relaxed)
-    }
-
     /// Whether the process can serve useful work right now.
     pub fn is_ready(&self) -> bool {
         self.ready.load(Ordering::Relaxed)
-    }
-
-    /// Marks the process wedged; `/healthz` turns 503.
-    pub fn set_live(&self, live: bool) {
-        self.live.store(live, Ordering::Relaxed);
     }
 
     /// Flips readiness; `/readyz` follows.
@@ -72,9 +59,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn starts_live_but_not_ready() {
+    fn starts_not_ready() {
         let h = Health::new();
-        assert!(h.is_live());
         assert!(!h.is_ready());
         assert_eq!(h.status(), "starting");
     }
@@ -87,9 +73,8 @@ mod tests {
         assert!(h.is_ready());
         assert_eq!(h.status(), "serving");
         h.set_ready(false);
-        h.set_live(false);
-        h.set_status("wedged in traffic phase");
+        h.set_status("draining");
         assert!(!h.is_ready());
-        assert!(!h.is_live());
+        assert_eq!(h.status(), "draining");
     }
 }

@@ -1,8 +1,8 @@
 //! A tiny hand-rolled HTTP/1.1 server for the observability surface.
 //!
 //! [`ObsServer`] binds a listener, answers `GET /metrics` (rendered from
-//! a shared [`Registry`]), `GET /healthz`, and `GET /readyz` (from a
-//! shared [`Health`]) — plus, when a [`SweepControl`] handle is
+//! a shared [`Registry`]), `GET /healthz` (200 whenever the server
+//! answers), and `GET /readyz` (from a shared [`Health`]) — plus, when a [`SweepControl`] handle is
 //! attached, the operator control plane: `POST /control/pause`,
 //! `/control/resume`, `/control/drain`, and `/control/abort`, each
 //! answering the sweep's resulting state. It is deliberately minimal:
@@ -272,7 +272,8 @@ fn route(
             "text/plain; version=0.0.4; charset=utf-8",
             registry.render(),
         ),
-        "/healthz" => probe(health.is_live(), "live", health),
+        // answering at all is the liveness signal
+        "/healthz" => probe(true, "live", health),
         "/readyz" => probe(health.is_ready(), "ready", health),
         _ => (
             "404 Not Found",

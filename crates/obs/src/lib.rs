@@ -11,8 +11,8 @@
 //! * [`registry`] — a labeled [`Registry`] of named metric families with
 //!   deterministic Prometheus-style text exposition (stable family and
 //!   series ordering, label escaping);
-//! * [`health`] — process [`Health`]: liveness, readiness, and a
-//!   free-form status note for probe bodies;
+//! * [`health`] — process [`Health`]: readiness and a free-form status
+//!   note for probe bodies;
 //! * [`http`] — [`ObsServer`], a tiny hand-rolled HTTP/1.1 server
 //!   exposing `GET /metrics`, `/healthz`, and `/readyz` on a
 //!   thread-per-connection accept loop with bounded shutdown — plus the
