@@ -32,12 +32,12 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-/// A SHA-256 compression function: folds one block into a state.
-type Compress = fn(&mut [u32; 8], &[u8; BLOCK_LEN]);
-
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// A SHA-256 compression function: folds one block into a state.
+type Compress = fn(&mut [u32; 8], &[u8; BLOCK_LEN]);
 
 /// Incremental SHA-256 hasher.
 ///
@@ -253,6 +253,8 @@ mod sha_ni {
     }
 
     /// Folds one block into `state`, as `super::compress_portable` does.
+    /// Call it only where [`detected`] holds: the CPU must have every
+    /// feature the kernel is compiled for.
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub(super) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
         let [a, b, c, d, e, f, g, h] = state.map(|v| v as i32);
