@@ -1,7 +1,9 @@
 //! Campaign throughput: the same scenario grid swept serially and on the
-//! full thread pool, plus the evaluator-cache effect in isolation.
+//! full thread pool, plus the evaluator-cache effect in isolation, and
+//! the paper's solve-then-sample flow, whose cells share one optimizer
+//! solve per strategy.
 
-use anonroute_campaign::{run, CampaignConfig, ScenarioGrid, StrategySpec};
+use anonroute_campaign::{run, CampaignConfig, EngineKind, ScenarioGrid, StrategySpec};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -47,7 +49,7 @@ fn bench_monte_carlo_grid(c: &mut Criterion) {
         .ns([50])
         .cs([1, 2])
         .strategies((1..=6).map(StrategySpec::Fixed))
-        .engines([anonroute_campaign::EngineKind::MonteCarlo]);
+        .engines([EngineKind::MonteCarlo]);
     let mut group = c.benchmark_group("campaign_mc_12_cells");
     group.sample_size(10);
     for (label, threads) in [("threads_1", 1usize), ("threads_auto", 0)] {
@@ -65,5 +67,36 @@ fn bench_monte_carlo_grid(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_serial_vs_parallel, bench_monte_carlo_grid);
+/// `optimal,optimal:6` × `exact,mc` at `n = 100`: four cells, two
+/// distinct optimization problems, each solved once per sweep.
+fn bench_optimal_grid(c: &mut Criterion) {
+    let grid = ScenarioGrid::new()
+        .ns([100])
+        .cs([1])
+        .strategies([
+            StrategySpec::Optimal { mean: None },
+            StrategySpec::Optimal { mean: Some(6.0) },
+        ])
+        .engines([EngineKind::Exact, EngineKind::MonteCarlo]);
+    let mut group = c.benchmark_group("campaign_optimal");
+    group.sample_size(10);
+    group.bench_function("exact_mc_2_strategies", |b| {
+        b.iter(|| {
+            let config = CampaignConfig {
+                threads: 1,
+                mc_samples: 20_000,
+                ..Default::default()
+            };
+            black_box(run(black_box(&grid), &config).ok_count())
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_serial_vs_parallel,
+    bench_monte_carlo_grid,
+    bench_optimal_grid
+);
 criterion_main!(benches);

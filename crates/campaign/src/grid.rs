@@ -7,8 +7,9 @@
 //! value lists; [`ScenarioGrid::cells`] expands it in a fixed, documented
 //! order so downstream output is stable across runs and thread counts.
 
+use anonroute_core::engine::EvaluatorCache;
 use anonroute_core::epochs::{ChurnModel, EpochSchedule, RotationPolicy};
-use anonroute_core::{optimize, PathKind, PathLengthDist, SystemModel};
+use anonroute_core::{PathKind, PathLengthDist, SystemModel};
 
 /// A route-selection strategy family member, by parameters rather than by
 /// realized distribution, so one grid can span system sizes (the same
@@ -99,18 +100,39 @@ impl StrategySpec {
         }
     }
 
+    /// Realizes the concrete path-length distribution under `model`, with
+    /// a fresh [`EvaluatorCache`]: every `optimal` strategy is solved
+    /// anew. A sweep realizes through [`StrategySpec::realize_in`] and its
+    /// own cache instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`StrategySpec::realize_in`].
+    pub fn realize(&self, model: &SystemModel) -> Result<PathLengthDist, String> {
+        self.realize_in(model, &EvaluatorCache::new())
+    }
+
     /// Realizes the concrete path-length distribution under `model`.
     ///
     /// For [`StrategySpec::Optimal`] this solves the paper's optimization
-    /// problem (deterministically — the solver is seed-free), over support
-    /// `0..=min(n-1, bound)` where the bound keeps sweep cells affordable.
+    /// problem over support `0..=min(n-1, bound)`, where the bound keeps
+    /// sweep cells affordable. Solves are memoized in `cache`
+    /// ([`EvaluatorCache::optimum`]), so the cells of one sweep that share
+    /// `(n, c, bound, mean)` — the same strategy under several engines —
+    /// solve it once. The solver is deterministic and seed-free, so a
+    /// reused outcome is the distribution a fresh solve would return, bit
+    /// for bit.
     ///
     /// # Errors
     ///
     /// Propagates distribution construction/validation errors (e.g. a
     /// fixed length exceeding `n - 1` on simple paths) as strings so a
     /// sweep can record infeasible cells instead of aborting.
-    pub fn realize(&self, model: &SystemModel) -> Result<PathLengthDist, String> {
+    pub fn realize_in(
+        &self,
+        model: &SystemModel,
+        cache: &EvaluatorCache,
+    ) -> Result<PathLengthDist, String> {
         let dist = match self {
             StrategySpec::Fixed(l) => PathLengthDist::fixed(*l),
             StrategySpec::Uniform(a, b) => {
@@ -128,17 +150,16 @@ impl StrategySpec {
                         "optimal strategies cover the paper's simple-path design space".into(),
                     );
                 }
-                let outcome = match mean {
-                    Some(m) => {
-                        let lmax = (model.n() - 1).min(2 * m.ceil() as usize + 20);
-                        optimize::maximize_with_mean(model, lmax, *m).map_err(|e| e.to_string())?
-                    }
-                    None => {
-                        let lmax = (model.n() - 1).min(60);
-                        optimize::maximize(model, lmax).map_err(|e| e.to_string())?
-                    }
+                let bound = match mean {
+                    Some(m) => (m.ceil() as usize).saturating_mul(2).saturating_add(20),
+                    None => 60,
                 };
-                outcome.dist
+                let lmax = (model.n() - 1).min(bound);
+                cache
+                    .optimum(model, lmax, *mean)
+                    .map_err(|e| e.to_string())?
+                    .dist
+                    .clone()
             }
         };
         model.validate_dist(&dist).map_err(|e| e.to_string())?;

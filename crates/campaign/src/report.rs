@@ -211,8 +211,9 @@ pub fn write_timings_csv(path: &Path, outcome: &CampaignOutcome) -> std::io::Res
     Ok(())
 }
 
-/// Human-readable run summary with throughput, cache, and the slowest
-/// cells.
+/// Human-readable run summary with throughput, cache reuse (evaluators,
+/// and optimizer solves when the sweep realized an `optimal` strategy),
+/// and the slowest cells.
 pub fn summary(outcome: &CampaignOutcome) -> String {
     let mut out = String::new();
     let wall_s = outcome.wall.as_secs_f64();
@@ -253,6 +254,15 @@ pub fn summary(outcome: &CampaignOutcome) -> String {
         },
     )
     .expect("writing to a String cannot fail");
+    let optima = outcome.strategies;
+    if optima.hits + optima.misses > 0 {
+        writeln!(
+            out,
+            "optimal strategies: {} solved, {} reused",
+            optima.misses, optima.hits,
+        )
+        .expect("writing to a String cannot fail");
+    }
     let mut slowest: Vec<&CellResult> = outcome.cells.iter().collect();
     slowest.sort_by_key(|c| std::cmp::Reverse(c.elapsed_micros));
     for cell in slowest.iter().take(3) {
@@ -412,6 +422,7 @@ mod tests {
             wall: std::time::Duration::from_millis(1),
             threads: 1,
             cache: Default::default(),
+            strategies: Default::default(),
             status: crate::runner::SweepStatus::Completed,
             skipped: 0,
         };

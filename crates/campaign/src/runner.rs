@@ -18,7 +18,8 @@
 //! * **Shared tables** — exact-engine cells for the same
 //!   `(n, c, path_kind, lmax)` model reuse one memoized
 //!   [`Evaluator`](anonroute_core::engine::simple::Evaluator) through the
-//!   cache instead of rebuilding the log-factorial tables per cell.
+//!   cache instead of rebuilding the log-factorial tables per cell, and
+//!   cells of one `optimal` strategy share one optimizer solve.
 //! * **Isolation** — an infeasible cell (e.g. `F(7)` in a 5-node system)
 //!   records an error string; it never aborts the sweep. Live cells run
 //!   inline too: the relay layer puts a deadline on every socket call, so
@@ -152,6 +153,9 @@ pub struct CampaignOutcome {
     pub threads: usize,
     /// Evaluator-cache hit/miss counters.
     pub cache: CacheStats,
+    /// Optimal-strategy hit/miss counters: `misses` problems solved,
+    /// `hits` cells that reused one of those solves.
+    pub strategies: CacheStats,
     /// How the sweep ended (completed, drained, or aborted).
     pub status: SweepStatus,
     /// Cells skipped because the sweep drained or aborted first.
@@ -270,6 +274,7 @@ pub fn run_controlled(
         wall: start.elapsed(),
         threads,
         cache: cache.stats(),
+        strategies: cache.strategy_stats(),
         status,
         skipped,
     };
@@ -347,7 +352,7 @@ fn run_cell(
     let setup = clock.phase(Phase::Setup);
     let model = SystemModel::with_path_kind(scenario.n, scenario.c, scenario.path_kind)
         .map_err(|e| e.to_string())?;
-    let dist = scenario.strategy.realize(&model)?;
+    let dist = scenario.strategy.realize_in(&model, cache)?;
     // every engine scoring this scenario must see the same realized
     // epochs, so the views derive from the engine-free dynamics seed —
     // never from the per-cell seed, which feeds session sampling only.
@@ -429,6 +434,59 @@ mod tests {
         // 4 models × 3 strategies: one build per model, the rest hit
         assert_eq!(outcome.cache.misses, 4);
         assert_eq!(outcome.cache.hits, 8);
+        // no optimal strategy, no solve, and no summary line about it
+        assert_eq!(outcome.strategies, CacheStats::default());
+        assert!(!crate::report::summary(&outcome).contains("optimal strategies"));
+    }
+
+    #[test]
+    fn optimal_strategies_are_solved_once_per_sweep() {
+        // the paper's flow: each optimal strategy scored exactly and by
+        // sampling — four cells, two distinct problems
+        let grid = ScenarioGrid::new()
+            .ns([100])
+            .cs([1])
+            .strategies([
+                StrategySpec::Optimal { mean: None },
+                StrategySpec::Optimal { mean: Some(6.0) },
+            ])
+            .engines([EngineKind::Exact, EngineKind::MonteCarlo]);
+        let config = |threads| CampaignConfig {
+            threads,
+            mc_samples: 2_000,
+            ..CampaignConfig::default()
+        };
+        let serial = run(&grid, &config(1));
+        let parallel = run(&grid, &config(4));
+        for outcome in [&serial, &parallel] {
+            assert_eq!(outcome.error_count(), 0);
+            assert_eq!(outcome.strategies, CacheStats { hits: 2, misses: 2 });
+        }
+        let summary = crate::report::summary(&serial);
+        assert!(
+            summary.contains("optimal strategies: 2 solved, 2 reused"),
+            "{summary}"
+        );
+        assert_eq!(
+            crate::report::render_jsonl(&serial, false),
+            crate::report::render_jsonl(&parallel, false)
+        );
+        assert_eq!(
+            crate::report::render_csv(&serial),
+            crate::report::render_csv(&parallel)
+        );
+        // a reused solve is the distribution a fresh solve returns
+        let model = SystemModel::new(100, 1).unwrap();
+        let fresh = StrategySpec::Optimal { mean: Some(6.0) }
+            .realize(&model)
+            .unwrap();
+        let exact = serial.cells[2].outcome.as_ref().unwrap();
+        let expect = engine::anonymity_degree(&model, &fresh).unwrap();
+        assert!(
+            (exact.h_star - expect).abs() < 1e-12,
+            "{} vs {expect}",
+            exact.h_star
+        );
     }
 
     #[test]

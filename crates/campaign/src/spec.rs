@@ -26,12 +26,19 @@ use crate::grid::{parse_path_kind, EngineKind, ScenarioGrid, StrategySpec};
 use crate::runner::CampaignConfig;
 use crate::settings::{Access, RunSetting};
 
+/// The longest integer list a flag value or spec key may expand to. Every
+/// grid this project ships lists at most five values per axis; the cap
+/// keeps a typo such as `--n 0..=18446744073709551615` from allocating the
+/// whole range before any other check runs.
+pub const MAX_LIST_LEN: usize = 10_000;
+
 /// Parses a list of non-negative integers: comma-separated values and/or
 /// `a..b` (exclusive) / `a..=b` (inclusive) ranges, e.g. `1,2,8..=10`.
 ///
 /// # Errors
 ///
-/// Returns a message naming the offending token.
+/// Returns a message naming the offending token, including the token that
+/// would take the list past [`MAX_LIST_LEN`] values.
 pub fn parse_usize_list(text: &str) -> Result<Vec<usize>, String> {
     let mut out = Vec::new();
     for token in text.split(',') {
@@ -39,21 +46,33 @@ pub fn parse_usize_list(text: &str) -> Result<Vec<usize>, String> {
         if token.is_empty() {
             continue;
         }
-        if let Some((lo, hi)) = token.split_once("..=") {
+        let (lo, hi) = if let Some((lo, hi)) = token.split_once("..=") {
             let (lo, hi) = (parse_usize(lo)?, parse_usize(hi)?);
             if lo > hi {
                 return Err(format!("range `{token}` is empty"));
             }
-            out.extend(lo..=hi);
+            (lo, hi)
         } else if let Some((lo, hi)) = token.split_once("..") {
             let (lo, hi) = (parse_usize(lo)?, parse_usize(hi)?);
             if lo >= hi {
                 return Err(format!("range `{token}` is empty"));
             }
-            out.extend(lo..hi);
+            (lo, hi - 1)
         } else {
-            out.push(parse_usize(token)?);
+            let value = parse_usize(token)?;
+            (value, value)
+        };
+        // `hi - lo + 1` overflows only for the full `0..=usize::MAX`
+        let fits = (hi - lo)
+            .checked_add(1)
+            .and_then(|len| len.checked_add(out.len()))
+            .is_some_and(|total| total <= MAX_LIST_LEN);
+        if !fits {
+            return Err(format!(
+                "`{token}` takes the list past {MAX_LIST_LEN} values"
+            ));
         }
+        out.extend(lo..=hi);
     }
     if out.is_empty() {
         return Err(format!("`{text}`: expected at least one integer"));
@@ -190,6 +209,9 @@ impl Value {
                             ))
                         }
                     }
+                    if out.len() > MAX_LIST_LEN {
+                        return Err(format!("{key}: more than {MAX_LIST_LEN} values"));
+                    }
                 }
                 Ok(out)
             }
@@ -274,8 +296,8 @@ fn strip_comment(line: &str) -> &str {
 ///
 /// # Errors
 ///
-/// Returns `line N: message` for the first offending line, or a message
-/// for missing required axes.
+/// Returns `line N: message` for the first offending line; a spec that
+/// never sets a required axis is reported at its last line.
 pub fn parse_spec(
     text: &str,
     base: &CampaignConfig,
@@ -384,8 +406,21 @@ pub fn parse_spec(
             (_, _) => return Err(at(format!("unknown key `{key}` in section [{section}]"))),
         }
     }
-    if grid.ns.is_empty() || grid.cs.is_empty() || !saw_strategies {
-        return Err("spec must set grid.n, grid.c, and grid.strategies".into());
+    let missing: Vec<&str> = [
+        ("grid.n", grid.ns.is_empty()),
+        ("grid.c", grid.cs.is_empty()),
+        ("grid.strategies", !saw_strategies),
+    ]
+    .into_iter()
+    .filter_map(|(axis, unset)| unset.then_some(axis))
+    .collect();
+    if !missing.is_empty() {
+        // nothing is wrong with any one line: point at the end of the spec
+        return Err(format!(
+            "line {}: the spec ends without {} (it must set grid.n, grid.c, and grid.strategies)",
+            text.lines().count().max(1),
+            missing.join(", ")
+        ));
     }
     Ok((grid, config))
 }
@@ -403,6 +438,30 @@ mod tests {
         assert!(parse_usize_list("5..=2").is_err());
         assert!(parse_usize_list("x").is_err());
         assert!(parse_usize_list("").is_err());
+    }
+
+    #[test]
+    fn usize_lists_are_capped_before_they_are_built() {
+        // the full range would be 2^64 values: rejected from its bounds
+        // alone, naming the token
+        let err = parse_usize_list("0..=18446744073709551615").unwrap_err();
+        assert!(err.contains("`0..=18446744073709551615`"), "{err}");
+        assert!(err.contains("10000"), "{err}");
+        let err = parse_usize_list(&format!("3,0..{}", usize::MAX)).unwrap_err();
+        assert!(err.contains(&format!("`0..{}`", usize::MAX)), "{err}");
+        assert!(parse_usize_list("1..=10000000000").is_err());
+        // the cap counts the whole list, not one token
+        assert_eq!(parse_usize_list("1..=10000").unwrap().len(), MAX_LIST_LEN);
+        let err = parse_usize_list("1..=10000,7").unwrap_err();
+        assert!(err.contains("`7`"), "{err}");
+        assert_eq!(parse_usize_list("0..10000").unwrap().len(), MAX_LIST_LEN);
+        // spec files go through the same parser, and arrays count in total
+        let spec = |n: &str| format!("[grid]\nn = {n}\nc = 1\nstrategies = \"fixed:1\"\n");
+        let base = CampaignConfig::default();
+        let err = parse_spec(&spec("\"1..=10000000000\""), &base).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
+        let err = parse_spec(&spec("[\"1..=6000\", \"1..=6000\"]"), &base).unwrap_err();
+        assert!(err.starts_with("line 2:"), "{err}");
     }
 
     #[test]
@@ -576,7 +635,11 @@ metrics_addr = "127.0.0.1:9464"
         assert!(err.contains("line 4"), "{err}");
         assert!(parse_spec("[nope]\n", &CampaignConfig::default()).is_err());
         assert!(parse_spec("x = 1\n", &CampaignConfig::default()).is_err());
-        assert!(parse_spec("[grid]\nn = 10\n", &CampaignConfig::default()).is_err());
+        let err = parse_spec("[grid]\nn = 10\n", &CampaignConfig::default()).unwrap_err();
+        assert!(
+            err.starts_with("line 2: the spec ends without grid.c, grid.strategies"),
+            "{err}"
+        );
         // a run setting that no longer exists is rejected, not ignored
         let retired =
             "[grid]\nn = 10\nc = 1\nstrategies = \"fixed:1\"\n[run]\nlive_timeout_ms = 5\n";

@@ -1,12 +1,103 @@
 //! Property tests: `Display` ↔ `parse` round-trips for the whole
 //! scenario vocabulary — strategy specs, engine kinds, and full
-//! scenarios — over generated inputs rather than hand-picked cases.
+//! scenarios — over generated inputs rather than hand-picked cases; and
+//! the spec-file and integer-list parsers against hostile text.
 
+use anonroute_campaign::runner::CampaignConfig;
+use anonroute_campaign::spec::{parse_spec, parse_usize_list, MAX_LIST_LEN};
 use anonroute_campaign::{
     ChurnModel, EngineKind, EpochSchedule, RotationPolicy, Scenario, StrategySpec,
 };
 use anonroute_core::PathKind;
+use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// A spec file exercising every axis and every value form the parser
+/// takes: arrays, quoted lists, ranges, booleans and comments.
+const VALID_SPEC: &str = "# the optimal-design sweep\n\
+[grid]\n\
+n = [50, \"100..=101\"]\n\
+c = \"1..3\"\n\
+paths = \"simple\"\n\
+strategies = [\"optimal\", \"optimal:6\", \"uniform:2:8\"]  # two solves\n\
+engines = [\"exact\", \"mc\"]\n\
+epochs = 1\n\
+rotation = \"static\"\n\
+churn = \"none\"\n\
+[run]\n\
+seed = 101\n\
+mc_samples = 2000\n\
+progress = false\n";
+
+/// Pieces of the spec grammar, so generated text reaches past the first
+/// tokenizer error: section headers, keys, separators, range forms and
+/// the integer extremes.
+const FRAGMENTS: &[&str] = &[
+    "[grid]",
+    "[run]",
+    "[config]",
+    "[",
+    "]",
+    "\n",
+    "\r\n",
+    " ",
+    "=",
+    "\"",
+    ",",
+    "#",
+    "..",
+    "..=",
+    "0",
+    "7",
+    "100",
+    "18446744073709551615",
+    "-1",
+    "1.5",
+    "n",
+    "c",
+    "strategies",
+    "engines",
+    "epochs",
+    "rotation",
+    "churn",
+    "paths",
+    "seed",
+    "threads",
+    "mc_samples",
+    "progress",
+    "metrics_addr",
+    "trace_out",
+    "true",
+    "optimal:",
+    "fixed:",
+    "uniform:2:",
+    "shift:",
+    "iid:0.",
+    "é",
+    "\u{1F600}",
+    "\0",
+];
+
+/// Renders generated fragment indices as text; indices past the fragment
+/// table become arbitrary characters.
+fn render(pieces: &[u32]) -> String {
+    pieces
+        .iter()
+        .map(|&k| match FRAGMENTS.get(k as usize) {
+            Some(fragment) => fragment.to_string(),
+            None => char::from_u32(k).unwrap_or('\u{FFFD}').to_string(),
+        })
+        .collect()
+}
+
+/// Whether `err` is a `line N: …` error with `N` a line of `text`.
+fn names_a_line(err: &str, text: &str) -> bool {
+    let lines = text.lines().count().max(1);
+    err.strip_prefix("line ")
+        .and_then(|rest| rest.split_once(": "))
+        .and_then(|(n, _)| n.parse::<usize>().ok())
+        .is_some_and(|n| (1..=lines).contains(&n))
+}
 
 /// Generates an arbitrary epoch schedule from raw parameters; index 0
 /// yields the one-shot default so the legacy five-token form stays
@@ -138,4 +229,47 @@ proptest! {
         };
         prop_assert!(Scenario::parse(&bad).is_err(), "`{}` parsed", bad);
     }
+
+    #[test]
+    fn spec_parsers_never_panic_on_arbitrary_text(
+        pieces in vec(0u32..0x100, 0..64),
+    ) {
+        let text = render(&pieces);
+        if let Ok(values) = parse_usize_list(&text) {
+            prop_assert!(values.len() <= MAX_LIST_LEN);
+        }
+        if let Ok((grid, _)) = parse_spec(&text, &CampaignConfig::default()) {
+            prop_assert!(grid.ns.len() <= MAX_LIST_LEN && grid.cs.len() <= MAX_LIST_LEN);
+        }
+    }
+
+    #[test]
+    fn mutated_or_truncated_specs_parse_or_name_a_line(
+        at in 0usize..VALID_SPEC.len() + 1,
+        byte in 0u8..0x80,
+        truncate in any::<bool>(),
+    ) {
+        // ASCII replacements keep the text UTF-8, like the spec itself
+        let mut bytes = VALID_SPEC.as_bytes().to_vec();
+        if truncate {
+            bytes.truncate(at);
+        } else if at < bytes.len() {
+            bytes[at] = byte;
+        } else {
+            bytes.push(byte);
+        }
+        let text = String::from_utf8(bytes).expect("ASCII edits of ASCII text");
+        if let Err(err) = parse_spec(&text, &CampaignConfig::default()) {
+            prop_assert!(names_a_line(&err, &text), "{:?} gave {:?}", text, err);
+        }
+    }
+}
+
+#[test]
+fn the_mutation_base_is_a_valid_spec() {
+    let (grid, config) = parse_spec(VALID_SPEC, &CampaignConfig::default()).unwrap();
+    assert_eq!(grid.ns, vec![50, 100, 101]);
+    assert_eq!(grid.cs, vec![1, 2]);
+    assert_eq!(grid.strategies.len(), 3);
+    assert_eq!((config.seed, config.mc_samples), (101, 2000));
 }

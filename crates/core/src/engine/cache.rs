@@ -1,5 +1,5 @@
-//! Shared, memoized [`Evaluator`] and [`FoldWorkspace`] handles for
-//! multi-scenario sweeps.
+//! Shared, memoized [`Evaluator`], [`FoldWorkspace`] and optimizer
+//! handles for multi-scenario sweeps.
 //!
 //! Building an [`Evaluator`] precomputes log-factorial tables for a
 //! `(model, lmax)` pair; a parameter sweep evaluates many strategies
@@ -9,10 +9,19 @@
 //! cheap-to-clone [`SharedEvaluator`] handles (`Arc`s) keyed by
 //! `(n, c, path_kind, lmax)` and is safe to use concurrently.
 //!
-//! The same cache also memoizes [`FoldWorkspace`]s keyed by
-//! `(model, path-length distribution)`, so multi-epoch estimators reuse
-//! one workspace per epoch model instead of rebuilding per-session tables
-//! (counted separately — see [`EvaluatorCache::workspace_stats`]).
+//! The cache keeps three maps, each counted separately:
+//!
+//! * evaluators, keyed by `(n, c, path_kind, lmax)`
+//!   ([`EvaluatorCache::stats`]);
+//! * [`FoldWorkspace`]s, keyed by `(model, path-length distribution)`, so
+//!   multi-epoch estimators reuse one workspace per epoch model instead of
+//!   rebuilding per-session tables ([`EvaluatorCache::workspace_stats`]);
+//! * solved optimization problems ([`OptimizationOutcome`]s), keyed by
+//!   `(n, c, path_kind, lmax, mean)`, so every engine scoring one
+//!   `optimal` strategy shares one solve
+//!   ([`EvaluatorCache::strategy_stats`]). The solver is deterministic and
+//!   seed-free, so a reused outcome is the pmf a fresh solve would return,
+//!   bit for bit.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -24,6 +33,7 @@ use crate::engine::fold::FoldWorkspace;
 use crate::engine::simple::Evaluator;
 use crate::error::Result;
 use crate::model::{PathKind, SystemModel};
+use crate::optimize::{self, OptimizationOutcome};
 
 /// A cheap-to-clone, thread-shareable handle to an exact [`Evaluator`].
 pub type SharedEvaluator = Arc<Evaluator>;
@@ -45,8 +55,17 @@ type EvaluatorKey = (usize, usize, PathKind, usize);
 /// `max_len` too).
 type WorkspaceKey = (usize, usize, PathKind, Vec<u64>);
 
+/// A cheap-to-clone, thread-shareable handle to a solved optimization
+/// problem.
+pub type SharedOutcome = Arc<OptimizationOutcome>;
+
+/// Optimizer outcomes are keyed by the model identity, the support bound
+/// and the exact bits of the fixed mean, if any.
+type OutcomeKey = (usize, usize, PathKind, usize, Option<u64>);
+
 /// Concurrency-safe memoization of [`Evaluator`] construction, keyed by
-/// `(n, c, path_kind, lmax)`, with a secondary [`FoldWorkspace`] map.
+/// `(n, c, path_kind, lmax)`, with secondary [`FoldWorkspace`] and
+/// optimizer-outcome maps.
 ///
 /// # Examples
 ///
@@ -72,6 +91,9 @@ pub struct EvaluatorCache {
     misses: AtomicUsize,
     ws_hits: AtomicUsize,
     ws_misses: AtomicUsize,
+    optima: Mutex<HashMap<OutcomeKey, Slot<OptimizationOutcome>>>,
+    opt_hits: AtomicUsize,
+    opt_misses: AtomicUsize,
 }
 
 /// Hit/miss counters of an [`EvaluatorCache`] map.
@@ -197,6 +219,42 @@ impl EvaluatorCache {
         )
     }
 
+    /// Returns the shared solution of the paper's optimization problem
+    /// over `0..=lmax` under `model` — [`optimize::maximize_with_mean`]
+    /// when `mean` is set, [`optimize::maximize`] otherwise — solving it
+    /// on first use with the same once-per-key deduplication as
+    /// [`EvaluatorCache::evaluator`]. Counted in
+    /// [`EvaluatorCache::strategy_stats`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates the solver's validation (cyclic models, `lmax > n - 1`,
+    /// infeasible means); a failed solve caches nothing.
+    pub fn optimum(
+        &self,
+        model: &SystemModel,
+        lmax: usize,
+        mean: Option<f64>,
+    ) -> Result<SharedOutcome> {
+        let key = (
+            model.n(),
+            model.c(),
+            model.path_kind(),
+            lmax,
+            mean.map(f64::to_bits),
+        );
+        get_or_build(
+            &self.optima,
+            &self.opt_hits,
+            &self.opt_misses,
+            key,
+            || match mean {
+                Some(m) => optimize::maximize_with_mean(model, lmax, m),
+                None => optimize::maximize(model, lmax),
+            },
+        )
+    }
+
     /// Number of distinct evaluators currently cached.
     pub fn len(&self) -> usize {
         built_len(&self.map)
@@ -225,6 +283,15 @@ impl EvaluatorCache {
         CacheStats {
             hits: self.ws_hits.load(Ordering::Relaxed),
             misses: self.ws_misses.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Current optimizer-outcome hit/miss counters: `misses` is the
+    /// number of distinct problems solved, `hits` the solves saved.
+    pub fn strategy_stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.opt_hits.load(Ordering::Relaxed),
+            misses: self.opt_misses.load(Ordering::Relaxed),
         }
     }
 }
@@ -332,5 +399,65 @@ mod tests {
         let got = ws.posterior(&obs, &compromised).unwrap();
         let expect = sender_posterior(&model, &dist, &obs, &compromised).unwrap();
         assert_eq!(got, expect);
+    }
+
+    #[test]
+    fn racing_first_lookups_of_one_optimum_solve_once() {
+        let cache = EvaluatorCache::new();
+        let model = SystemModel::new(40, 1).unwrap();
+        let start = std::sync::Barrier::new(8);
+        let outcomes: Vec<SharedOutcome> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.optimum(&model, 12, Some(4.0)).unwrap()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(cache.strategy_stats(), CacheStats { hits: 7, misses: 1 });
+        assert!(outcomes.iter().all(|o| Arc::ptr_eq(o, &outcomes[0])));
+        // the memoized outcome is the one a fresh solve returns, bit for bit
+        let fresh = optimize::maximize_with_mean(&model, 12, 4.0).unwrap();
+        assert_eq!(*outcomes[0], fresh);
+        // optimizer traffic leaves the other maps' stats untouched
+        assert_eq!(cache.stats(), CacheStats::default());
+        assert_eq!(cache.workspace_stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn infeasible_optima_error_every_time_and_cache_nothing() {
+        // `optimal:50` at n = 10: the support is 0..=9, so mean 50 is
+        // infeasible in every cell that asks for it
+        let cache = EvaluatorCache::new();
+        let model = SystemModel::new(10, 1).unwrap();
+        for _ in 0..3 {
+            assert!(cache.optimum(&model, 9, Some(50.0)).is_err());
+        }
+        assert_eq!(cache.strategy_stats(), CacheStats::default());
+        assert!(cache.optima.lock().unwrap().is_empty());
+        // and a cyclic model never reaches a simple-path solve
+        let cyclic = SystemModel::with_path_kind(10, 1, PathKind::Cyclic).unwrap();
+        assert!(cache.optimum(&cyclic, 9, None).is_err());
+        assert_eq!(cache.strategy_stats(), CacheStats::default());
+    }
+
+    #[test]
+    fn distinct_means_get_distinct_optima() {
+        let cache = EvaluatorCache::new();
+        let model = SystemModel::new(30, 1).unwrap();
+        let free = cache.optimum(&model, 12, None).unwrap();
+        let six = cache.optimum(&model, 12, Some(6.0)).unwrap();
+        let six_and_a_half = cache.optimum(&model, 12, Some(6.5)).unwrap();
+        let six_again = cache.optimum(&model, 12, Some(6.0)).unwrap();
+        assert_eq!(built_len(&cache.optima), 3);
+        assert_eq!(cache.strategy_stats(), CacheStats { hits: 1, misses: 3 });
+        assert!(Arc::ptr_eq(&six, &six_again));
+        assert!(!Arc::ptr_eq(&six, &six_and_a_half));
+        assert!((six.dist.mean() - 6.0).abs() < 1e-9);
+        assert!((six_and_a_half.dist.mean() - 6.5).abs() < 1e-9);
+        assert!(free.h_star >= six.h_star);
     }
 }

@@ -17,7 +17,7 @@ mod observation;
 mod posterior;
 pub mod simple;
 
-pub use cache::{CacheStats, EvaluatorCache, SharedEvaluator, SharedWorkspace};
+pub use cache::{CacheStats, EvaluatorCache, SharedEvaluator, SharedOutcome, SharedWorkspace};
 pub use fold::{FoldWorkspace, RoundPosterior};
 pub use montecarlo::{
     estimate_anonymity_degree, sample_path, sample_path_into, MonteCarloEstimate,

@@ -34,7 +34,7 @@ fn main() {
         )
         .expect("csv");
     }
-    let f6 = fig6(2, 50, 99);
+    let f6 = fig6(2, 50, 99).series;
     print_table("Figure 6", "L", &f6);
     write_csv(&dir.join("fig6.csv"), "L", &f6).expect("csv");
 

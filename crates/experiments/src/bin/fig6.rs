@@ -3,23 +3,24 @@
 
 use anonroute_core::optimize;
 use anonroute_core::SystemModel;
-use anonroute_experiments::figures::fig6;
+use anonroute_experiments::figures::{fig6, Fig6};
 use anonroute_experiments::output::{ensure_results_dir, print_table, write_csv};
 
 fn main() {
     let lmax = 99;
-    let series = fig6(2, 50, lmax);
+    let l_from = 2;
+    let Fig6 { series, optima } = fig6(l_from, 50, lmax);
     print_table(
         "Figure 6: optimization vs F(L) and U(2,2L-2) (n=100, c=1)",
         "L",
         &series,
     );
 
-    // describe the optimal distribution's shape at a few means
-    let model = SystemModel::new(100, 1).expect("valid");
+    // describe the optimal distribution's shape at a few means, from the
+    // solves the figure has just made
     println!("\nOptimal distribution shapes:");
     for mean in [5usize, 10, 20, 40] {
-        let out = optimize::maximize_with_mean(&model, lmax, mean as f64).expect("feasible");
+        let out = &optima[mean - l_from];
         let pmf = out.dist.pmf();
         let support: Vec<(usize, f64)> = pmf
             .iter()
@@ -35,6 +36,7 @@ fn main() {
             support.len()
         );
     }
+    let model = SystemModel::new(100, 1).expect("valid");
     let (delta_best, _) = optimize::best_uniform_with_mean(&model, lmax, 10).expect("feasible");
     println!("  best uniform spread at E[L]=10: delta = {delta_best}");
 

@@ -166,17 +166,31 @@ pub fn fig5() -> [(String, Vec<Series>); 4] {
     ]
 }
 
+/// Figure 6: the plotted series and the optimizer outcomes behind them.
+#[derive(Debug, Clone)]
+pub struct Fig6 {
+    /// `F(L)`, `U(2, 2L-2)`, the best uniform spread and the optimum,
+    /// each indexed by `L`.
+    pub series: Vec<Series>,
+    /// The mean-constrained optimum at each plotted `L`, in order:
+    /// `optima[i]` is the solve at `E[L] = l_from + i`.
+    pub optima: Vec<optimize::OptimizationOutcome>,
+}
+
 /// Figure 6: the optimization result. For each expected length `L`,
 /// compares `F(L)`, the paper's family pick `U(2, 2L-2)`, the best uniform
 /// spread `U(L-Δ*, L+Δ*)`, and the general mean-constrained optimum over
-/// all distributions on `0..=lmax`.
-pub fn fig6(l_from: usize, l_to: usize, lmax: usize) -> Vec<Series> {
+/// all distributions on `0..=lmax`. The optimal distributions themselves
+/// come back in [`Fig6::optima`], so callers describing their shape need
+/// not solve again.
+pub fn fig6(l_from: usize, l_to: usize, lmax: usize) -> Fig6 {
     let model = paper_model();
     let ev = evaluator(&model);
     let mut fixed = Vec::new();
     let mut u2 = Vec::new();
     let mut best_uniform = Vec::new();
     let mut optimal = Vec::new();
+    let mut optima = Vec::new();
     for l in l_from..=l_to {
         let x = l as f64;
         fixed.push((x, Some(h_fixed(&ev, 99, l))));
@@ -190,8 +204,9 @@ pub fn fig6(l_from: usize, l_to: usize, lmax: usize) -> Vec<Series> {
         let opt =
             optimize::maximize_with_mean(&model, lmax, l as f64).expect("mean within support");
         optimal.push((x, Some(opt.h_star)));
+        optima.push(opt);
     }
-    vec![
+    let series = vec![
         Series {
             name: "F(L)".into(),
             points: fixed,
@@ -208,7 +223,8 @@ pub fn fig6(l_from: usize, l_to: usize, lmax: usize) -> Vec<Series> {
             name: "Optimization".into(),
             points: optimal,
         },
-    ]
+    ];
+    Fig6 { series, optima }
 }
 
 #[cfg(test)]
@@ -279,7 +295,11 @@ mod tests {
 
     #[test]
     fn fig6_optimization_dominates_families() {
-        let series = fig6(3, 10, 30);
+        let Fig6 { series, optima } = fig6(3, 10, 30);
+        assert_eq!(optima.len(), 8);
+        for (i, opt) in optima.iter().enumerate() {
+            assert!((opt.dist.mean() - (3 + i) as f64).abs() < 1e-9);
+        }
         let get = |name: &str| series.iter().find(|s| s.name == name).unwrap();
         let opt = get("Optimization");
         let fam = get("best U(L-D,L+D)");
