@@ -5,12 +5,14 @@
 //! The workload is protocol-free on purpose — a minimal countdown relay
 //! whose per-event work is a couple of RNG draws and one send — so the
 //! measured rate is the engine's (queue, clock, dispatch), not the
-//! onion stack's. Arrivals come from a streamed [`UniformProcess`], the
-//! O(1)-memory path a million-sender cell uses.
+//! onion stack's. Arrivals come from [`UniformTraffic::generate`] and
+//! are all scheduled up front through `schedule_arrivals`, the path a
+//! campaign sim cell takes.
 
 use anonroute_sim::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rand::Rng;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
 /// Hops each message takes before reaching the receiver.
@@ -47,7 +49,12 @@ impl NodeBehavior for CountdownRelay {
 fn des_run(n: usize, seed: u64) -> u64 {
     let nodes: Vec<CountdownRelay> = (0..n).map(|_| CountdownRelay { n }).collect();
     let mut sim = Simulation::new(nodes, LatencyModel::Uniform { lo: 20, hi: 200 }, seed);
-    sim.attach_traffic(UniformProcess::new(MESSAGES, 5, 1, n));
+    let traffic = UniformTraffic {
+        count: MESSAGES,
+        interval_us: 5,
+        payload_len: 1,
+    };
+    sim.schedule_arrivals(traffic.generate(n, &mut StdRng::seed_from_u64(seed)));
     sim.run();
     sim.events_processed()
 }

@@ -221,18 +221,29 @@ impl Value {
         }
     }
 
-    fn as_str_list(&self, key: &str) -> Result<Vec<String>, String> {
-        match self {
-            Value::Str(s) => Ok(vec![s.clone()]),
-            Value::Array(items) => items
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => Ok(s.clone()),
-                    other => Err(format!("{key}: expected string, got {other:?}")),
-                })
-                .collect(),
-            other => Err(format!("{key}: expected string list, got {other:?}")),
+    /// Parses a string-list value — one quoted string or an array of
+    /// them — splitting every string on commas the way [`parse_tokens`]
+    /// splits a flag value, so `"exact,mc"` and `["exact", "mc"]` agree.
+    fn parse_list<T>(
+        &self,
+        key: &str,
+        parse: impl Fn(&str) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = match self {
+            Value::Array(items) => items.as_slice(),
+            one => std::slice::from_ref(one),
+        };
+        let mut out = Vec::new();
+        for item in items {
+            let Value::Str(text) = item else {
+                return Err(format!("{key}: expected string, got {item:?}"));
+            };
+            out.extend(parse_tokens(text, &parse)?);
         }
+        if out.is_empty() {
+            return Err(format!("{key}: expected at least one value"));
+        }
+        Ok(out)
     }
 
     fn as_u64(&self, key: &str) -> Result<u64, String> {
@@ -337,33 +348,14 @@ pub fn parse_spec(
             ("grid", "n") => grid.ns = value.as_usize_list(key).map_err(at)?,
             ("grid", "c") => grid.cs = value.as_usize_list(key).map_err(at)?,
             ("grid", "path" | "paths") => {
-                grid.path_kinds = value
-                    .as_str_list(key)
-                    .map_err(at)?
-                    .iter()
-                    .map(|s| parse_path_kind(s))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
+                grid.path_kinds = value.parse_list(key, parse_path_kind).map_err(at)?;
             }
             ("grid", "strategy" | "strategies") => {
-                grid.strategies = value
-                    .as_str_list(key)
-                    .map_err(at)?
-                    .iter()
-                    .flat_map(|s| s.split(',').map(str::trim).filter(|t| !t.is_empty()))
-                    .map(StrategySpec::parse)
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
+                grid.strategies = value.parse_list(key, StrategySpec::parse).map_err(at)?;
                 saw_strategies = true;
             }
             ("grid", "engine" | "engines") => {
-                grid.engines = value
-                    .as_str_list(key)
-                    .map_err(at)?
-                    .iter()
-                    .map(|s| EngineKind::parse(s))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
+                grid.engines = value.parse_list(key, EngineKind::parse).map_err(at)?;
             }
             ("grid", "epochs") => {
                 let epochs = value.as_usize_list(key).map_err(at)?;
@@ -373,22 +365,10 @@ pub fn parse_spec(
                 grid.epochs = epochs;
             }
             ("grid", "rotation" | "rotations") => {
-                grid.rotations = value
-                    .as_str_list(key)
-                    .map_err(at)?
-                    .iter()
-                    .map(|s| RotationPolicy::parse(s))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
+                grid.rotations = value.parse_list(key, RotationPolicy::parse).map_err(at)?;
             }
             ("grid", "churn" | "churns") => {
-                grid.churns = value
-                    .as_str_list(key)
-                    .map_err(at)?
-                    .iter()
-                    .map(|s| ChurnModel::parse(s))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(at)?;
+                grid.churns = value.parse_list(key, ChurnModel::parse).map_err(at)?;
             }
             ("run", _) => {
                 let setting = RunSetting::by_key(key)

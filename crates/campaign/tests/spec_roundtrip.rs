@@ -4,7 +4,7 @@
 //! the spec-file and integer-list parsers against hostile text.
 
 use anonroute_campaign::runner::CampaignConfig;
-use anonroute_campaign::spec::{parse_spec, parse_usize_list, MAX_LIST_LEN};
+use anonroute_campaign::spec::{grid_from_flags, parse_spec, parse_usize_list, MAX_LIST_LEN};
 use anonroute_campaign::{
     ChurnModel, EngineKind, EpochSchedule, RotationPolicy, Scenario, StrategySpec,
 };
@@ -272,4 +272,38 @@ fn the_mutation_base_is_a_valid_spec() {
     assert_eq!(grid.cs, vec![1, 2]);
     assert_eq!(grid.strategies.len(), 3);
     assert_eq!((config.seed, config.mc_samples), (101, 2000));
+}
+
+/// Every list axis written as one quoted comma list, the form the CLI
+/// flags take, builds the grid the flags build.
+#[test]
+fn quoted_comma_lists_build_the_flag_grid() {
+    let spec = "[grid]\n\
+n = \"50,100\"\n\
+c = \"1..=2\"\n\
+paths = \"simple, cyclic\"\n\
+strategies = \"fixed:3,uniform:2:8\"\n\
+engines = \"exact,mc\"\n\
+epochs = \"1,4\"\n\
+rotation = \"static,shift:2,resample\"\n\
+churn = \"none,iid:0.25\"\n";
+    let (from_spec, _) = parse_spec(spec, &CampaignConfig::default()).unwrap();
+    let from_flags = grid_from_flags(
+        "50,100",
+        "1..=2",
+        "simple, cyclic",
+        "fixed:3,uniform:2:8",
+        "exact,mc",
+        "1,4",
+        "static,shift:2,resample",
+        "none,iid:0.25",
+    )
+    .unwrap();
+    assert_eq!(from_spec, from_flags);
+    assert_eq!(from_spec.engines.len(), 2);
+    assert_eq!(from_spec.rotations.len(), 3);
+    // a list with no values is an error, not an empty axis
+    let empty = "[grid]\nn = 10\nc = 1\nstrategies = \"fixed:1\"\nengines = \" , \"\n";
+    let err = parse_spec(empty, &CampaignConfig::default()).unwrap_err();
+    assert_eq!(err, "line 5: engines: expected at least one value");
 }

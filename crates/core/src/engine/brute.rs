@@ -93,8 +93,8 @@ fn sequences(n: usize, remaining: usize, path: &mut Vec<usize>, out: &mut Vec<Ve
     }
 }
 
-/// Anonymity degree computed straight from the definition. Exponential;
-/// use only for tiny systems (roughly `n ≤ 8`, `lmax ≤ 4`).
+/// Anonymity degree computed straight from the definition. Its cost
+/// grows exponentially; use only for tiny systems (roughly `n ≤ 8`, `lmax ≤ 4`).
 ///
 /// # Errors
 ///

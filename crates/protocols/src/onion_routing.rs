@@ -27,8 +27,6 @@ pub struct OnionNode {
     keys: Arc<KeyStore>,
     sampler: RouteSampler,
     cell_size: usize,
-    relayed: u64,
-    dropped: u64,
 }
 
 impl OnionNode {
@@ -56,19 +54,7 @@ impl OnionNode {
             keys,
             sampler,
             cell_size,
-            relayed: 0,
-            dropped: 0,
         })
-    }
-
-    /// Cells this node relayed.
-    pub fn relayed(&self) -> u64 {
-        self.relayed
-    }
-
-    /// Cells this node dropped (authentication failures).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 }
 
@@ -95,7 +81,6 @@ impl NodeBehavior for OnionNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Endpoint, msg: Message) {
         match onion::peel(&self.keys.key(self.id), &msg.bytes) {
             Ok(Peeled::Forward { next, content }) => {
-                self.relayed += 1;
                 let cell = onion::frame_filled(&content, self.cell_size, |tail| {
                     ctx.rng().fill_bytes(tail)
                 })
@@ -103,12 +88,10 @@ impl NodeBehavior for OnionNode {
                 ctx.send(next as NodeId, Message::new(msg.id, cell));
             }
             Ok(Peeled::Deliver { payload }) => {
-                self.relayed += 1;
                 ctx.send_to_receiver(Message::new(msg.id, payload));
             }
             Err(_) => {
                 // not addressed to us / corrupted: a real router drops it
-                self.dropped += 1;
             }
         }
     }
@@ -183,11 +166,20 @@ mod tests {
         sim.schedule_origination(SimTime::ZERO, 0, vec![7; 32]);
         sim.run();
         // we cannot inspect cell bytes from the trace (it stores ids), but
-        // relaying must have happened at 4 nodes with no drops
-        let relayed: u64 = (0..10).map(|i| sim.node(i).relayed()).sum();
-        let dropped: u64 = (0..10).map(|i| sim.node(i).dropped()).sum();
-        assert_eq!(relayed, 4);
-        assert_eq!(dropped, 0);
+        // 4 distinct routers must each have relayed the cell once, in a
+        // chain, and the last one delivered it intact: nothing was dropped
+        let trace = sim.trace();
+        assert_eq!(trace.len(), 5);
+        assert_eq!(trace[0].from, Endpoint::Node(0));
+        for edge in trace.windows(2) {
+            assert_eq!(edge[0].to, edge[1].from);
+        }
+        let relays: Vec<Endpoint> = trace[1..].iter().map(|t| t.from).collect();
+        let distinct: std::collections::HashSet<&Endpoint> = relays.iter().collect();
+        assert_eq!(distinct.len(), 4);
+        assert_eq!(sim.deliveries().len(), 1);
+        assert_eq!(sim.deliveries()[0].last_hop, relays[3]);
+        assert_eq!(sim.deliveries()[0].payload, vec![7; 32]);
     }
 
     #[test]

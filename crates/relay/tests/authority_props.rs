@@ -1,9 +1,12 @@
 //! Property tests for the directory authority's descriptor format and
 //! the gossip merge: encode/sign/verify round-trips survive arbitrary
-//! inputs, tampering and stale versions are always rejected, and k views
-//! converge to identical fingerprints under any snapshot exchange order.
+//! inputs, tampering and stale versions are always rejected, k views
+//! converge to identical fingerprints under any snapshot exchange order,
+//! and hostile snapshot bytes never panic the merge or change a view
+//! they fail to merge into.
 
 use std::net::SocketAddr;
+use std::time::{Duration, Instant};
 
 use anonroute_relay::authority::NetworkView;
 use anonroute_relay::{RelayDescriptor, SignedDescriptor};
@@ -17,6 +20,42 @@ fn addr_of(port: u16) -> SocketAddr {
 
 fn receiver_addr() -> SocketAddr {
     "127.0.0.1:65535".parse().expect("loopback addr")
+}
+
+const SNAPSHOT_SEED: &[u8] = b"prop-snapshot-seed";
+
+/// A view over `ids`, each published at version 1, with `down` then
+/// tombstoned: its snapshot carries members and tombstones both.
+fn view_of(ids: &[u64], down: Option<u64>) -> NetworkView {
+    let mut view = NetworkView::new(SNAPSHOT_SEED, receiver_addr());
+    for &id in ids {
+        let desc = RelayDescriptor::derive(SNAPSHOT_SEED, id, addr_of(9000 + id as u16), 1);
+        view.publish(desc.sign(SNAPSHOT_SEED)).unwrap();
+    }
+    if let Some(id) = down {
+        view.report_down(id);
+    }
+    view
+}
+
+/// Merges `bytes` into a view that knows other members than the
+/// snapshot's source, and checks that a rejected snapshot left it
+/// byte-identical.
+fn merge_leaves_view_intact_on_error(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let mut view = view_of(&[4, 5], None);
+    let before = view.snapshot();
+    if view.merge_snapshot(bytes).is_err() {
+        prop_assert_eq!(view.snapshot(), before);
+    }
+    Ok(())
+}
+
+/// The snapshot of a view with no members and no tombstones, cut just
+/// before its member count.
+fn snapshot_header() -> Vec<u8> {
+    let mut header = NetworkView::new(SNAPSHOT_SEED, receiver_addr()).snapshot();
+    header.truncate(header.len() - 8);
+    header
 }
 
 proptest! {
@@ -143,5 +182,72 @@ proptest! {
         let changed = views[0].merge_snapshot(&replay).unwrap();
         prop_assert!(!changed);
         prop_assert_eq!(views[0].fingerprint(), reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_snapshot_bytes_never_panic_or_change_the_view(
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        after_header in any::<bool>(),
+    ) {
+        // bare junk fails on the magic; junk after a valid header
+        // reaches the member and tombstone decoders
+        let mut bytes = if after_header { snapshot_header() } else { Vec::new() };
+        bytes.extend_from_slice(&tail);
+        merge_leaves_view_intact_on_error(&bytes)?;
+    }
+
+    #[test]
+    fn mutated_or_truncated_snapshots_never_panic_or_change_the_view(
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        truncate in any::<bool>(),
+    ) {
+        let mut bytes = view_of(&[0, 1, 2], Some(1)).snapshot();
+        let at = at % (bytes.len() + 1);
+        if truncate {
+            bytes.truncate(at);
+        } else if at < bytes.len() {
+            bytes[at] = byte;
+        } else {
+            bytes.push(byte);
+        }
+        merge_leaves_view_intact_on_error(&bytes)?;
+    }
+}
+
+#[test]
+fn the_mutation_base_merges_and_changes_the_view() {
+    let source = view_of(&[0, 1, 2], Some(1));
+    let mut view = view_of(&[4, 5], None);
+    assert!(view.merge_snapshot(&source.snapshot()).unwrap());
+    assert_eq!(view.member_ids(), vec![0, 2, 4, 5]);
+}
+
+#[test]
+fn snapshots_declaring_u32_max_entries_fail_promptly() {
+    let no_members = {
+        let mut bytes = snapshot_header();
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        bytes
+    };
+    let no_tombstones = {
+        let mut bytes = snapshot_header();
+        bytes.extend_from_slice(&0u32.to_be_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_be_bytes());
+        bytes
+    };
+    for bytes in [no_members, no_tombstones] {
+        let mut view = view_of(&[4, 5], None);
+        let before = view.snapshot();
+        let started = Instant::now();
+        assert!(view.merge_snapshot(&bytes).is_err());
+        // the decoder stops at the first missing body instead of
+        // reserving or looping over four billion entries
+        assert!(started.elapsed() < Duration::from_secs(1));
+        assert_eq!(view.snapshot(), before);
     }
 }

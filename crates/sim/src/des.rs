@@ -12,7 +12,7 @@
 //!
 //! Domain engines ([`crate::simulation::Simulation`] here; anything else
 //! downstream) own a `DesCore<E>` for their event payload type `E` and
-//! drive it with [`DesCore::pop_due`], which advances the clock and hands
+//! drive it with [`DesCore::pop`], which advances the clock and hands
 //! back the payload — borrow-friendly, because the payload is detached
 //! from the core before the caller's handlers run.
 
@@ -59,16 +59,6 @@ impl<E> DesCore<E> {
         self.events_processed
     }
 
-    /// Pending (scheduled, not yet fired) events.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Schedules `event` at absolute time `at`.
     ///
     /// # Panics
@@ -79,40 +69,13 @@ impl<E> DesCore<E> {
         self.queue.push(at, event);
     }
 
-    /// Schedules `event` after `delay_us` virtual microseconds.
-    pub fn schedule_after(&mut self, delay_us: u64, event: E) {
-        let at = self.now.after_micros(delay_us);
-        self.queue.push(at, event);
-    }
-
-    /// Time of the next pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
-    /// Pops the next event if it fires at or before `horizon`, advancing
-    /// the clock to its timestamp. Returns `None` when the queue is
-    /// drained or the next event lies beyond the horizon (the clock is
-    /// *not* advanced to the horizon — callers decide what a partial
-    /// window means; see [`DesCore::advance_to`]).
-    pub fn pop_due(&mut self, horizon: SimTime) -> Option<E> {
-        match self.queue.peek_time() {
-            Some(at) if at <= horizon => {
-                let (at, event) = self.queue.pop().expect("peeked event exists");
-                self.now = at;
-                self.events_processed += 1;
-                Some(event)
-            }
-            _ => None,
-        }
-    }
-
-    /// Moves the clock forward to `at` without firing anything (e.g. to
-    /// pin the clock at a run horizon). No-op if `at` is in the past.
-    pub fn advance_to(&mut self, at: SimTime) {
-        if at > self.now {
-            self.now = at;
-        }
+    /// Pops the next event, advancing the clock to its timestamp.
+    /// Returns `None` once the queue is drained.
+    pub fn pop(&mut self) -> Option<E> {
+        let (at, event) = self.queue.pop()?;
+        self.now = at;
+        self.events_processed += 1;
+        Some(event)
     }
 }
 
@@ -122,27 +85,16 @@ mod tests {
     use rand::Rng;
 
     #[test]
-    fn pop_due_advances_the_clock_in_order() {
+    fn pop_advances_the_clock_in_order() {
         let mut core: DesCore<u32> = DesCore::new(1);
         core.schedule_at(SimTime::from_micros(10), 1);
-        core.schedule_after(5, 2);
-        assert_eq!(core.pop_due(SimTime(u64::MAX)), Some(2));
+        core.schedule_at(SimTime::from_micros(5), 2);
+        assert_eq!(core.pop(), Some(2));
         assert_eq!(core.now(), SimTime::from_micros(5));
-        assert_eq!(core.pop_due(SimTime(u64::MAX)), Some(1));
+        assert_eq!(core.pop(), Some(1));
         assert_eq!(core.now(), SimTime::from_micros(10));
-        assert_eq!(core.pop_due(SimTime(u64::MAX)), None);
+        assert_eq!(core.pop(), None);
         assert_eq!(core.events_processed(), 2);
-    }
-
-    #[test]
-    fn pop_due_respects_the_horizon() {
-        let mut core: DesCore<&str> = DesCore::new(2);
-        core.schedule_at(SimTime::from_millis(3), "late");
-        assert_eq!(core.pop_due(SimTime::from_millis(1)), None);
-        assert_eq!(core.now(), SimTime::ZERO, "horizon misses leave the clock");
-        core.advance_to(SimTime::from_millis(1));
-        assert_eq!(core.now(), SimTime::from_millis(1));
-        assert_eq!(core.pop_due(SimTime::from_millis(3)), Some("late"));
     }
 
     #[test]
@@ -150,7 +102,7 @@ mod tests {
     fn scheduling_into_the_past_panics() {
         let mut core: DesCore<()> = DesCore::new(3);
         core.schedule_at(SimTime::from_micros(5), ());
-        core.pop_due(SimTime(u64::MAX));
+        core.pop();
         core.schedule_at(SimTime::from_micros(1), ());
     }
 

@@ -14,12 +14,6 @@ pub enum LatencyModel {
         /// Upper bound (inclusive), microseconds.
         hi: u64,
     },
-    /// Exponentially distributed with the given mean in microseconds
-    /// (memoryless queueing-style jitter).
-    Exponential {
-        /// Mean delay in microseconds.
-        mean: u64,
-    },
 }
 
 impl LatencyModel {
@@ -35,27 +29,7 @@ impl LatencyModel {
                 debug_assert!(lo <= hi, "uniform bounds out of order");
                 rng.gen_range(lo..=hi)
             }
-            LatencyModel::Exponential { mean } => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                (-(u.ln()) * mean as f64).round() as u64
-            }
         }
-    }
-
-    /// Expected hop delay in microseconds.
-    pub fn mean(&self) -> f64 {
-        match *self {
-            LatencyModel::Constant(us) => us as f64,
-            LatencyModel::Uniform { lo, hi } => (lo + hi) as f64 / 2.0,
-            LatencyModel::Exponential { mean } => mean as f64,
-        }
-    }
-}
-
-impl Default for LatencyModel {
-    /// 10 ms constant per hop — a round internet-like default.
-    fn default() -> Self {
-        LatencyModel::Constant(10_000)
     }
 }
 
@@ -72,7 +46,6 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut rng), 42);
         }
-        assert_eq!(m.mean(), 42.0);
     }
 
     #[test]
@@ -87,16 +60,5 @@ mod tests {
             sum += s as f64;
         }
         assert!((sum / trials as f64 - 15.0).abs() < 0.2);
-        assert_eq!(m.mean(), 15.0);
-    }
-
-    #[test]
-    fn exponential_mean_converges() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let m = LatencyModel::Exponential { mean: 1000 };
-        let trials = 50_000;
-        let sum: f64 = (0..trials).map(|_| m.sample(&mut rng) as f64).sum();
-        let emp = sum / trials as f64;
-        assert!((emp - 1000.0).abs() < 30.0, "empirical mean {emp}");
     }
 }

@@ -15,16 +15,20 @@
 //!   ordering — the dslab-style kernel that lets one process simulate
 //!   10⁵–10⁶ member nodes;
 //! * the **protocol engine** ([`Simulation`]) on top of it: virtual
-//!   time, link-latency models, per-hop queueing delay, timers, and a
-//!   complete ground-truth [`TransferRecord`] trace (what an omniscient
-//!   observer would see; the `anonroute-adversary` crate filters it down
-//!   to the threat model);
-//! * **workload generators** ([`traffic`]): Poisson and fixed-interval
-//!   arrivals with uniformly random senders, matching the paper's a-priori
-//!   sender distribution; streamed cover/Poisson processes
-//!   ([`simulation::TrafficProcess`]) that cost O(1) queue memory; and
-//!   persistent multi-epoch sessions ([`traffic::SessionTraffic`]) for
+//!   time, a per-hop link-latency model, and a complete ground-truth
+//!   [`TransferRecord`] trace (what an omniscient observer would see;
+//!   the `anonroute-adversary` crate filters it down to the threat
+//!   model);
+//! * **workload generators** ([`traffic`]): fixed-interval arrivals with
+//!   uniformly random senders, matching the paper's a-priori sender
+//!   distribution ([`traffic::UniformTraffic`]), and persistent
+//!   multi-epoch sessions ([`traffic::SessionTraffic`]) for
 //!   intersection-attack workloads.
+//!
+//! The paper's protocols forward each message hop by hop to the
+//! receiver, and its passive adversary only reads who sent to whom, so
+//! the engine has exactly two events — an origination and a delivery —
+//! and no timers, losses or queues. See [`Simulation`] for an example.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,7 +47,7 @@ pub use event::EventQueue;
 pub use latency::LatencyModel;
 pub use message::{Delivery, Endpoint, Message, MsgId, NodeId, TransferRecord};
 pub use node::{Action, Ctx, NodeBehavior};
-pub use simulation::{Origination, Simulation, TrafficProcess};
+pub use simulation::{Origination, Simulation};
 pub use time::SimTime;
 
 /// Commonly used items in one import.
@@ -53,10 +57,7 @@ pub mod prelude {
     pub use crate::latency::LatencyModel;
     pub use crate::message::{Delivery, Endpoint, Message, MsgId, NodeId, TransferRecord};
     pub use crate::node::{Action, Ctx, NodeBehavior};
-    pub use crate::simulation::{Origination, Simulation, TrafficProcess};
+    pub use crate::simulation::{Origination, Simulation};
     pub use crate::time::SimTime;
-    pub use crate::traffic::{
-        Arrival, CoverTraffic, PoissonProcess, PoissonTraffic, SessionTraffic, UniformProcess,
-        UniformTraffic,
-    };
+    pub use crate::traffic::{Arrival, SessionTraffic, UniformTraffic};
 }

@@ -21,13 +21,6 @@ pub enum Action {
         /// The message to transmit.
         msg: Message,
     },
-    /// Request a timer callback after `delay_us` virtual microseconds.
-    SetTimer {
-        /// Delay until the callback.
-        delay_us: u64,
-        /// Opaque tag passed back to [`NodeBehavior::on_timer`].
-        tag: u64,
-    },
 }
 
 /// Execution context handed to a behavior while it processes one event.
@@ -68,11 +61,6 @@ impl<'a> Ctx<'a> {
         });
     }
 
-    /// Schedules [`NodeBehavior::on_timer`] after `delay_us` microseconds.
-    pub fn set_timer(&mut self, delay_us: u64, tag: u64) {
-        self.out.push(Action::SetTimer { delay_us, tag });
-    }
-
     /// Deterministic per-simulation randomness (seeded at construction).
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
@@ -90,9 +78,6 @@ pub trait NodeBehavior {
 
     /// A message arrived from `from`.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, msg: Message);
-
-    /// A timer set through [`Ctx::set_timer`] fired.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, _tag: u64) {}
 }
 
 /// Boxed behaviors forward to their contents, so heterogeneous or
@@ -105,10 +90,6 @@ impl<T: NodeBehavior + ?Sized> NodeBehavior for Box<T> {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: Endpoint, msg: Message) {
         (**self).on_message(ctx, from, msg);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
-        (**self).on_timer(ctx, tag);
     }
 }
 
@@ -123,9 +104,8 @@ mod tests {
         let mut out = Vec::new();
         let mut ctx = Ctx::new(SimTime::from_micros(5), 2, &mut rng, &mut out);
         ctx.send(7, Message::new(crate::message::MsgId(1), vec![1]));
-        ctx.set_timer(100, 9);
         ctx.send_to_receiver(Message::new(crate::message::MsgId(1), vec![2]));
-        assert_eq!(out.len(), 3);
+        assert_eq!(out.len(), 2);
         assert!(matches!(
             out[0],
             Action::Send {
@@ -135,13 +115,6 @@ mod tests {
         ));
         assert!(matches!(
             out[1],
-            Action::SetTimer {
-                delay_us: 100,
-                tag: 9
-            }
-        ));
-        assert!(matches!(
-            out[2],
             Action::Send {
                 to: Endpoint::Receiver,
                 ..

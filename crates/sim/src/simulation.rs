@@ -2,17 +2,14 @@
 //!
 //! [`Simulation`] is a thin protocol layer over [`DesCore`]: nodes are
 //! passive [`NodeBehavior`] handlers invoked from the single event loop,
-//! latencies and timers are scheduled events, and the whole run is a pure
-//! function of the seed. One process comfortably simulates 10⁵–10⁶
-//! member nodes — there are no per-node threads or channels, only a
-//! binary heap of `(time, seq)`-ordered events and one PRNG.
+//! each hop's link latency makes it a scheduled event, and the whole run
+//! is a pure function of the seed. One process comfortably simulates
+//! 10⁵–10⁶ member nodes — there are no per-node threads or channels,
+//! only a binary heap of `(time, seq)`-ordered events and one PRNG.
 //!
 //! Scale notes: memory is O(nodes + pending events + trace). The trace
 //! records every edge, so a long run's footprint is dominated by
-//! `TransferRecord`s (32 bytes each); cap workloads accordingly or drain
-//! via [`Simulation::run_until`] windows.
-
-use rand::Rng;
+//! `TransferRecord`s (32 bytes each); cap workloads accordingly.
 
 use crate::des::DesCore;
 use crate::latency::LatencyModel;
@@ -32,15 +29,6 @@ enum EventKind {
         to: Endpoint,
         msg: Message,
     },
-    Timer {
-        node: NodeId,
-        tag: u64,
-    },
-    /// A streamed workload's next origination is due (see
-    /// [`Simulation::attach_traffic`]).
-    NextArrival {
-        stream: usize,
-    },
 }
 
 /// Record of a message origination (ground truth, used by statistics and
@@ -55,35 +43,19 @@ pub struct Origination {
     pub msg: MsgId,
 }
 
-/// A lazily generated workload: instead of materializing every
-/// [`Arrival`] up front, the simulation asks the process for the next
-/// one each time the previous fires — million-message cover or session
-/// streams cost O(1) memory in the queue.
-///
-/// Randomness comes from the simulation's own PRNG (passed in), so a
-/// streamed run is exactly as seed-deterministic as a pre-scheduled one.
-pub trait TrafficProcess: std::fmt::Debug {
-    /// Returns the next origination at or after `now`, or `None` when
-    /// the stream is exhausted.
-    fn next_arrival(&mut self, now: SimTime, rng: &mut rand::rngs::StdRng) -> Option<Arrival>;
-}
-
-/// A streamed workload attached to the simulation: the generator plus
-/// its already-drawn next arrival (scheduled as a `NextArrival` event).
-#[derive(Debug)]
-struct StreamSlot {
-    process: Box<dyn TrafficProcess>,
-    pending: Option<Arrival>,
-}
-
 /// A deterministic discrete-event simulation of a clique of `n` nodes
-/// running protocol behavior `B`, with per-hop latencies, optional
-/// per-hop queueing delay, and a full ground-truth trace.
+/// running protocol behavior `B`, with per-hop link latencies and a full
+/// ground-truth trace.
 ///
 /// # Examples
 ///
+/// A million members, 200 messages from uniformly drawn senders, each
+/// sent straight to the receiver:
+///
 /// ```
 /// use anonroute_sim::prelude::*;
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
 ///
 /// /// Trivial protocol: forward straight to the receiver.
 /// struct Direct;
@@ -94,23 +66,21 @@ struct StreamSlot {
 ///     fn on_message(&mut self, _: &mut Ctx<'_>, _: Endpoint, _: Message) {}
 /// }
 ///
-/// let mut sim = Simulation::new(vec![Direct, Direct], LatencyModel::Constant(10), 42);
-/// sim.schedule_origination(SimTime::ZERO, 1, b"hi".to_vec());
+/// let n = 1_000_000;
+/// let nodes = (0..n).map(|_| Direct).collect();
+/// let mut sim = Simulation::new(nodes, LatencyModel::Uniform { lo: 50, hi: 500 }, 7);
+/// let traffic = UniformTraffic { count: 200, interval_us: 100, payload_len: 16 };
+/// sim.schedule_arrivals(traffic.generate(n, &mut StdRng::seed_from_u64(7)));
 /// sim.run();
-/// assert_eq!(sim.deliveries().len(), 1);
+/// assert_eq!(sim.deliveries().len(), 200);
+/// // one origination and one delivery event per message
+/// assert_eq!(sim.events_processed(), 400);
 /// ```
 #[derive(Debug)]
 pub struct Simulation<B> {
     nodes: Vec<B>,
     core: DesCore<EventKind>,
     latency: LatencyModel,
-    loss_probability: f64,
-    lost: u64,
-    /// Per-hop service time in µs; 0 disables the queueing model.
-    service_us: u64,
-    /// When each node finishes its current backlog (queueing model).
-    node_ready: Vec<SimTime>,
-    streams: Vec<StreamSlot>,
     trace: Vec<TransferRecord>,
     deliveries: Vec<Delivery>,
     originations: Vec<Origination>,
@@ -127,65 +97,12 @@ impl<B: NodeBehavior> Simulation<B> {
             nodes,
             core: DesCore::new(seed),
             latency,
-            loss_probability: 0.0,
-            lost: 0,
-            service_us: 0,
-            node_ready: Vec::new(),
-            streams: Vec::new(),
             trace: Vec::new(),
             deliveries: Vec::new(),
             originations: Vec::new(),
             next_msg: 0,
             scratch: Vec::new(),
         }
-    }
-
-    /// Enables fault injection: every transmission is silently dropped
-    /// with probability `p` (best-effort links; the paper's protocols have
-    /// no retransmission layer, so losses surface as undelivered
-    /// messages).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn with_loss(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "loss probability out of range: {p}"
-        );
-        self.loss_probability = p;
-        self
-    }
-
-    /// Enables the per-hop queueing model: each node serves incoming
-    /// transmissions one at a time, `service_us` virtual microseconds
-    /// apiece, so a hot relay builds a backlog and deliveries queue
-    /// behind it. `0` (the default) disables queueing — transmissions
-    /// are handled the instant their link latency elapses — and leaves
-    /// existing seeded runs byte-identical.
-    pub fn with_service_time(mut self, service_us: u64) -> Self {
-        self.service_us = service_us;
-        if service_us > 0 {
-            self.node_ready = vec![SimTime::ZERO; self.nodes.len()];
-        } else {
-            self.node_ready = Vec::new();
-        }
-        self
-    }
-
-    /// Transmissions dropped by fault injection so far.
-    pub fn lost(&self) -> u64 {
-        self.lost
-    }
-
-    /// Number of member nodes.
-    pub fn n(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.core.now()
     }
 
     /// Ground-truth edge trace, in delivery-time order.
@@ -215,16 +132,6 @@ impl<B: NodeBehavior> Simulation<B> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.core.events_processed()
-    }
-
-    /// Immutable access to a node's behavior (e.g. to read protocol
-    /// counters after a run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn node(&self, id: NodeId) -> &B {
-        &self.nodes[id]
     }
 
     /// Schedules a message to originate at node `sender` at time `at`.
@@ -261,41 +168,10 @@ impl<B: NodeBehavior> Simulation<B> {
         }
     }
 
-    /// Attaches a lazily generated workload: the process's arrivals are
-    /// scheduled one at a time, each drawing from the simulation PRNG in
-    /// event order. Any number of streams can run alongside pre-scheduled
-    /// originations; interleaving is by `(time, seq)` like every other
-    /// event.
-    pub fn attach_traffic(&mut self, process: impl TrafficProcess + 'static) {
-        let mut process: Box<dyn TrafficProcess> = Box::new(process);
-        let stream = self.streams.len();
-        let pending = process.next_arrival(self.core.now(), self.core.rng());
-        if let Some(arrival) = &pending {
-            assert!(
-                arrival.sender < self.nodes.len(),
-                "stream sender {} out of range",
-                arrival.sender
-            );
-            let at = arrival.at.max(self.core.now());
-            self.core.schedule_at(at, EventKind::NextArrival { stream });
-        }
-        self.streams.push(StreamSlot { process, pending });
-    }
-
     /// Runs until the event queue is empty. Returns the final time.
     pub fn run(&mut self) -> SimTime {
-        self.run_until(SimTime(u64::MAX))
-    }
-
-    /// Runs until the queue drains or virtual time would pass `horizon`.
-    pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        while let Some(kind) = self.core.pop_due(horizon) {
+        while let Some(kind) = self.core.pop() {
             self.dispatch(kind);
-        }
-        if !self.core.is_idle() {
-            // events remain beyond the horizon: the window was exhausted,
-            // so the clock pins to it (resume later from here)
-            self.core.advance_to(horizon);
         }
         self.core.now()
     }
@@ -338,79 +214,17 @@ impl<B: NodeBehavior> Simulation<B> {
                     }
                 }
             }
-            EventKind::Timer { node, tag } => {
-                let mut ctx = Ctx::new(now, node, self.core.rng(), &mut actions);
-                self.nodes[node].on_timer(&mut ctx, tag);
-                self.apply(Endpoint::Node(node), &mut actions);
-            }
-            EventKind::NextArrival { stream } => {
-                let arrival = self.streams[stream]
-                    .pending
-                    .take()
-                    .expect("a scheduled NextArrival has a pending arrival");
-                let id = MsgId(self.next_msg);
-                self.next_msg += 1;
-                self.originations.push(Origination {
-                    time: now,
-                    sender: arrival.sender,
-                    msg: id,
-                });
-                let msg = Message::new(id, arrival.payload);
-                let mut ctx = Ctx::new(now, arrival.sender, self.core.rng(), &mut actions);
-                self.nodes[arrival.sender].on_originate(&mut ctx, msg);
-                self.apply(Endpoint::Node(arrival.sender), &mut actions);
-                // pull the stream's next arrival and reschedule
-                let slot = &mut self.streams[stream];
-                if let Some(next) = slot.process.next_arrival(now, self.core.rng()) {
-                    assert!(
-                        next.sender < self.nodes.len(),
-                        "stream sender {} out of range",
-                        next.sender
-                    );
-                    let at = next.at.max(now);
-                    slot.pending = Some(next);
-                    self.core.schedule_at(at, EventKind::NextArrival { stream });
-                }
-            }
         }
         debug_assert!(actions.is_empty(), "apply drains every action");
         self.scratch = actions;
     }
 
     fn apply(&mut self, me: Endpoint, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, msg } => {
-                    if self.loss_probability > 0.0
-                        && self.core.rng().gen::<f64>() < self.loss_probability
-                    {
-                        self.lost += 1;
-                        continue;
-                    }
-                    let delay = self.latency.sample(self.core.rng());
-                    let arrival = self.core.now().after_micros(delay);
-                    let at = match (self.service_us, to) {
-                        (0, _) | (_, Endpoint::Receiver) => arrival,
-                        (service, Endpoint::Node(node)) => {
-                            // the hop queues behind the node's backlog,
-                            // then takes `service` µs of processing
-                            let start = arrival.max(self.node_ready[node]);
-                            let done = start.after_micros(service);
-                            self.node_ready[node] = done;
-                            done
-                        }
-                    };
-                    self.core
-                        .schedule_at(at, EventKind::Deliver { from: me, to, msg });
-                }
-                Action::SetTimer { delay_us, tag } => {
-                    let Endpoint::Node(node) = me else {
-                        unreachable!("timers are only set by nodes")
-                    };
-                    self.core
-                        .schedule_after(delay_us, EventKind::Timer { node, tag });
-                }
-            }
+        for Action::Send { to, msg } in actions.drain(..) {
+            let delay = self.latency.sample(self.core.rng());
+            let at = self.core.now().after_micros(delay);
+            self.core
+                .schedule_at(at, EventKind::Deliver { from: me, to, msg });
         }
     }
 }
@@ -489,19 +303,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_horizon() {
-        let mut sim = scripted(2, vec![vec![1], vec![]]);
-        sim.schedule_origination(SimTime::ZERO, 0, vec![]);
-        // horizon cuts off before the second hop arrives
-        sim.run_until(SimTime::from_micros(1_500));
-        assert_eq!(sim.trace().len(), 1);
-        assert!(sim.deliveries().is_empty());
-        // resume to completion
-        sim.run();
-        assert_eq!(sim.deliveries().len(), 1);
-    }
-
-    #[test]
     fn identical_seeds_give_identical_runs() {
         let run = |seed: u64| {
             let mut sim = Simulation::new(
@@ -523,138 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_injection_drops_expected_fraction() {
-        // direct senders: delivery ratio should track 1 - p
-        let p = 0.3;
-        let mut sim = Simulation::new(
-            (0..4).map(|_| ScriptedHop { route: vec![] }).collect(),
-            LatencyModel::Constant(10),
-            5,
-        )
-        .with_loss(p);
-        let total = 4000u64;
-        for i in 0..total {
-            sim.schedule_origination(SimTime::from_micros(i), (i % 4) as usize, vec![]);
-        }
-        sim.run();
-        let ratio = sim.deliveries().len() as f64 / total as f64;
-        assert!((ratio - (1.0 - p)).abs() < 0.03, "ratio {ratio}");
-        assert_eq!(sim.lost() as usize + sim.deliveries().len(), total as usize);
-    }
-
-    #[test]
-    fn multi_hop_loss_compounds_per_edge() {
-        // sender -> node 1 -> receiver: survival is (1-p)^2 over two edges
-        let p = 0.2;
-        let mut sim = Simulation::new(
-            vec![
-                ScriptedHop { route: vec![1] },
-                ScriptedHop { route: vec![] },
-            ],
-            LatencyModel::Constant(10),
-            7,
-        )
-        .with_loss(p);
-        let total = 6000u64;
-        for i in 0..total {
-            sim.schedule_origination(SimTime::from_micros(i * 3), 0, vec![]);
-        }
-        sim.run();
-        let ratio = sim.deliveries().len() as f64 / total as f64;
-        let expect = (1.0 - p) * (1.0 - p);
-        assert!(
-            (ratio - expect).abs() < 0.03,
-            "ratio {ratio} expect {expect}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "loss probability out of range")]
-    fn loss_probability_is_validated() {
-        let _ = Simulation::new(
-            vec![ScriptedHop { route: vec![] }],
-            LatencyModel::Constant(1),
-            0,
-        )
-        .with_loss(1.5);
-    }
-
-    /// Behavior with a timer: batch two messages, flush on timeout.
-    struct TinyBatcher {
-        held: Vec<Message>,
-    }
-    impl NodeBehavior for TinyBatcher {
-        fn on_originate(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
-            ctx.send(0, msg); // self-loop entry: route everything through node 0
-        }
-        fn on_message(&mut self, ctx: &mut Ctx<'_>, _from: Endpoint, msg: Message) {
-            self.held.push(msg);
-            if self.held.len() == 1 {
-                ctx.set_timer(10_000, 1);
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _tag: u64) {
-            for m in self.held.drain(..) {
-                ctx.send_to_receiver(m);
-            }
-        }
-    }
-
-    #[test]
-    fn timers_batch_and_flush() {
-        let mut sim = Simulation::new(
-            vec![TinyBatcher { held: vec![] }, TinyBatcher { held: vec![] }],
-            LatencyModel::Constant(100),
-            1,
-        );
-        sim.schedule_origination(SimTime::ZERO, 1, vec![1]);
-        sim.schedule_origination(SimTime::from_micros(50), 1, vec![2]);
-        sim.run();
-        assert_eq!(sim.deliveries().len(), 2);
-        // both were flushed by the same timer: identical delivery times
-        assert_eq!(sim.deliveries()[0].time, sim.deliveries()[1].time);
-    }
-
-    #[test]
-    fn service_time_queues_hops_behind_a_busy_relay() {
-        // both messages route through node 1; the second queues behind
-        // the first's 500 µs of service
-        let mut sim = scripted(3, vec![vec![1], vec![], vec![1]]).with_service_time(500);
-        sim.schedule_origination(SimTime::ZERO, 0, vec![1]);
-        sim.schedule_origination(SimTime::ZERO, 2, vec![2]);
-        sim.run();
-        assert_eq!(sim.deliveries().len(), 2);
-        // hop edges into node 1: both arrive at 1ms (constant latency),
-        // service serializes them at 1.5ms and 2.0ms
-        let into_relay: Vec<SimTime> = sim
-            .trace()
-            .iter()
-            .filter(|t| t.to == Endpoint::Node(1))
-            .map(|t| t.time)
-            .collect();
-        assert_eq!(
-            into_relay,
-            vec![SimTime::from_micros(1_500), SimTime::from_micros(2_000)]
-        );
-    }
-
-    #[test]
-    fn zero_service_time_is_byte_identical_to_default() {
-        let run = |queued: bool| {
-            let mut sim = scripted(3, vec![vec![1], vec![2], vec![]]);
-            if queued {
-                sim = sim.with_service_time(0);
-            }
-            for i in 0..10 {
-                sim.schedule_origination(SimTime::from_micros(i * 10), 0, vec![i as u8]);
-            }
-            sim.run();
-            sim.trace().to_vec()
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn schedule_arrivals_matches_per_call_scheduling() {
         let arrivals: Vec<Arrival> = (0..12)
             .map(|i| Arrival {
@@ -673,63 +342,5 @@ mod tests {
         one_by_one.run();
         assert_eq!(bulk.trace(), one_by_one.trace());
         assert_eq!(bulk.originations(), one_by_one.originations());
-    }
-
-    /// A deterministic stream: `count` arrivals, `gap_us` apart.
-    #[derive(Debug)]
-    struct Drip {
-        emitted: usize,
-        count: usize,
-        gap_us: u64,
-    }
-    impl TrafficProcess for Drip {
-        fn next_arrival(
-            &mut self,
-            _now: SimTime,
-            _rng: &mut rand::rngs::StdRng,
-        ) -> Option<Arrival> {
-            if self.emitted == self.count {
-                return None;
-            }
-            let at = SimTime::from_micros(self.emitted as u64 * self.gap_us);
-            self.emitted += 1;
-            Some(Arrival {
-                at,
-                sender: 0,
-                payload: vec![],
-            })
-        }
-    }
-
-    #[test]
-    fn streamed_traffic_originates_lazily() {
-        let mut sim = scripted(2, vec![vec![1], vec![]]);
-        sim.attach_traffic(Drip {
-            emitted: 0,
-            count: 25,
-            gap_us: 40,
-        });
-        sim.run();
-        assert_eq!(sim.originations().len(), 25);
-        assert_eq!(sim.deliveries().len(), 25);
-        for (i, o) in sim.originations().iter().enumerate() {
-            assert_eq!(o.time, SimTime::from_micros(i as u64 * 40));
-            assert_eq!(o.msg, MsgId(i as u64));
-        }
-    }
-
-    #[test]
-    fn streams_interleave_with_scheduled_originations() {
-        let mut sim = scripted(2, vec![vec![], vec![]]);
-        sim.schedule_origination(SimTime::from_micros(60), 1, vec![9]);
-        sim.attach_traffic(Drip {
-            emitted: 0,
-            count: 3,
-            gap_us: 50,
-        });
-        sim.run();
-        let senders: Vec<NodeId> = sim.originations().iter().map(|o| o.sender).collect();
-        // stream at 0, 50, 100 µs; scheduled at 60 µs
-        assert_eq!(senders, vec![0, 0, 1, 0]);
     }
 }

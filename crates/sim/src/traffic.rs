@@ -1,16 +1,12 @@
 //! Workload generators: who sends when.
 //!
-//! Two shapes: **materialized** schedules ([`PoissonTraffic::generate`]
-//! and friends return a `Vec<Arrival>` up front) and **streamed**
-//! processes ([`PoissonProcess`], [`UniformProcess`], [`CoverTraffic`])
-//! that implement [`TrafficProcess`] and feed the simulation one arrival
-//! at a time — O(1) queue memory for million-message cover workloads.
+//! Each generator materializes its schedule as a `Vec<Arrival>` for
+//! [`crate::Simulation::schedule_arrivals`]: [`UniformTraffic`] for
+//! one-shot runs, [`SessionTraffic`] for persistent multi-epoch sessions.
 
-use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::message::{MsgId, NodeId};
-use crate::simulation::TrafficProcess;
 use crate::time::SimTime;
 
 /// One planned message origination.
@@ -22,49 +18,6 @@ pub struct Arrival {
     pub sender: NodeId,
     /// Payload bytes.
     pub payload: Vec<u8>,
-}
-
-/// Poisson arrival process: exponential inter-arrival times at `rate`
-/// messages per second, senders uniform over the `n` members.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoissonTraffic {
-    /// Mean arrival rate in messages per second.
-    pub rate_per_sec: f64,
-    /// Generation stops at this time.
-    pub horizon: SimTime,
-    /// Payload size per message in bytes.
-    pub payload_len: usize,
-}
-
-impl PoissonTraffic {
-    /// Generates the arrival schedule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not positive or `n == 0`.
-    pub fn generate<R: Rng + ?Sized>(&self, n: usize, rng: &mut R) -> Vec<Arrival> {
-        assert!(self.rate_per_sec > 0.0, "rate must be positive");
-        assert!(n > 0, "need at least one sender");
-        let mut arrivals = Vec::new();
-        let mut t_us = 0.0f64;
-        loop {
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            t_us += -u.ln() / self.rate_per_sec * 1e6;
-            let at = SimTime::from_micros(t_us as u64);
-            if at > self.horizon {
-                break;
-            }
-            let sender = rng.gen_range(0..n);
-            let mut payload = vec![0u8; self.payload_len];
-            rng.fill(payload.as_mut_slice());
-            arrivals.push(Arrival {
-                at,
-                sender,
-                payload,
-            });
-        }
-        arrivals
-    }
 }
 
 /// Deterministic workload: `count` messages at a fixed interval, senders
@@ -98,162 +51,6 @@ impl UniformTraffic {
                 }
             })
             .collect()
-    }
-}
-
-/// Streamed Poisson arrivals: the [`TrafficProcess`] counterpart of
-/// [`PoissonTraffic`]. Each pull draws the exponential gap, a uniform
-/// sender, and fresh payload junk — in that order — from the simulation
-/// PRNG.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PoissonProcess {
-    /// Mean arrival rate in messages per second.
-    pub rate_per_sec: f64,
-    /// Generation stops at this time.
-    pub horizon: SimTime,
-    /// Payload size per message in bytes.
-    pub payload_len: usize,
-    /// Number of candidate senders (uniform).
-    pub n: usize,
-    /// Accumulated arrival time in fractional microseconds.
-    t_us: f64,
-}
-
-impl PoissonProcess {
-    /// Creates the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is not positive or `n == 0`.
-    pub fn new(rate_per_sec: f64, horizon: SimTime, payload_len: usize, n: usize) -> Self {
-        assert!(rate_per_sec > 0.0, "rate must be positive");
-        assert!(n > 0, "need at least one sender");
-        PoissonProcess {
-            rate_per_sec,
-            horizon,
-            payload_len,
-            n,
-            t_us: 0.0,
-        }
-    }
-}
-
-impl TrafficProcess for PoissonProcess {
-    fn next_arrival(&mut self, _now: SimTime, rng: &mut StdRng) -> Option<Arrival> {
-        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-        self.t_us += -u.ln() / self.rate_per_sec * 1e6;
-        let at = SimTime::from_micros(self.t_us as u64);
-        if at > self.horizon {
-            return None;
-        }
-        let sender = rng.gen_range(0..self.n);
-        let mut payload = vec![0u8; self.payload_len];
-        rng.fill(payload.as_mut_slice());
-        Some(Arrival {
-            at,
-            sender,
-            payload,
-        })
-    }
-}
-
-/// Streamed fixed-interval arrivals: the [`TrafficProcess`] counterpart
-/// of [`UniformTraffic`] (random uniform senders, evenly spaced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UniformProcess {
-    /// Total messages to emit.
-    pub count: usize,
-    /// Spacing between consecutive originations in microseconds.
-    pub interval_us: u64,
-    /// Payload size per message in bytes.
-    pub payload_len: usize,
-    /// Number of candidate senders (uniform).
-    pub n: usize,
-    emitted: usize,
-}
-
-impl UniformProcess {
-    /// Creates the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(count: usize, interval_us: u64, payload_len: usize, n: usize) -> Self {
-        assert!(n > 0, "need at least one sender");
-        UniformProcess {
-            count,
-            interval_us,
-            payload_len,
-            n,
-            emitted: 0,
-        }
-    }
-}
-
-impl TrafficProcess for UniformProcess {
-    fn next_arrival(&mut self, _now: SimTime, rng: &mut StdRng) -> Option<Arrival> {
-        if self.emitted == self.count {
-            return None;
-        }
-        let at = SimTime::from_micros(self.emitted as u64 * self.interval_us);
-        self.emitted += 1;
-        let mut payload = vec![0u8; self.payload_len];
-        rng.fill(payload.as_mut_slice());
-        Some(Arrival {
-            at,
-            sender: rng.gen_range(0..self.n),
-            payload,
-        })
-    }
-}
-
-/// Deterministic cover traffic: every member emits `rounds` dummy
-/// messages, round-robin across the `n` senders, spaced `interval_us`
-/// apart — the constant-rate background the paper's protocols hide real
-/// traffic in. No randomness: cover is schedule, not signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CoverTraffic {
-    /// Number of members emitting cover.
-    pub n: usize,
-    /// Dummy messages per member.
-    pub rounds: usize,
-    /// Spacing between consecutive cover emissions in microseconds.
-    pub interval_us: u64,
-    /// Payload size per dummy in bytes (zeroed).
-    pub payload_len: usize,
-    emitted: usize,
-}
-
-impl CoverTraffic {
-    /// Creates the stream.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(n: usize, rounds: usize, interval_us: u64, payload_len: usize) -> Self {
-        assert!(n > 0, "need at least one sender");
-        CoverTraffic {
-            n,
-            rounds,
-            interval_us,
-            payload_len,
-            emitted: 0,
-        }
-    }
-}
-
-impl TrafficProcess for CoverTraffic {
-    fn next_arrival(&mut self, _now: SimTime, _rng: &mut StdRng) -> Option<Arrival> {
-        if self.emitted == self.n * self.rounds {
-            return None;
-        }
-        let k = self.emitted;
-        self.emitted += 1;
-        Some(Arrival {
-            at: SimTime::from_micros(k as u64 * self.interval_us),
-            sender: k % self.n,
-            payload: vec![0u8; self.payload_len],
-        })
     }
 }
 
@@ -326,48 +123,6 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn poisson_rate_is_respected() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let traffic = PoissonTraffic {
-            rate_per_sec: 100.0,
-            horizon: SimTime::from_secs(50),
-            payload_len: 8,
-        };
-        let arrivals = traffic.generate(10, &mut rng);
-        // expect ~5000 arrivals; Poisson sd ~ 71
-        assert!(
-            (arrivals.len() as f64 - 5000.0).abs() < 300.0,
-            "got {} arrivals",
-            arrivals.len()
-        );
-        // times sorted and within horizon
-        for w in arrivals.windows(2) {
-            assert!(w[0].at <= w[1].at);
-        }
-        assert!(arrivals.last().unwrap().at <= SimTime::from_secs(50));
-    }
-
-    #[test]
-    fn poisson_senders_are_roughly_uniform() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let traffic = PoissonTraffic {
-            rate_per_sec: 1000.0,
-            horizon: SimTime::from_secs(20),
-            payload_len: 0,
-        };
-        let arrivals = traffic.generate(4, &mut rng);
-        let mut counts = [0usize; 4];
-        for a in &arrivals {
-            counts[a.sender] += 1;
-        }
-        let total: usize = counts.iter().sum();
-        for &c in &counts {
-            let freq = c as f64 / total as f64;
-            assert!((freq - 0.25).abs() < 0.03, "sender freq {freq}");
-        }
-    }
-
-    #[test]
     fn session_traffic_pins_senders_across_epochs() {
         let mut rng = StdRng::seed_from_u64(9);
         let traffic = SessionTraffic {
@@ -426,55 +181,6 @@ mod tests {
         }
         // session ids refer to the persistent universe numbering
         assert_eq!(session_of[0], MsgId(1), "session 0 (sender 0) is offline");
-    }
-
-    #[test]
-    fn streamed_poisson_matches_the_materialized_schedule() {
-        let traffic = PoissonTraffic {
-            rate_per_sec: 500.0,
-            horizon: SimTime::from_secs(2),
-            payload_len: 4,
-        };
-        let mut rng = StdRng::seed_from_u64(11);
-        let materialized = traffic.generate(7, &mut rng);
-        // the stream draws (gap, sender, payload) in the same order, so
-        // an identically seeded RNG reproduces the schedule exactly
-        let mut rng = StdRng::seed_from_u64(11);
-        let mut stream = PoissonProcess::new(500.0, SimTime::from_secs(2), 4, 7);
-        let streamed: Vec<Arrival> =
-            std::iter::from_fn(|| stream.next_arrival(SimTime::ZERO, &mut rng)).collect();
-        assert_eq!(materialized, streamed);
-    }
-
-    #[test]
-    fn streamed_uniform_matches_the_materialized_schedule() {
-        let traffic = UniformTraffic {
-            count: 30,
-            interval_us: 120,
-            payload_len: 3,
-        };
-        let mut rng = StdRng::seed_from_u64(4);
-        let materialized = traffic.generate(5, &mut rng);
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut stream = UniformProcess::new(30, 120, 3, 5);
-        let streamed: Vec<Arrival> =
-            std::iter::from_fn(|| stream.next_arrival(SimTime::ZERO, &mut rng)).collect();
-        assert_eq!(materialized, streamed);
-    }
-
-    #[test]
-    fn cover_traffic_is_round_robin_and_exhausts() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut cover = CoverTraffic::new(3, 2, 10, 1);
-        let arrivals: Vec<Arrival> =
-            std::iter::from_fn(|| cover.next_arrival(SimTime::ZERO, &mut rng)).collect();
-        assert_eq!(arrivals.len(), 6);
-        let senders: Vec<NodeId> = arrivals.iter().map(|a| a.sender).collect();
-        assert_eq!(senders, vec![0, 1, 2, 0, 1, 2]);
-        for (k, a) in arrivals.iter().enumerate() {
-            assert_eq!(a.at, SimTime::from_micros(k as u64 * 10));
-            assert_eq!(a.payload, vec![0u8]);
-        }
     }
 
     #[test]

@@ -45,16 +45,14 @@ impl NodeBehavior for RandomRelay {
 }
 
 /// Runs one seeded simulation to completion and returns its trace.
-fn run_once(n: usize, seed: u64, arrivals: &[(u64, usize)], loss: f64) -> Vec<TransferRecord> {
+fn run_once(n: usize, seed: u64, arrivals: &[(u64, usize)]) -> Vec<TransferRecord> {
     let nodes: Vec<RandomRelay> = (0..n)
         .map(|_| RandomRelay {
             n,
             forward_prob: 0.65,
         })
         .collect();
-    let mut sim = Simulation::new(nodes, LatencyModel::Uniform { lo: 10, hi: 400 }, seed)
-        .with_loss(loss)
-        .with_service_time(25);
+    let mut sim = Simulation::new(nodes, LatencyModel::Uniform { lo: 10, hi: 400 }, seed);
     sim.schedule_arrivals(arrivals.iter().map(|&(at, sender)| Arrival {
         at: SimTime::from_micros(at),
         sender,
@@ -96,15 +94,14 @@ proptest! {
     fn same_seed_runs_are_byte_identical(
         seed in any::<u64>(),
         raw in proptest::collection::vec(0u64..40_000, 1..40),
-        loss in 0.0f64..0.3,
     ) {
         let n = 8;
         // unpack each draw into (arrival time, sender): time in
         // 0..5000 µs, sender in 0..8
         let arrivals: Vec<(u64, usize)> =
             raw.iter().map(|&v| (v % 5_000, (v / 5_000) as usize)).collect();
-        let a = run_once(n, seed, &arrivals, loss);
-        let b = run_once(n, seed, &arrivals, loss);
+        let a = run_once(n, seed, &arrivals);
+        let b = run_once(n, seed, &arrivals);
         prop_assert_eq!(a, b);
     }
 
@@ -114,8 +111,8 @@ proptest! {
         // with 40 messages through random relays, two different seeds
         // producing the same trace would be astronomically unlikely
         let arrivals: Vec<(u64, usize)> = (0..40).map(|i| (i * 50, (i as usize) % 8)).collect();
-        let a = run_once(8, seed, &arrivals, 0.1);
-        let b = run_once(8, seed.wrapping_add(1), &arrivals, 0.1);
+        let a = run_once(8, seed, &arrivals);
+        let b = run_once(8, seed.wrapping_add(1), &arrivals);
         prop_assert_ne!(a, b);
     }
 }
