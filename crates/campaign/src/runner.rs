@@ -380,7 +380,7 @@ fn run_cell(
         views
     };
     drop(setup);
-    backend::backend(scenario.engine).evaluate(&CellCtx {
+    let metrics = backend::backend(scenario.engine).evaluate(&CellCtx {
         scenario,
         model: &model,
         dist: &dist,
@@ -390,7 +390,26 @@ fn run_cell(
         config,
         cache,
         clock,
-    })
+    })?;
+    finite(metrics)
+}
+
+/// Turns a cell whose `h_star`, `normalized`, `p_exposed` or `h_epoch1`
+/// is present but not finite into an error that names the field: the
+/// JSONL would otherwise write the value as `null` under `"status":"ok"`.
+fn finite(metrics: CellMetrics) -> Result<CellMetrics, String> {
+    let fields = [
+        ("h_star", Some(metrics.h_star)),
+        ("normalized", Some(metrics.normalized)),
+        ("p_exposed", metrics.p_exposed),
+        ("h_epoch1", metrics.h_epoch1),
+    ];
+    for (name, value) in fields {
+        if let Some(v) = value.filter(|v| !v.is_finite()) {
+            return Err(format!("{name} is not finite ({v})"));
+        }
+    }
+    Ok(metrics)
 }
 
 #[cfg(test)]
@@ -425,6 +444,89 @@ mod tests {
                 "{}: {got} vs {expect}",
                 cell.scenario
             );
+        }
+    }
+
+    #[test]
+    fn exact_cells_bit_equal_the_engine_at_large_c() {
+        // the shared evaluator spans 0..=n-1, so the class pass must stop
+        // at the strategy's support to stay finite at c in the hundreds
+        let grid = ScenarioGrid::new()
+            .ns([2000, 65_000])
+            .cs([1, 100, 700, 1000])
+            .strategies([StrategySpec::Uniform(1, 6)]);
+        let outcome = run(&grid, &CampaignConfig::default());
+        assert_eq!(outcome.cells.len(), 8);
+        assert_eq!(outcome.error_count(), 0);
+        for cell in &outcome.cells {
+            let model = SystemModel::new(cell.scenario.n, cell.scenario.c).unwrap();
+            let dist = cell.scenario.strategy.realize(&model).unwrap();
+            let expect = engine::analysis(&model, &dist).unwrap();
+            let got = cell.outcome.as_ref().unwrap();
+            assert!(got.h_star.is_finite(), "{}", cell.scenario);
+            assert_eq!(
+                got.h_star.to_bits(),
+                expect.h_star.to_bits(),
+                "{}",
+                cell.scenario
+            );
+            assert_eq!(
+                got.p_exposed.map(f64::to_bits),
+                Some(expect.p_exposed.to_bits())
+            );
+            assert_eq!(
+                got.normalized.to_bits(),
+                expect.normalized(&model).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn non_finite_metrics_become_error_cells() {
+        let ok = CellMetrics {
+            h_star: 2.5,
+            normalized: 0.5,
+            mean_len: 3.0,
+            p_exposed: Some(0.1),
+            std_error: None,
+            samples: None,
+            epochs: 1,
+            h_epoch1: None,
+        };
+        assert_eq!(finite(ok), Ok(ok));
+        let cases = [
+            (
+                CellMetrics {
+                    h_star: f64::NAN,
+                    ..ok
+                },
+                "h_star is not finite (NaN)",
+            ),
+            (
+                CellMetrics {
+                    normalized: f64::INFINITY,
+                    ..ok
+                },
+                "normalized is not finite (inf)",
+            ),
+            (
+                CellMetrics {
+                    p_exposed: Some(f64::NAN),
+                    ..ok
+                },
+                "p_exposed is not finite (NaN)",
+            ),
+            (
+                CellMetrics {
+                    h_epoch1: Some(f64::NEG_INFINITY),
+                    epochs: 4,
+                    ..ok
+                },
+                "h_epoch1 is not finite (-inf)",
+            ),
+        ];
+        for (metrics, message) in cases {
+            assert_eq!(finite(metrics), Err(message.to_string()));
         }
     }
 

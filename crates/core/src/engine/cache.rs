@@ -12,7 +12,11 @@
 //! The cache keeps three maps, each counted separately:
 //!
 //! * evaluators, keyed by `(n, c, path_kind, lmax)`
-//!   ([`EvaluatorCache::stats`]);
+//!   ([`EvaluatorCache::stats`]). One evaluator with a wide `lmax` (the
+//!   campaign's exact cells use `n - 1`) serves every strategy on its
+//!   model at the cost of that strategy's own support:
+//!   [`Evaluator::analyze`] stops the class pass at the pmf's last
+//!   positive length;
 //! * [`FoldWorkspace`]s, keyed by `(model, path-length distribution)`, so
 //!   multi-epoch estimators reuse one workspace per epoch model instead of
 //!   rebuilding per-session tables ([`EvaluatorCache::workspace_stats`]);

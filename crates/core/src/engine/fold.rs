@@ -34,7 +34,7 @@ use crate::dist::PathLengthDist;
 use crate::engine::cyclic::{cyclic_clean_weights, cyclic_run_weights};
 use crate::engine::observation::{Observation, Succ};
 use crate::engine::posterior::{signature_of, validate_structure};
-use crate::engine::simple::{clean_hypothesis_weights, run_hypothesis_weights, EndGap};
+use crate::engine::simple::{ClassForm, EndGap, ObservationClass};
 use crate::error::{Error, Result};
 use crate::mathutil::{plogp, LnFact};
 use crate::model::{PathKind, SystemModel};
@@ -97,11 +97,7 @@ impl FoldWorkspace {
                 (lmax, LnFact::new(2 * lmax + 8))
             }
         };
-        let clean = match model.path_kind() {
-            PathKind::Simple => clean_hypothesis_weights(&lf, &q, lmax, n, nh),
-            PathKind::Cyclic => cyclic_clean_weights(&q, lmax, ln_n, ln_nh),
-        };
-        Ok(FoldWorkspace {
+        let mut ws = FoldWorkspace {
             n,
             c: model.c(),
             nh,
@@ -111,9 +107,22 @@ impl FoldWorkspace {
             lf,
             ln_n,
             ln_nh,
-            clean,
+            clean: (0.0, 0.0),
             runs: Mutex::new(HashMap::new()),
-        })
+        };
+        ws.clean = match ws.path_kind {
+            PathKind::Simple => ws.simple_weights(ObservationClass::Clean),
+            PathKind::Cyclic => cyclic_clean_weights(&ws.q, lmax, ln_n, ln_nh),
+        };
+        Ok(ws)
+    }
+
+    /// `(w_suspect, w_hidden)` of a simple-path class, from the class's
+    /// linear form over the strategy's lengths.
+    fn simple_weights(&self, class: ObservationClass) -> (f64, f64) {
+        let form = ClassForm::new(&self.lf, self.n, self.c, self.nh, class, 0..=self.lmax);
+        let (_, w_a, w_b, _) = form.score(&self.q);
+        (w_a, w_b)
     }
 
     /// Number of member nodes of the underlying model.
@@ -145,11 +154,12 @@ impl FoldWorkspace {
         // duplicate derivation produces the same bits
         let (s, m, unit_gaps, end) = sig;
         let w = match self.path_kind {
-            PathKind::Simple => {
-                let obs0 = unit_gaps + 2 * (m - 1 - unit_gaps) + end.observed();
-                let k0 = (m - 1 - unit_gaps) + usize::from(end.is_free());
-                run_hypothesis_weights(&self.lf, &self.q, self.lmax, self.n, self.nh, s, obs0, k0)
-            }
+            PathKind::Simple => self.simple_weights(ObservationClass::Runs {
+                on_path: s,
+                runs: m,
+                unit_gaps,
+                end,
+            }),
             PathKind::Cyclic => cyclic_run_weights(
                 &self.lf, &self.q, self.lmax, self.ln_n, self.ln_nh, self.nh, s, m, unit_gaps, end,
             ),

@@ -25,6 +25,25 @@
 //! probabilities and class posteriors have closed forms — the engine is
 //! exact for **any** number of compromised nodes `c`, not just the paper's
 //! `c = 1`.
+//!
+//! # One class pass
+//!
+//! Every class's probability and both hypothesis weights are linear in the
+//! pmf `q`: a `ClassForm` holds their per-length coefficients, and
+//! `ClassForm::score` turns a form and a pmf into the class's probability,
+//! weights and entropy. [`Evaluator::analyze`], the optimizer's class table
+//! and the fold workspace's per-signature weights all go through those two
+//! routines.
+//!
+//! A class with `s` sightings needs a path of at least `s` intermediates,
+//! so it has probability exactly zero once `s` passes the pmf's last
+//! positive length. `analyze` stops the class enumeration at that
+//! *support* bound, and builds each form only over the lengths between the
+//! support's ends. A pass therefore costs O(min(c, support)³ · support),
+//! whatever the evaluator's own `lmax`: at `n = 2000, c = 1000` a strategy
+//! supported on `1..=6` takes about a tenth of a millisecond.
+
+use std::ops::RangeInclusive;
 
 use crate::dist::PathLengthDist;
 use crate::error::Result;
@@ -48,7 +67,7 @@ pub enum EndGap {
 impl EndGap {
     /// Honest nodes of the end gap whose identity the adversary observes.
     #[inline]
-    pub(crate) fn observed(self) -> usize {
+    fn observed(self) -> usize {
         match self {
             EndGap::Touching => 0,
             EndGap::One => 1,
@@ -58,7 +77,7 @@ impl EndGap {
 
     /// Whether the gap has unbounded extra (hidden) honest nodes.
     #[inline]
-    pub(crate) fn is_free(self) -> bool {
+    fn is_free(self) -> bool {
         matches!(self, EndGap::TwoPlus)
     }
 
@@ -138,114 +157,6 @@ pub fn anonymity_degree(model: &SystemModel, dist: &PathLengthDist) -> Result<f6
     Ok(analysis(model, dist)?.h_star)
 }
 
-/// Posterior hypothesis weights for a run class on simple paths:
-/// `(w_first_pred, w_hidden)` — the unnormalized posterior weight of the
-/// first run's reported predecessor and of *each* unobserved honest node.
-///
-/// `s` is the number of compromised sightings, `obs0` the number of honest
-/// intermediates observed by identity excluding the leading boundary, and
-/// `k0` the number of gaps (excluding the leading one) that can hide extra
-/// honest nodes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_hypothesis_weights(
-    lf: &LnFact,
-    q: &[f64],
-    lmax: usize,
-    n: usize,
-    nh: usize,
-    s: usize,
-    obs0: usize,
-    k0: usize,
-) -> (f64, f64) {
-    let mut w_a = 0.0;
-    let mut w_b = 0.0;
-    for (l, &ql) in q.iter().enumerate().take(lmax + 1).skip(s) {
-        if ql == 0.0 {
-            continue;
-        }
-        let (a, b) = run_weight_coefs(lf, n, nh, l, s, obs0, k0);
-        w_a += ql * a;
-        w_b += ql * b;
-    }
-    (w_a, w_b)
-}
-
-/// The coefficients of `q_l` in [`run_hypothesis_weights`]: the weights
-/// are `(Σ q_l·a_l, Σ q_l·b_l)` over `l ≥ s`.
-#[inline]
-fn run_weight_coefs(
-    lf: &LnFact,
-    n: usize,
-    nh: usize,
-    l: usize,
-    s: usize,
-    obs0: usize,
-    k0: usize,
-) -> (f64, f64) {
-    let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-    let h_a = l as i64 - s as i64 - obs0 as i64;
-    let mut a = 0.0;
-    let mut b = 0.0;
-
-    // Hypothesis A: leading gap = 0, the reported predecessor is the
-    // sender.
-    if h_a >= 0 && nh > obs0 {
-        if let (Some(sb), Some(fall)) = (
-            lf.ln_stars_bars(h_a, k0),
-            lf.ln_falling(nh - obs0 - 1, h_a as usize),
-        ) {
-            a = (sb + fall - den).exp();
-        }
-    }
-    // Hypothesis B: leading gap >= 1; the reported predecessor is one
-    // more observed honest intermediate and the sender is hidden.
-    let h_b = h_a - 1;
-    if h_b >= 0 && nh >= obs0 + 2 {
-        if let (Some(sb), Some(fall)) = (
-            lf.ln_stars_bars(h_b, k0 + 1),
-            lf.ln_falling(nh - obs0 - 2, h_b as usize),
-        ) {
-            b = (sb + fall - den).exp();
-        }
-    }
-    (a, b)
-}
-
-/// Posterior hypothesis weights for the clean class (no compromised node on
-/// the path): `(w_receiver_pred, w_hidden)`.
-pub(crate) fn clean_hypothesis_weights(
-    lf: &LnFact,
-    q: &[f64],
-    lmax: usize,
-    n: usize,
-    nh: usize,
-) -> (f64, f64) {
-    let w_a = q.first().copied().unwrap_or(0.0);
-    let mut w_b = 0.0;
-    for (l, &ql) in q.iter().enumerate().take(lmax + 1).skip(1) {
-        if ql == 0.0 {
-            continue;
-        }
-        w_b += ql * clean_hidden_coef(lf, n, nh, l);
-    }
-    (w_a, w_b)
-}
-
-/// The coefficient of `q_l` (`l ≥ 1`) in the clean class's hidden-node
-/// weight: the receiver's predecessor is an honest intermediate and the
-/// other `l - 1` intermediates are hidden honest nodes.
-#[inline]
-fn clean_hidden_coef(lf: &LnFact, n: usize, nh: usize, l: usize) -> f64 {
-    let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-    if nh < 2 {
-        return 0.0;
-    }
-    match lf.ln_falling(nh - 2, l - 1) {
-        Some(num) => (num - den).exp(),
-        None => 0.0,
-    }
-}
-
 /// Computes the full class-by-class decomposition of `H*(S)` for simple
 /// paths. See the module documentation for the derivation.
 ///
@@ -264,7 +175,10 @@ pub fn analysis(model: &SystemModel, dist: &PathLengthDist) -> Result<AnonymityA
 ///
 /// Precomputes the log-factorial tables for a `(model, lmax)` pair so that
 /// many distributions over the same support can be scored cheaply — the hot
-/// loop of [`crate::optimize`].
+/// loop of [`crate::optimize`]. `lmax` only caps the lengths it accepts:
+/// [`Evaluator::analyze`] and [`Evaluator::h_star`] cost what the pmf's own
+/// support needs, so one `0..=n-1` evaluator serves every strategy on a
+/// model.
 ///
 /// # Examples
 ///
@@ -365,153 +279,77 @@ impl Evaluator {
     }
 
     /// Every observation class but the zero-entropy compromised-sender one
-    /// as linear forms in the pmf, for scoring many pmfs (and gradients) without recomputing
-    /// a single `exp`. Takes O(classes × lmax) memory, so callers build
-    /// one per batch of evaluations rather than one per evaluator.
+    /// as linear forms in the pmf over all of `0..=lmax` (the optimizer can
+    /// move mass into any length), for scoring many pmfs (and gradients)
+    /// without recomputing a single `exp`. Takes O(classes × lmax) memory,
+    /// so callers build one per batch of evaluations rather than one per
+    /// evaluator.
     pub(crate) fn class_forms(&self) -> ClassForms {
-        let (n, c, nh, lmax, lf) = (self.n, self.c, self.nh, self.lmax, &self.lf);
-        let mut classes = Vec::new();
-        if nh > 0 {
-            classes.push(ClassForm {
-                from: 0,
-                mult: nh as f64 / n as f64,
-                n_hidden: nh - 1,
-                coefs: (0..=lmax)
-                    .map(|l| {
-                        let hidden = if l == 0 {
-                            0.0
-                        } else {
-                            clean_hidden_coef(lf, n, nh, l)
-                        };
-                        [clean_prob_coef(lf, n, nh, l), f64::from(l == 0), hidden]
-                    })
-                    .collect(),
-            });
-            for shape in run_shapes(lf, n, c, nh, lmax) {
-                classes.push(ClassForm {
-                    from: shape.s,
-                    mult: shape.mult,
-                    n_hidden: shape.n_hidden(nh),
-                    coefs: (shape.s..=lmax)
-                        .map(|l| {
-                            let (a, b) =
-                                run_weight_coefs(lf, n, nh, l, shape.s, shape.obs0, shape.k0);
-                            [shape.prob_coef(lf, n, c, nh, l), a, b]
-                        })
-                        .collect(),
-                });
-            }
+        ClassForms {
+            lmax: self.lmax,
+            classes: observation_classes(self.c, self.nh, self.lmax)
+                .map(|class| self.form(class, 0..=self.lmax))
+                .collect(),
         }
-        ClassForms { lmax, classes }
     }
 
     /// Full class decomposition for an (unnormalized) pmf over `0..=lmax`.
+    ///
+    /// Streams one class at a time through the shared class scoring, bounded
+    /// by the pmf's support: classes with more sightings than its last
+    /// positive length have probability exactly zero and are not
+    /// enumerated, and each form spans only the support's lengths. Classes
+    /// of zero probability are left out of the report, except the clean
+    /// class.
     pub fn analyze(&self, pmf: &[f64]) -> AnonymityAnalysis {
-        let (n, c, nh, lmax, lf) = (self.n, self.c, self.nh, self.lmax, &self.lf);
-        analyze_normalized(n, c, nh, lmax, lf, &normalized(pmf, lmax).0)
-    }
-}
+        let q = normalized(pmf, self.lmax).0;
+        let mut classes = Vec::new();
+        let mut h_star = 0.0;
+        let mut p_exposed = 0.0;
 
-fn analyze_normalized(
-    n: usize,
-    c: usize,
-    nh: usize,
-    lmax: usize,
-    lf: &LnFact,
-    q: &[f64],
-) -> AnonymityAnalysis {
-    let mut classes = Vec::new();
-    let mut h_star = 0.0;
-    let mut p_exposed = 0.0;
+        // the sender itself is compromised (local-eavesdropper case)
+        if self.c > 0 {
+            let p = self.c as f64 / self.n as f64;
+            p_exposed += p;
+            classes.push(ClassReport {
+                class: ObservationClass::SenderCompromised,
+                probability: p,
+                entropy_bits: 0.0,
+                suspect_posterior: 1.0,
+            });
+        }
 
-    // --- sender compromised (local-eavesdropper case) --------------------
-    if c > 0 {
-        let p = c as f64 / n as f64;
-        p_exposed += p;
-        classes.push(ClassReport {
-            class: ObservationClass::SenderCompromised,
-            probability: p,
-            entropy_bits: 0.0,
-            suspect_posterior: 1.0,
-        });
-    }
+        let lo = q.iter().position(|&ql| ql > 0.0).unwrap_or(0);
+        let hi = q.iter().rposition(|&ql| ql > 0.0).unwrap_or(0);
+        for class in observation_classes(self.c, self.nh, hi) {
+            let form = self.form(class, lo..=hi);
+            let (p, w_a, w_b, entropy) = form.score(&q);
+            if p <= 0.0 && class != ObservationClass::Clean {
+                continue;
+            }
+            h_star += p * entropy;
+            if entropy == 0.0 {
+                p_exposed += p;
+            }
+            let z = w_a + w_b * form.n_hidden as f64;
+            classes.push(ClassReport {
+                class,
+                probability: p,
+                entropy_bits: entropy,
+                suspect_posterior: if z > 0.0 { w_a / z } else { 0.0 },
+            });
+        }
 
-    if nh == 0 {
-        return AnonymityAnalysis {
-            h_star: 0.0,
+        AnonymityAnalysis {
+            h_star,
             p_exposed,
             classes,
-        };
+        }
     }
 
-    // --- clean class: no compromised node on the path --------------------
-    {
-        // Hypothesis A: path length 0 — the receiver's predecessor is the
-        // sender. Hypothesis B (per candidate): the sender is a hidden
-        // honest node; the receiver's predecessor is an honest intermediate
-        // and the remaining l-1 intermediates are hidden honest nodes.
-        let (w_a, w_b) = clean_hypothesis_weights(lf, q, lmax, n, nh);
-        let n_hidden = nh - 1;
-        let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, n_hidden)]);
-        let z = w_a + w_b * n_hidden as f64;
-        let suspect = if z > 0.0 { w_a / z } else { 0.0 };
-
-        // Class probability: honest sender and an all-honest path.
-        let mut p = 0.0;
-        for (l, &ql) in q.iter().enumerate().take(lmax + 1) {
-            if ql == 0.0 {
-                continue;
-            }
-            p += ql * clean_prob_coef(lf, n, nh, l);
-        }
-        p *= nh as f64 / n as f64;
-        h_star += p * entropy;
-        if entropy == 0.0 {
-            p_exposed += p;
-        }
-        classes.push(ClassReport {
-            class: ObservationClass::Clean,
-            probability: p,
-            entropy_bits: entropy,
-            suspect_posterior: suspect,
-        });
-    }
-
-    // --- classes with m >= 1 compromised runs ----------------------------
-    for shape in run_shapes(lf, n, c, nh, lmax) {
-        let (s, obs0, k0) = (shape.s, shape.obs0, shape.k0);
-        let (w_a, w_b) = run_hypothesis_weights(lf, q, lmax, n, nh, s, obs0, k0);
-        let mut p_cls = 0.0;
-        for (l, &ql) in q.iter().enumerate().take(lmax + 1).skip(s) {
-            if ql == 0.0 {
-                continue;
-            }
-            p_cls += ql * shape.prob_coef(lf, n, c, nh, l);
-        }
-        p_cls *= shape.mult;
-        if p_cls <= 0.0 {
-            continue;
-        }
-        let n_hidden = shape.n_hidden(nh);
-        let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, n_hidden)]);
-        let z = w_a + w_b * n_hidden as f64;
-        let suspect = if z > 0.0 { w_a / z } else { 0.0 };
-        h_star += p_cls * entropy;
-        if entropy == 0.0 {
-            p_exposed += p_cls;
-        }
-        classes.push(ClassReport {
-            class: shape.class,
-            probability: p_cls,
-            entropy_bits: entropy,
-            suspect_posterior: suspect,
-        });
-    }
-
-    AnonymityAnalysis {
-        h_star,
-        p_exposed,
-        classes,
+    /// `class`'s linear form over the path lengths in `lengths`.
+    fn form(&self, class: ObservationClass, lengths: RangeInclusive<usize>) -> ClassForm {
+        ClassForm::new(&self.lf, self.n, self.c, self.nh, class, lengths)
     }
 }
 
@@ -528,95 +366,40 @@ fn normalized(pmf: &[f64], lmax: usize) -> (Vec<f64>, f64) {
     (q, total)
 }
 
-/// The coefficient of `q_l` in the clean class's probability, before the
-/// honest-sender factor `nh / n`.
-#[inline]
-fn clean_prob_coef(lf: &LnFact, n: usize, nh: usize, l: usize) -> f64 {
-    let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-    match lf.ln_falling(nh - 1, l) {
-        Some(num) => (num - den).exp(),
-        None => 0.0,
-    }
-}
-
-/// One run class: its sightings `s`, observed honest nodes `obs0` and free
-/// gaps `k0` (see [`run_hypothesis_weights`]), and the multiplicity `mult`
-/// of its probability.
-struct RunShape {
-    class: ObservationClass,
-    s: usize,
-    obs0: usize,
-    k0: usize,
-    mult: f64,
-}
-
-/// The run classes of a `(n, c)` system over `0..=lmax`, in report order.
-fn run_shapes(
-    lf: &LnFact,
-    n: usize,
+/// Every observation class of an `(n, c)` system with `nh` honest nodes
+/// but [`ObservationClass::SenderCompromised`], up to `bound` sightings,
+/// in report order: the clean class, then the run classes by sightings,
+/// runs, unit gaps and end gap. A system without honest nodes has none.
+fn observation_classes(
     c: usize,
     nh: usize,
-    lmax: usize,
-) -> impl Iterator<Item = RunShape> + '_ {
-    (1..=c.min(lmax)).flat_map(move |s| {
+    bound: usize,
+) -> impl Iterator<Item = ObservationClass> {
+    let runs = (1..=c.min(bound)).flat_map(|s| {
         (1..=s).flat_map(move |m| {
-            let ln_rs = lf
-                .ln_binom(s - 1, m - 1)
-                .expect("m <= s implies the binomial exists");
             (0..m).flat_map(move |unit_gaps| {
-                let ln_mf = lf
-                    .ln_binom(m - 1, unit_gaps)
-                    .expect("unit_gaps <= m-1 implies the binomial exists");
-                EndGap::ALL.into_iter().map(move |end| RunShape {
-                    class: ObservationClass::Runs {
+                EndGap::ALL
+                    .into_iter()
+                    .map(move |end| ObservationClass::Runs {
                         on_path: s,
                         runs: m,
                         unit_gaps,
                         end,
-                    },
-                    s,
-                    // Honest nodes observed by identity, excluding the first
-                    // run's predecessor `u`: each unit gap shows 1 node, each
-                    // wide gap its 2 boundaries, the end gap per its class.
-                    obs0: unit_gaps + 2 * (m - 1 - unit_gaps) + end.observed(),
-                    // Gaps with unbounded hidden mass, excluding the leading
-                    // gap.
-                    k0: (m - 1 - unit_gaps) + usize::from(end.is_free()),
-                    mult: (nh as f64 / n as f64) * (ln_rs + ln_mf).exp(),
-                })
+                    })
             })
         })
-    })
-}
-
-impl RunShape {
-    /// Unobserved honest nodes, each a sender candidate of weight `w_b`.
-    fn n_hidden(&self, nh: usize) -> usize {
-        nh.saturating_sub(self.obs0 + 1)
-    }
-
-    /// The coefficient of `q_l` in the class probability, before `mult`:
-    /// gap layouts (leading gap free from 0) x compromised and honest id
-    /// assignments.
-    #[inline]
-    fn prob_coef(&self, lf: &LnFact, n: usize, c: usize, nh: usize, l: usize) -> f64 {
-        let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
-        let h_a = l as i64 - self.s as i64 - self.obs0 as i64;
-        match (
-            lf.ln_stars_bars(h_a, self.k0 + 1),
-            lf.ln_falling(c, self.s),
-            lf.ln_falling(nh - 1, l - self.s),
-        ) {
-            (Some(lay), Some(fc), Some(fh)) => (lay + fc + fh - den).exp(),
-            _ => 0.0,
-        }
-    }
+    });
+    (nh > 0)
+        .then(|| std::iter::once(ObservationClass::Clean).chain(runs))
+        .into_iter()
+        .flatten()
 }
 
 /// The observation classes of an [`Evaluator`] as linear forms in the pmf
-/// (see [`Evaluator::class_forms`]). Scores `H*` with the same floating
-/// point operations, in the same order, as [`Evaluator::h_star`], so the
-/// two agree bit for bit.
+/// (see [`Evaluator::class_forms`]). Each class is scored by the same
+/// [`ClassForm::score`] as in [`Evaluator::h_star`], in the same order; the
+/// classes `h_star` leaves out add exact zeros here, so wherever every form
+/// is finite the two agree bit for bit.
 #[derive(Debug, Clone)]
 pub(crate) struct ClassForms {
     lmax: usize,
@@ -627,11 +410,127 @@ pub(crate) struct ClassForms {
 /// the single suspect and `w_b = Σ q_l·b_l` of each of `n_hidden` hidden
 /// candidates, with `coefs[l - from] = [pc_l, a_l, b_l]`.
 #[derive(Debug, Clone)]
-struct ClassForm {
+pub(crate) struct ClassForm {
     from: usize,
     mult: f64,
     n_hidden: usize,
     coefs: Vec<[f64; 3]>,
+}
+
+impl ClassForm {
+    /// The form of `class` (anything but the compromised-sender class) in
+    /// an `(n, c)` system with `nh` honest nodes, over the path lengths in
+    /// `lengths` that can produce it.
+    ///
+    /// A class is fixed by its sightings `s`, the honest nodes `obs0` the
+    /// adversary observes by identity besides the suspect (the first run's
+    /// predecessor, or the receiver's), and the gaps `k0` besides the
+    /// leading one that can hide extra honest nodes. The clean class is
+    /// the case `s = obs0 = k0 = 0`: a direct send is its suspect
+    /// hypothesis, and every longer path hides the sender behind the
+    /// receiver's predecessor.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`ObservationClass::SenderCompromised`], whose
+    /// probability does not depend on the pmf.
+    pub(crate) fn new(
+        lf: &LnFact,
+        n: usize,
+        c: usize,
+        nh: usize,
+        class: ObservationClass,
+        lengths: RangeInclusive<usize>,
+    ) -> Self {
+        let (s, obs0, k0, ln_count) = match class {
+            ObservationClass::Clean => (0, 0, 0, 0.0),
+            ObservationClass::Runs {
+                on_path: s,
+                runs: m,
+                unit_gaps,
+                end,
+            } => (
+                s,
+                // each unit gap shows 1 node, each wide gap its 2
+                // boundaries, the end gap per its class
+                unit_gaps + 2 * (m - 1 - unit_gaps) + end.observed(),
+                (m - 1 - unit_gaps) + usize::from(end.is_free()),
+                // ways to split s sightings into m runs, times ways to
+                // pick which inter-run gaps are unit gaps
+                lf.ln_binom(s - 1, m - 1)
+                    .expect("m <= s implies the binomial exists")
+                    + lf.ln_binom(m - 1, unit_gaps)
+                        .expect("unit_gaps <= m-1 implies the binomial exists"),
+            ),
+            ObservationClass::SenderCompromised => {
+                panic!("the compromised-sender class has no linear form")
+            }
+        };
+        let from = s.max(*lengths.start());
+        let coefs = (from..=*lengths.end())
+            .map(|l| {
+                let den = lf.ln_falling(n - 1, l).expect("l <= n-1 by validation");
+                let h_a = l as i64 - s as i64 - obs0 as i64;
+                // probability: gap layouts (leading gap free from 0) x
+                // compromised and honest id assignments
+                let pc = match (
+                    lf.ln_stars_bars(h_a, k0 + 1),
+                    lf.ln_falling(c, s),
+                    nh.checked_sub(1).and_then(|h| lf.ln_falling(h, l - s)),
+                ) {
+                    (Some(lay), Some(fc), Some(fh)) => (lay + fc + fh - den).exp(),
+                    _ => 0.0,
+                };
+                // hypothesis A: leading gap = 0, the suspect is the sender
+                let mut a = 0.0;
+                if h_a >= 0 && nh > obs0 {
+                    if let (Some(sb), Some(fall)) = (
+                        lf.ln_stars_bars(h_a, k0),
+                        lf.ln_falling(nh - obs0 - 1, h_a as usize),
+                    ) {
+                        a = (sb + fall - den).exp();
+                    }
+                }
+                // hypothesis B: leading gap >= 1; the suspect is one more
+                // observed honest intermediate and the sender is hidden
+                let h_b = h_a - 1;
+                let mut b = 0.0;
+                if h_b >= 0 && nh >= obs0 + 2 {
+                    if let (Some(sb), Some(fall)) = (
+                        lf.ln_stars_bars(h_b, k0 + 1),
+                        lf.ln_falling(nh - obs0 - 2, h_b as usize),
+                    ) {
+                        b = (sb + fall - den).exp();
+                    }
+                }
+                [pc, a, b]
+            })
+            .collect();
+        ClassForm {
+            from,
+            mult: (nh as f64 / n as f64) * ln_count.exp(),
+            n_hidden: nh.saturating_sub(obs0 + 1),
+            coefs,
+        }
+    }
+
+    /// `(p, w_a, w_b, entropy)` of this class at the pmf `q`: the sums skip
+    /// lengths with `q_l == 0` and run in increasing `l`.
+    #[inline]
+    pub(crate) fn score(&self, q: &[f64]) -> (f64, f64, f64, f64) {
+        let (mut p, mut w_a, mut w_b) = (0.0, 0.0, 0.0);
+        for (&ql, &[pc, a, b]) in q.iter().skip(self.from).zip(&self.coefs) {
+            if ql == 0.0 {
+                continue;
+            }
+            p += ql * pc;
+            w_a += ql * a;
+            w_b += ql * b;
+        }
+        p *= self.mult;
+        let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, self.n_hidden)]);
+        (p, w_a, w_b, entropy)
+    }
 }
 
 impl ClassForms {
@@ -658,17 +557,7 @@ impl ClassForms {
     fn pass(&self, q: &[f64], mut grad: Option<&mut [f64]>) -> f64 {
         let mut h_star = 0.0;
         for form in &self.classes {
-            let (mut p, mut w_a, mut w_b) = (0.0, 0.0, 0.0);
-            for (&ql, &[pc, a, b]) in q.iter().skip(form.from).zip(&form.coefs) {
-                if ql == 0.0 {
-                    continue;
-                }
-                p += ql * pc;
-                w_a += ql * a;
-                w_b += ql * b;
-            }
-            p *= form.mult;
-            let entropy = entropy_bits_grouped(&[(w_a, 1), (w_b, form.n_hidden)]);
+            let (p, w_a, w_b, entropy) = form.score(q);
             if let Some(d) = grad.as_deref_mut() {
                 form.add_gradient(d, p, w_a, w_b, entropy);
             }

@@ -300,71 +300,8 @@ impl EpochSchedule {
         Ok(views)
     }
 
-    /// Realizes the schedule against *measured* memberships instead of
-    /// its churn model: one [`EpochView`] per entry of `active_sets`,
-    /// with the compromised subset chosen by this schedule's
-    /// [`RotationPolicy`] exactly as [`EpochSchedule::realize`] would.
-    /// This is how live networks feed real membership events (directory
-    /// authority joins/leaves, gossip peer-health drops) into the same
-    /// evaluation pipeline the synthetic [`ChurnModel`]s use: replaying
-    /// the event log up to each evaluation point yields the active sets,
-    /// and this method turns them into views. The schedule's own
-    /// `epochs`/`churn` fields are ignored — the observations are the
-    /// ground truth.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidModel`] when `active_sets` is empty,
-    /// `c + 2 > n`, an entry is not a sorted duplicate-free subset of
-    /// `0..n`, or an entry has fewer than `c + 2` members.
-    pub fn realize_from_active(
-        &self,
-        n: usize,
-        c: usize,
-        seed: u64,
-        active_sets: &[Vec<usize>],
-    ) -> Result<Vec<EpochView>> {
-        if active_sets.is_empty() {
-            return Err(Error::InvalidModel(
-                "measured dynamics need at least one membership set".into(),
-            ));
-        }
-        if c + 2 > n {
-            return Err(Error::InvalidModel(format!(
-                "multi-round dynamics need n >= c + 2 (got n={n}, c={c})"
-            )));
-        }
-        let mut views = Vec::with_capacity(active_sets.len());
-        for (epoch, active) in active_sets.iter().enumerate() {
-            let ordered = active.windows(2).all(|w| w[0] < w[1]);
-            if !ordered || active.last().is_some_and(|&u| u >= n) {
-                return Err(Error::InvalidModel(format!(
-                    "epoch {}: active set must be sorted, duplicate-free node ids < {n}",
-                    epoch + 1
-                )));
-            }
-            if active.len() < c + 2 {
-                return Err(Error::InvalidModel(format!(
-                    "churn left epoch {} with {} active nodes (need >= c + 2 = {})",
-                    epoch + 1,
-                    active.len(),
-                    c + 2
-                )));
-            }
-            let compromised = self.compromised_for(epoch, active, c, seed);
-            views.push(EpochView {
-                epoch,
-                active: active.clone(),
-                compromised,
-            });
-        }
-        Ok(views)
-    }
-
     /// The compromised subset of `active` for one epoch under this
-    /// schedule's rotation policy — the single selection rule shared by
-    /// [`EpochSchedule::realize`] (synthetic churn) and
-    /// [`EpochSchedule::realize_from_active`] (measured churn).
+    /// schedule's rotation policy.
     fn compromised_for(&self, epoch: usize, active: &[usize], c: usize, seed: u64) -> Vec<usize> {
         let ne = active.len();
         match (epoch, self.rotation) {
@@ -1663,53 +1600,5 @@ mod tests {
         };
         let err = estimate_decay(&model, &dist, &schedule, 10, 3, 0).unwrap_err();
         assert!(err.to_string().contains("epoch"), "{err}");
-    }
-
-    #[test]
-    fn measured_memberships_realize_like_synthetic_churn() {
-        // feeding realize()'s own active sets back through
-        // realize_from_active must reproduce the views exactly, for
-        // every rotation policy
-        for rotation in [
-            RotationPolicy::Static,
-            RotationPolicy::Shift { step: 2 },
-            RotationPolicy::Resample,
-        ] {
-            let schedule = EpochSchedule {
-                epochs: 5,
-                rotation,
-                churn: ChurnModel::Iid { rate: 0.3 },
-            };
-            let synthetic = schedule.realize(12, 3, 77).unwrap();
-            let sets: Vec<Vec<usize>> = synthetic.iter().map(|v| v.active.clone()).collect();
-            let measured = schedule.realize_from_active(12, 3, 77, &sets).unwrap();
-            assert_eq!(measured, synthetic, "{rotation:?}");
-        }
-    }
-
-    #[test]
-    fn measured_memberships_are_validated() {
-        let schedule = EpochSchedule::rounds(2);
-        let ok = vec![vec![0, 1, 2, 3, 4], vec![0, 1, 3, 4]];
-        let views = schedule.realize_from_active(5, 1, 0, &ok).unwrap();
-        assert_eq!(views[1].active, vec![0, 1, 3, 4]);
-        // a departed node can never be in the compromised set
-        assert!(!views[1].compromised.contains(&2));
-
-        let empty: Vec<Vec<usize>> = Vec::new();
-        assert!(schedule.realize_from_active(5, 1, 0, &empty).is_err());
-        // unsorted, duplicate, out-of-range, and too-small sets
-        assert!(schedule
-            .realize_from_active(5, 1, 0, &[vec![1, 0, 2]])
-            .is_err());
-        assert!(schedule
-            .realize_from_active(5, 1, 0, &[vec![0, 1, 1, 2]])
-            .is_err());
-        assert!(schedule
-            .realize_from_active(5, 1, 0, &[vec![0, 1, 5]])
-            .is_err());
-        assert!(schedule
-            .realize_from_active(5, 2, 0, &[vec![0, 1, 2]])
-            .is_err());
     }
 }

@@ -25,9 +25,9 @@ proptest! {
     fn engine_matches_brute_force_on_random_simple_configs(
         pmf in arb_pmf(3),
         n in 4usize..7,
-        c in 0usize..4,
+        c in 0usize..6,
     ) {
-        prop_assume!(c <= n);
+        prop_assume!(c < n);
         let model = SystemModel::new(n, c).unwrap();
         let dist = PathLengthDist::from_pmf(pmf).unwrap();
         prop_assume!(dist.max_len() < n);
@@ -57,6 +57,28 @@ proptest! {
         let ev = Evaluator::new(&model, 12).unwrap();
         let b = ev.h_star(&pmf);
         prop_assert!((a - b).abs() < 1e-12);
+    }
+
+    #[test]
+    fn full_support_evaluator_bit_equals_a_support_sized_one(
+        pmf in arb_pmf(12),
+        n in 14usize..300,
+        c_pick in 0usize..1000,
+    ) {
+        // c up to n - 2: classes beyond the strategy's support must add
+        // nothing, not inf · 0
+        let c = c_pick % (n - 1);
+        let model = SystemModel::new(n, c).unwrap();
+        let dist = PathLengthDist::from_pmf(pmf).unwrap();
+        let sized = engine::analysis(&model, &dist).unwrap();
+        let full = Evaluator::new(&model, n - 1).unwrap().analyze(dist.pmf());
+        prop_assert_eq!(full.h_star.to_bits(), sized.h_star.to_bits());
+        prop_assert_eq!(full.p_exposed.to_bits(), sized.p_exposed.to_bits());
+        prop_assert_eq!(&full.classes, &sized.classes);
+        prop_assert!(full.h_star.is_finite(), "n={} c={}: {}", n, c, full.h_star);
+        prop_assert!(full.classes.iter().all(|r| r.probability.is_finite()));
+        let total: f64 = full.classes.iter().map(|r| r.probability).sum();
+        prop_assert!((total - 1.0).abs() < 1e-9, "n={} c={}: classes sum to {}", n, c, total);
     }
 
     #[test]

@@ -25,10 +25,9 @@
 //!   and accepting descriptor publishes, with optional lease expiry so
 //!   relays that stop refreshing are tombstoned automatically.
 //!
-//! Every accepted change appends a [`MembershipEvent`]; those are the
-//! *real* churn observations that feed
-//! `anonroute_core::epochs::EpochSchedule::realize_from_active` in
-//! place of the synthetic `ChurnModel` coin flips.
+//! Every accepted change appends a [`MembershipEvent`] to a log that
+//! clients read with `EVENTS`: the *real* churn observations of a live
+//! network, where the simulation draws synthetic `ChurnModel` coin flips.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -281,23 +280,6 @@ pub struct MembershipEvent {
     pub id: u64,
     /// Join or leave.
     pub kind: MembershipChange,
-}
-
-/// Replays `events` (any slice ordered by version) up to and including
-/// `version`, returning the sorted set of active relay ids.
-pub fn active_at(events: &[MembershipEvent], version: u64) -> Vec<usize> {
-    let mut active: BTreeMap<u64, ()> = BTreeMap::new();
-    for ev in events.iter().filter(|ev| ev.version <= version) {
-        match ev.kind {
-            MembershipChange::Joined => {
-                active.insert(ev.id, ());
-            }
-            MembershipChange::Left => {
-                active.remove(&ev.id);
-            }
-        }
-    }
-    active.keys().map(|&id| id as usize).collect()
 }
 
 /// A mergeable view of network membership: the latest verified
@@ -1230,19 +1212,6 @@ mod tests {
         }
         assert_eq!(server.member_ids(), vec![0], "silent member must expire");
         server.shutdown();
-    }
-
-    #[test]
-    fn replaying_events_reconstructs_membership() {
-        let mut view = NetworkView::new(b"seed", addr(8999));
-        for id in 0..4 {
-            view.publish(signed(b"seed", id, 1)).expect("join");
-        }
-        let full = view.version();
-        view.report_down(2);
-        let after = view.version();
-        assert_eq!(active_at(view.events(), full), vec![0, 1, 2, 3]);
-        assert_eq!(active_at(view.events(), after), vec![0, 1, 3]);
     }
 
     #[test]
