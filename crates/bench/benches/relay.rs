@@ -7,8 +7,8 @@ use std::time::Duration;
 
 use anonroute_core::{PathKind, PathLengthDist};
 use anonroute_relay::{
-    cluster_identity, run_cluster, Client, ClusterConfig, Directory, LinkTap, NodeInfo,
-    PendingRelay, ReceiverServer, RelayConfig,
+    cluster_identity, max_connections_for, run_cluster, Client, ClusterConfig, Directory, LinkTap,
+    NodeInfo, PendingRelay, ReceiverServer, RelayConfig,
 };
 use anonroute_sim::traffic::{Arrival, UniformTraffic};
 use anonroute_sim::MsgId;
@@ -20,11 +20,8 @@ use rand::SeedableRng;
 /// traverse 3 relays over real sockets, await the delivery.
 fn bench_end_to_end_latency(c: &mut Criterion) {
     let tap = LinkTap::new();
-    let receiver = ReceiverServer::spawn(tap.clone(), Duration::from_millis(50)).unwrap();
-    let config = RelayConfig {
-        cell_size: 1024,
-        ..RelayConfig::default()
-    };
+    let receiver = ReceiverServer::spawn(tap.clone(), max_connections_for(6)).unwrap();
+    let config = RelayConfig { cell_size: 1024 };
     let pending: Vec<PendingRelay> = (0..6)
         .map(|id| PendingRelay::bind(id, cluster_identity(1, id), config).unwrap())
         .collect();

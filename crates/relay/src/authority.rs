@@ -23,16 +23,19 @@
 //! * [`AuthorityServer`] / [`AuthorityClient`] — a line-oriented TCP
 //!   protocol (`PUT`/`GET`/`DOWN`/`EVENTS`/`PING`) serving snapshots
 //!   and accepting descriptor publishes, with optional lease expiry so
-//!   relays that stop refreshing are tombstoned automatically.
+//!   relays that stop refreshing are tombstoned automatically. The
+//!   server runs on the crate's shared accept loop: it serves at most
+//!   [`crate::MAX_CONNECTIONS`] clients at once (a new one displaces
+//!   the idlest when it is full), and its shutdown is bounded whatever
+//!   its clients do.
 //!
 //! Every accepted change appends a [`MembershipEvent`] to a log that
 //! clients read with `EVENTS`: the *real* churn observations of a live
 //! network, where the simulation draws synthetic `ChurnModel` coin flips.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -43,8 +46,8 @@ use anonroute_crypto::{hkdf, hmac};
 use crate::directory::{Directory, NodeInfo};
 use crate::error::{Error, Result};
 use crate::obs::DirectoryMetrics;
-use crate::wire;
-use crate::workers::{self, DoneGuard};
+use crate::wire::{self, JOIN_TIMEOUT, SEND_DEADLINE};
+use crate::workers::{Conn, Server, MAX_CONNECTIONS};
 
 /// Domain-separation salt for descriptor MAC keys.
 const MAC_SALT: &[u8] = b"anonroute-authority-v1";
@@ -62,6 +65,9 @@ const MAX_DESC_LEN: usize = 512;
 /// in hex, takes 1,029 bytes; a longer line is answered with `ERR` and
 /// the connection is closed.
 const MAX_REQUEST_LINE: usize = 4096;
+/// How long an authority connection may go without sending a byte
+/// before the authority answers `ERR` and hangs up.
+const IDLE_LIMIT: Duration = Duration::from_secs(10);
 /// Longest first reply line [`AuthorityClient`] reads, newline
 /// included: room for a `SNAP` line carrying a snapshot as large as a
 /// gossip frame may hold.
@@ -607,9 +613,9 @@ struct AuthorityState {
 pub struct AuthorityServer {
     addr: SocketAddr,
     state: Arc<AuthorityState>,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    sweeper: Option<JoinHandle<()>>,
+    server: Option<Server>,
+    /// The lease sweeper, and the sender whose drop wakes it to exit.
+    sweeper: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
 
 impl AuthorityServer {
@@ -625,58 +631,38 @@ impl AuthorityServer {
         let listener = TcpListener::bind(addr).map_err(|e| {
             Error::Config(format!("directory authority failed to bind {addr}: {e}"))
         })?;
-        let local = listener.local_addr().map_err(Error::Io)?;
         let state = Arc::new(AuthorityState {
             view: Mutex::new(NetworkView::new(net_seed, receiver)),
             leases: Mutex::new(HashMap::new()),
             lease,
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let io_timeout = Duration::from_millis(50);
-
-        let accept = {
+        let server = {
             let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || {
-                let (done_tx, _done_rx) = mpsc::channel();
-                let result = workers::accept_loop(
-                    listener,
-                    &shutdown,
-                    io_timeout,
-                    "directory authority",
-                    None,
-                    |stream, _conn| {
-                        let state = Arc::clone(&state);
-                        let guard = DoneGuard(done_tx.clone());
-                        thread::spawn(move || {
-                            let _guard = guard;
-                            let _ = serve_conn(stream, &state);
-                        })
-                    },
-                );
-                if let Err(e) = result {
-                    eprintln!("directory authority accept loop: {e}");
-                }
-            })
+            Server::spawn(
+                listener,
+                "directory authority".into(),
+                || MAX_CONNECTIONS,
+                move |stream, conn| {
+                    let _ = serve_conn(stream, &state, conn);
+                },
+            )
         };
-
         let sweeper = lease.map(|lease| {
             let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || {
-                let tick = (lease / 4).max(Duration::from_millis(10));
-                while !shutdown.load(Ordering::SeqCst) {
-                    thread::sleep(tick);
+            let (wake, sleep) = mpsc::channel::<()>();
+            let tick = (lease / 4).max(Duration::from_millis(10));
+            let thread = thread::spawn(move || {
+                while let Err(mpsc::RecvTimeoutError::Timeout) = sleep.recv_timeout(tick) {
                     sweep_leases(&state, lease);
                 }
-            })
+            });
+            (wake, thread)
         });
 
         Ok(AuthorityServer {
-            addr: local,
+            addr: server.addr(),
             state,
-            shutdown,
-            accept: Some(accept),
+            server: Some(server),
             sweeper,
         })
     }
@@ -706,20 +692,23 @@ impl AuthorityServer {
             .to_vec()
     }
 
-    /// Stops accepting, wakes the sweeper, and joins both threads.
+    /// Stops accepting, wakes the sweeper, and joins both threads. Every
+    /// connection worker sees the stop within one read tick, so this
+    /// returns promptly even with clients connected, and never later
+    /// than the shared join bound (10 s).
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // wake the blocked accept; the connection itself is discarded
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
+        if let Some(server) = self.server.take() {
+            if let Err(e) = server.join(JOIN_TIMEOUT) {
+                eprintln!("directory authority: {e}");
+            }
         }
-        if let Some(t) = self.sweeper.take() {
-            let _ = t.join();
+        if let Some((wake, sweeper)) = self.sweeper.take() {
+            drop(wake);
+            let _ = sweeper.join();
         }
     }
 }
@@ -765,11 +754,59 @@ fn sweep_leases(state: &AuthorityState, lease: Duration) {
 /// [`Error::Io`] on socket failures.
 fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Result<Option<String>> {
     let mut line = Vec::new();
-    let n = reader
+    reader
         .take(cap as u64)
         .read_until(b'\n', &mut line)
         .map_err(Error::Io)?;
-    if n == 0 {
+    finish_line(line, cap)
+}
+
+/// Reads the next request line as [`read_line_capped`] does, on a stream
+/// whose reads time out every [`wire::IO_TIMEOUT`]. Before every read it
+/// returns `None` once the server is stopping, so neither an idle client
+/// nor one that trickles bytes holds the worker past a shutdown; it
+/// fails once no byte arrived for [`IDLE_LIMIT`]. A partial line is kept
+/// across reads, and every byte stamps the connection as active.
+fn read_request(reader: &mut impl BufRead, conn: &Conn) -> Result<Option<String>> {
+    let mut line = Vec::new();
+    let mut last_byte = Instant::now();
+    loop {
+        if conn.stopping() {
+            return Ok(None);
+        }
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if last_byte.elapsed() >= IDLE_LIMIT {
+                    return Err(Error::Io(e));
+                }
+                continue;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(Error::Io(e)),
+        };
+        if chunk.is_empty() {
+            return finish_line(line, MAX_REQUEST_LINE);
+        }
+        last_byte = Instant::now();
+        conn.touch();
+        let room = chunk.len().min(MAX_REQUEST_LINE - line.len());
+        let (used, ended) = match chunk[..room].iter().position(|&b| b == b'\n') {
+            Some(at) => (at + 1, true),
+            None => (room, line.len() + room == MAX_REQUEST_LINE),
+        };
+        line.extend_from_slice(&chunk[..used]);
+        reader.consume(used);
+        if ended {
+            return finish_line(line, MAX_REQUEST_LINE);
+        }
+    }
+}
+
+/// A line read under a `cap`-byte limit, without its line ending; `None`
+/// for an empty read (the end of the stream).
+fn finish_line(mut line: Vec<u8>, cap: usize) -> Result<Option<String>> {
+    if line.is_empty() {
         return Ok(None);
     }
     if line.last() == Some(&b'\n') {
@@ -777,7 +814,7 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Result<Option<Stri
         if line.last() == Some(&b'\r') {
             line.pop();
         }
-    } else if n == cap {
+    } else if line.len() == cap {
         return Err(Error::Protocol(format!("line exceeds {cap} bytes")));
     }
     String::from_utf8(line)
@@ -785,17 +822,19 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Result<Option<Stri
         .map_err(|_| Error::Protocol("line is not UTF-8".into()))
 }
 
-/// Handles one authority connection until EOF, or until a request line
-/// it cannot read, which is answered with `ERR` before the close.
-fn serve_conn(stream: TcpStream, state: &AuthorityState) -> Result<()> {
+/// Handles one authority connection until EOF, shutdown, or a request
+/// line it cannot read, which is answered with `ERR` before the close.
+/// A reply that the client does not read within [`SEND_DEADLINE`] ends
+/// the connection.
+fn serve_conn(stream: TcpStream, state: &AuthorityState, conn: &Conn) -> Result<()> {
     stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
+        .set_write_timeout(Some(SEND_DEADLINE))
         .map_err(Error::Io)?;
     let mut writer = stream.try_clone().map_err(Error::Io)?;
     let mut reader = BufReader::new(stream);
     let metrics = DirectoryMetrics::global();
     loop {
-        let line = match read_line_capped(&mut reader, MAX_REQUEST_LINE) {
+        let line = match read_request(&mut reader, conn) {
             Ok(Some(line)) => line,
             Ok(None) => break,
             Err(e) => {
@@ -1069,6 +1108,77 @@ mod tests {
         let client = AuthorityClient::new(server.addr());
         client.publish(&signed(b"seed", 1, 1)).unwrap();
         assert_eq!(client.ping().unwrap(), 1, "the next client is served");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_full_authority_closes_its_idlest_connections_and_keeps_serving() {
+        let server = AuthorityServer::spawn("127.0.0.1:0", b"seed", addr(8999), None).unwrap();
+        let (flood, closed) = crate::fault::flood(server.addr(), MAX_CONNECTIONS + 8);
+        assert!(
+            closed >= 8,
+            "only {closed} of the 8 connections past the cap were closed"
+        );
+        // with the flood's sockets still open, a new client displaces an
+        // idle one and is served
+        let client = AuthorityClient::new(server.addr());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while client.ping().is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "the authority never served again"
+            );
+            thread::sleep(Duration::from_millis(20));
+        }
+        drop(flood);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_is_bounded_with_idle_and_trickling_clients() {
+        // a worker must see the stop flag both while its client is idle
+        // and while every read returns a byte, well inside the join bound
+        for trickle in [false, true] {
+            let server = AuthorityServer::spawn("127.0.0.1:0", b"seed", addr(8999), None).unwrap();
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            // the worker is serving the client before the shutdown starts
+            conn.write_all(b"PING\n").unwrap();
+            let mut reply = String::new();
+            BufReader::new(&conn).read_line(&mut reply).unwrap();
+            assert!(reply.starts_with("PONG"), "{reply:?}");
+            let trickler = trickle.then(|| {
+                let mut conn = conn.try_clone().unwrap();
+                thread::spawn(move || {
+                    while conn.write_all(b"P").is_ok() {
+                        thread::sleep(Duration::from_millis(20));
+                    }
+                })
+            });
+            thread::sleep(4 * wire::IO_TIMEOUT);
+            let start = Instant::now();
+            server.shutdown();
+            let elapsed = start.elapsed();
+            assert!(
+                elapsed < Duration::from_secs(1),
+                "shutdown took {elapsed:?}"
+            );
+            drop(conn);
+            if let Some(trickler) = trickler {
+                trickler.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn partial_request_lines_survive_read_ticks() {
+        let server = AuthorityServer::spawn("127.0.0.1:0", b"seed", addr(8999), None).unwrap();
+        let mut conn = TcpStream::connect(server.addr()).unwrap();
+        conn.write_all(b"PI").unwrap();
+        thread::sleep(4 * wire::IO_TIMEOUT);
+        conn.write_all(b"NG\n").unwrap();
+        let mut reply = String::new();
+        BufReader::new(&conn).read_line(&mut reply).unwrap();
+        assert_eq!(reply, "PONG 0\n");
         server.shutdown();
     }
 

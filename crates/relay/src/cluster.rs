@@ -1,20 +1,24 @@
 //! The in-process cluster harness: N relays on loopback, seeded traffic,
 //! and a ground-truth link tap.
 //!
-//! [`SharedCluster`] is the one cluster runner. [`SharedCluster::boot`]
-//! binds every relay on a `127.0.0.1` ephemeral port and builds the
-//! [`Directory`] from the bound addresses; [`SharedCluster::run_cell`]
-//! drives a schedule of [`Arrival`]s (from the
-//! [`anonroute_sim::traffic`] generators) through a circuit-building
-//! [`Client`] and returns the tap's [`TransferRecord`] trace plus the
-//! receiver's deliveries — the exact inputs
-//! `anonroute_adversary::attack_trace` consumes, so the measured
-//! anonymity degree of live TCP traffic can be checked against
-//! `anonroute-core`'s analytic prediction; [`SharedCluster::shutdown`]
-//! winds the network down and returns the per-relay counters.
-//!
 //! [`run_cluster`] is the live-network analogue of one
-//! [`anonroute_sim::Simulation`] run: boot, one cell, shutdown.
+//! [`anonroute_sim::Simulation`] run, in three private steps:
+//!
+//! 1. *boot* binds the receiver and every relay on a `127.0.0.1`
+//!    ephemeral port, builds the [`Directory`] from the bound addresses
+//!    and starts the daemons;
+//! 2. *drive* sends a schedule of [`Arrival`]s (from the
+//!    [`anonroute_sim::traffic`] generators) through a circuit-building
+//!    [`Client`], awaits every delivery, and returns the tap's
+//!    [`TransferRecord`] trace plus the receiver's deliveries — the exact
+//!    inputs `anonroute_adversary::attack_trace` consumes, so the
+//!    measured anonymity degree of live TCP traffic can be checked
+//!    against `anonroute-core`'s analytic prediction;
+//! 3. *teardown* winds the network down and returns the per-relay
+//!    counters.
+//!
+//! Each step fails with a typed [`Error`] and stops what it started, and
+//! teardown runs whether or not the traffic got through.
 //! [`run_cluster_budgeted_observed`] is the same run gated by a
 //! [`ClusterBudget`] and reporting its [`Phase`] to another thread.
 //!
@@ -23,14 +27,16 @@
 //!
 //! * every dial and every frame write, by the client and by each relay,
 //!   fails after a 5 s send deadline, so one client send returns within
-//!   two deadlines and the first failed send ends the cell with an
+//!   two deadlines and the first failed send ends the run with an
 //!   error; a relay counts a failed forward in `dropped` and reads on;
-//! * every read polls its shutdown flag each `io_timeout` and gives up
-//!   on a peer stalled mid-frame after 100 stalled reads (5 s at the
-//!   default 50 ms);
-//! * the drain waits at most `deliver_timeout` for the cell's deliveries;
+//! * every read polls its shutdown flag each 50 ms and gives up on a
+//!   peer stalled mid-frame after 100 stalled reads (5 s);
+//! * each relay and the receiver serve at most
+//!   [`crate::max_connections_for`]`(n)` connections, more than a run
+//!   opens;
+//! * the drain waits at most `deliver_timeout` for the deliveries;
 //! * teardown signals every relay, then joins each relay and the
-//!   receiver with `join_timeout`.
+//!   receiver within 10 s.
 //!
 //! A stalled peer therefore holds a relay worker for at most one send
 //! deadline, and a run that fails returns a typed [`Error`] after at
@@ -41,8 +47,8 @@
 //! measured anonymity degree) are deterministic per seed even though TCP
 //! scheduling is not.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use anonroute_core::{PathKind, PathLengthDist};
@@ -61,6 +67,8 @@ use crate::error::{Error, Result};
 use crate::obs::{ClusterMetrics, Phase, PhaseCell};
 use crate::receiver::ReceiverServer;
 use crate::tap::LinkTap;
+use crate::wire::JOIN_TIMEOUT;
+use crate::workers::max_connections_for;
 
 /// Configuration of one cluster run.
 #[derive(Debug, Clone)]
@@ -81,12 +89,8 @@ pub struct ClusterConfig {
     /// re-key every circuit over the same cluster. Epoch `0` reproduces
     /// the pre-dynamics single-round streams exactly.
     pub epoch: u64,
-    /// Socket read timeout (shutdown-poll granularity).
-    pub io_timeout: Duration,
     /// How long to await full delivery after the last origination.
     pub deliver_timeout: Duration,
-    /// Per-component bound when winding the cluster down.
-    pub join_timeout: Duration,
 }
 
 impl ClusterConfig {
@@ -99,9 +103,7 @@ impl ClusterConfig {
             cell_size: DEFAULT_CELL_SIZE,
             seed: 7,
             epoch: 0,
-            io_timeout: Duration::from_millis(50),
             deliver_timeout: Duration::from_secs(30),
-            join_timeout: Duration::from_secs(10),
         }
     }
 
@@ -183,23 +185,24 @@ pub fn run_cluster(config: &ClusterConfig, arrivals: &[Arrival]) -> Result<Clust
     run_phased(config, arrivals, &PhaseCell::new())
 }
 
-/// Boot, one cell spanning the whole cluster, shutdown — feeding the
-/// process-wide [`ClusterMetrics`] aggregates. Metrics are write-only
-/// sinks: nothing the run computes depends on them.
+/// Boot, drive, teardown — feeding the process-wide [`ClusterMetrics`]
+/// aggregates. Metrics are write-only sinks: nothing the run computes
+/// depends on them.
 fn run_phased(
     config: &ClusterConfig,
     arrivals: &[Arrival],
     phase: &PhaseCell,
 ) -> Result<ClusterOutcome> {
     let result = (|| {
+        check(config, arrivals)?;
         phase.set(Phase::Boot);
-        let cluster = SharedCluster::boot(config)?;
-        let cell = cluster.run_cell(config, arrivals, phase);
-        let boot_micros = cluster.boot_micros();
+        let network = boot(config)?;
+        let driven = drive(&network, config, arrivals, phase);
         phase.set(Phase::Teardown);
-        let stats = cluster.shutdown();
+        let boot_micros = network.boot_micros;
+        let stats = teardown(network, config.epoch);
         // a traffic error outranks a teardown error
-        let mut outcome = cell?;
+        let mut outcome = driven?;
         outcome.stats = stats?;
         outcome.boot_micros = boot_micros;
         Ok(outcome)
@@ -213,351 +216,205 @@ fn run_phased(
     result
 }
 
-/// A booted loopback cluster that evaluation cells run against.
-///
-/// One boot is one `anonroute_cluster_boots_total` increment; each cell
-/// re-keys circuits over the standing relays via [`run_cell`], and
-/// [`shutdown`] winds everything down.
-///
-/// Message-id ranges are allocated disjointly per cell, so concurrent
-/// cells share the receiver and the link tap without mixing traffic; each
-/// cell's outcome is sliced out of the global streams and remapped to
-/// 0-based ids, matching the shape a fresh cluster would have produced.
-///
-/// [`run_cell`]: SharedCluster::run_cell
-/// [`shutdown`]: SharedCluster::shutdown
+/// Rejects a run that could not route: no relays, or a sender outside
+/// the membership.
+fn check(config: &ClusterConfig, arrivals: &[Arrival]) -> Result<()> {
+    if config.n == 0 {
+        return Err(Error::Config("a cluster needs at least one relay".into()));
+    }
+    match arrivals.iter().find(|a| a.sender >= config.n) {
+        Some(arrival) => Err(Error::Config(format!(
+            "arrival sender {} out of range (n={})",
+            arrival.sender, config.n
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// The standing network of one run: what [`boot`] starts and
+/// [`teardown`] stops.
 #[derive(Debug)]
-pub struct SharedCluster {
-    config: ClusterConfig,
-    nodes: Vec<NodeInfo>,
+struct Network {
     directory: Arc<Directory>,
-    relays: Mutex<Vec<Option<Relay>>>,
-    receiver: Option<ReceiverServer>,
+    relays: Vec<Relay>,
+    receiver: ReceiverServer,
     tap: LinkTap,
-    next_msg: AtomicU64,
     boot_micros: u64,
 }
 
-impl SharedCluster {
-    /// Boots the network: binds the receiver and every member relay,
-    /// builds the directory from the bound addresses, and starts the
-    /// daemons. Callers that share the loopback with other clusters hold
-    /// a [`ClusterBudget`] permit for the cluster's lifetime.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] on invalid parameters, plus I/O errors from
-    /// binding relays or the receiver.
-    pub fn boot(config: &ClusterConfig) -> Result<SharedCluster> {
-        if config.n == 0 {
-            return Err(Error::Config("a cluster needs at least one relay".into()));
+/// Binds the receiver and every member relay, builds the directory from
+/// the bound addresses, and starts the daemons. On an error it stops the
+/// receiver and closes every listener it bound.
+fn boot(config: &ClusterConfig) -> Result<Network> {
+    let boot_start = Instant::now();
+    let boot_span = anonroute_obs::span_with(
+        "cluster.boot",
+        "relay",
+        &[("n", config.n as u64), ("epoch", config.epoch)],
+    );
+    let tap = LinkTap::new();
+    let receiver = ReceiverServer::spawn(tap.clone(), max_connections_for(config.n))?;
+    let relay_cfg = RelayConfig {
+        cell_size: config.cell_size,
+    };
+    // bind every listener first so the directory can carry real ports
+    let bound = (0..config.n)
+        .map(|id| PendingRelay::bind(id, cluster_identity(config.seed, id), relay_cfg))
+        .collect::<Result<Vec<PendingRelay>>>()
+        .and_then(|pending| {
+            let nodes = pending
+                .iter()
+                .map(|p| NodeInfo {
+                    id: p.id(),
+                    addr: p.addr(),
+                    public: p.public(),
+                })
+                .collect();
+            let directory = Directory::new(nodes, receiver.addr())?;
+            Ok((pending, Arc::new(directory)))
+        });
+    let (pending, directory) = match bound {
+        Ok(bound) => bound,
+        Err(e) => {
+            let _ = receiver.join(JOIN_TIMEOUT);
+            return Err(e);
         }
-        let boot_start = Instant::now();
-        let boot_span = anonroute_obs::span_with(
-            "cluster.boot",
-            "relay",
-            &[("n", config.n as u64), ("epoch", config.epoch)],
-        );
-        let tap = LinkTap::new();
-        let receiver = ReceiverServer::spawn(tap.clone(), config.io_timeout)?;
-        let relay_cfg = RelayConfig {
-            cell_size: config.cell_size,
-            io_timeout: config.io_timeout,
-            ..RelayConfig::default()
-        };
-        // bind every listener first so the directory can carry real ports
-        let mut pending: Vec<PendingRelay> = Vec::with_capacity(config.n);
-        for id in 0..config.n {
-            match PendingRelay::bind(id, cluster_identity(config.seed, id), relay_cfg) {
-                Ok(p) => pending.push(p),
-                Err(e) => {
-                    let _ = receiver.join(config.join_timeout);
-                    return Err(e);
-                }
-            }
-        }
-        let nodes: Vec<NodeInfo> = pending
-            .iter()
-            .map(|p| NodeInfo {
-                id: p.id(),
-                addr: p.addr(),
-                public: p.public(),
-            })
-            .collect();
-        let directory = match Directory::new(nodes.clone(), receiver.addr()) {
-            Ok(d) => Arc::new(d),
-            Err(e) => {
-                let _ = receiver.join(config.join_timeout);
-                return Err(e);
-            }
-        };
-        let relays: Vec<Option<Relay>> = pending
-            .into_iter()
-            .map(|p| {
-                let junk_seed = config
-                    .seed
-                    .wrapping_add(config.epoch.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-                    .wrapping_add((p.id() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                Some(p.serve(Arc::clone(&directory), tap.clone(), junk_seed))
-            })
-            .collect();
-        let metrics = ClusterMetrics::global();
-        metrics.boots.inc();
-        metrics
-            .boot_seconds
-            .observe(boot_start.elapsed().as_secs_f64());
-        let boot_micros = boot_start.elapsed().as_micros() as u64;
-        drop(boot_span);
-        Ok(SharedCluster {
-            config: config.clone(),
-            nodes,
-            directory,
-            relays: Mutex::new(relays),
-            receiver: Some(receiver),
-            tap,
-            next_msg: AtomicU64::new(0),
-            boot_micros,
+    };
+    let relays = pending
+        .into_iter()
+        .map(|p| {
+            let junk_seed = config
+                .seed
+                .wrapping_add(config.epoch.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+                .wrapping_add((p.id() as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            p.serve(Arc::clone(&directory), tap.clone(), junk_seed)
         })
-    }
-
-    /// The full network map cells over the whole membership route with.
-    pub fn directory(&self) -> Arc<Directory> {
-        Arc::clone(&self.directory)
-    }
-
-    /// Wall-clock microseconds the boot took.
-    pub fn boot_micros(&self) -> u64 {
-        self.boot_micros
-    }
-
-    fn receiver(&self) -> &ReceiverServer {
-        self.receiver
-            .as_ref()
-            .expect("receiver lives until shutdown")
-    }
-
-    /// Runs one evaluation cell over the standing network, keeping
-    /// `phase` current (handshake → traffic → drain). From `cell` it
-    /// takes `n` (the cell routes over the first `n` members; directory
-    /// indices agree between that prefix and the relays' full view, so
-    /// forwarding needs no remap), `dist`, `path_kind`, `seed`, `epoch`,
-    /// and `deliver_timeout`; cell size and socket timeouts are the
-    /// cluster's. The cell's `seed`/`epoch` drive *circuit material
-    /// only* (routes, handshake ephemerals, nonces) — relay identities
-    /// stay those of the cluster, and trace shape depends on the sampled
-    /// routes, never on which identity sits at a directory index.
-    /// Concurrent cells are safe: message-id ranges are disjoint and each
-    /// cell awaits and slices only its own records out of the shared
-    /// streams.
-    ///
-    /// The returned [`ClusterOutcome`] matches a fresh [`run_cluster`]
-    /// with the same parameters except: `boot_micros` is `0` (the boot
-    /// belongs to the cluster, see [`SharedCluster::boot_micros`]) and
-    /// `stats` is empty (relay counters are cumulative across cells and
-    /// only collected at [`SharedCluster::shutdown`]).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] on invalid parameters, [`Error::Timeout`] when
-    /// not every message was delivered within the cell's deadline, and
-    /// I/O or strategy errors from sending.
-    pub fn run_cell(
-        &self,
-        cell: &ClusterConfig,
-        arrivals: &[Arrival],
-        phase: &PhaseCell,
-    ) -> Result<ClusterOutcome> {
-        if cell.n == 0 {
-            return Err(Error::Config("a cell needs at least one relay".into()));
-        }
-        if cell.n > self.nodes.len() {
-            return Err(Error::Config(format!(
-                "cell wants n={} but the cluster only has {} relays",
-                cell.n,
-                self.nodes.len()
-            )));
-        }
-        for arrival in arrivals {
-            if arrival.sender >= cell.n {
-                return Err(Error::Config(format!(
-                    "arrival sender {} out of range (n={})",
-                    arrival.sender, cell.n
-                )));
-            }
-        }
-        // the prefix sub-directory shares indices with the relays' full
-        // view, so onions built against it forward without remapping
-        let directory = if cell.n == self.nodes.len() {
-            Arc::clone(&self.directory)
-        } else {
-            Arc::new(Directory::new(
-                self.nodes[..cell.n].to_vec(),
-                self.receiver().addr(),
-            )?)
-        };
-        // reserve a message-id range disjoint from every other cell
-        let want = arrivals.len() as u64;
-        let base = self.next_msg.fetch_add(want, Ordering::SeqCst);
-        let ids = base..base + want;
-
-        // drive the workload; the client drops (closing its connections)
-        // as soon as the last cell is on the wire. The first send is
-        // where onion handshakes can first fail, so it gets its own phase.
-        phase.set(Phase::Handshake);
-        let traffic_start = Instant::now();
-        let traffic_span =
-            anonroute_obs::span_with("cluster.traffic", "relay", &[("epoch", cell.epoch)]);
-        let mut originations = (|| -> Result<Vec<Origination>> {
-            let mut client = Client::new(
-                directory,
-                cell.dist.clone(),
-                cell.path_kind,
-                self.config.cell_size,
-                Some(self.tap.clone()),
-            )?;
-            // epoch 0 leaves the stream untouched; later epochs re-key
-            // every circuit built over the same relay identities
-            let mut rng = StdRng::seed_from_u64(
-                cell.seed ^ 0x517E_C0DE_5EED_0001 ^ cell.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
-            let mut originations = Vec::with_capacity(arrivals.len());
-            for (i, arrival) in arrivals.iter().enumerate() {
-                let msg = MsgId(base + i as u64);
-                originations.push(Origination {
-                    time: self.tap.now(),
-                    sender: arrival.sender,
-                    msg,
-                });
-                client.send(arrival.sender, msg, &arrival.payload, &mut rng)?;
-                if i == 0 {
-                    phase.set(Phase::Traffic);
-                }
-            }
-            Ok(originations)
-        })()?;
-
-        phase.set(Phase::Drain);
-        let mut deliveries = self
-            .receiver()
-            .take_range(ids.clone(), cell.deliver_timeout);
-        if deliveries.len() < arrivals.len() {
-            return Err(Error::Timeout(format!(
-                "only {} of {} messages delivered within {:?}",
-                deliveries.len(),
-                arrivals.len(),
-                cell.deliver_timeout
-            )));
-        }
-        let traffic_micros = traffic_start.elapsed().as_micros() as u64;
-        drop(traffic_span);
-
-        // every hop records its edge before sending, so once all of the
-        // cell's deliveries are in, so is its whole trace; slice it out
-        // and rebase msg ids so the outcome matches a fresh cluster's
-        let mut trace: Vec<TransferRecord> = self
-            .tap
-            .snapshot()
-            .into_iter()
-            .filter(|r| ids.contains(&r.msg.0))
-            .collect();
-        for r in &mut trace {
-            r.msg = MsgId(r.msg.0 - base);
-        }
-        for d in &mut deliveries {
-            d.msg = MsgId(d.msg.0 - base);
-        }
-        for o in &mut originations {
-            o.msg = MsgId(o.msg.0 - base);
-        }
-        Ok(ClusterOutcome {
-            trace,
-            deliveries,
-            originations,
-            stats: Vec::new(),
-            boot_micros: 0,
-            traffic_micros,
-        })
-    }
-
-    /// Kills member `id` mid-run: the relay stops serving, its port goes
-    /// dead, and subsequent dials to it fail — the real departure signal
-    /// the gossip layer's peer-health check and the directory authority's
-    /// lease sweeper turn into membership events. Returns the relay's
-    /// cumulative traffic counters.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Config`] for an unknown or already-killed id; join errors
-    /// from the relay's worker threads.
-    pub fn kill_relay(&self, id: usize) -> Result<RelayStats> {
-        let relay = {
-            let mut relays = self.relays.lock().expect("relay roster lock");
-            match relays.get_mut(id) {
-                Some(slot) => slot
-                    .take()
-                    .ok_or_else(|| Error::Config(format!("relay {id} was already killed")))?,
-                None => {
-                    return Err(Error::Config(format!(
-                        "relay {id} out of range (n={})",
-                        self.config.n
-                    )))
-                }
-            }
-        };
-        relay.join(self.config.join_timeout)
-    }
-
-    /// Winds the whole network down: joins every still-running relay and
-    /// the receiver, returning per-relay cumulative traffic counters
-    /// (zeroed for relays killed earlier).
-    ///
-    /// # Errors
-    ///
-    /// The first join error seen; teardown still proceeds through every
-    /// component.
-    pub fn shutdown(mut self) -> Result<Vec<RelayStats>> {
-        let _teardown_span =
-            anonroute_obs::span_with("cluster.teardown", "relay", &[("epoch", self.config.epoch)]);
-        self.wind_down()
-    }
-
-    fn wind_down(&mut self) -> Result<Vec<RelayStats>> {
-        let mut teardown_err: Option<Error> = None;
-        let mut stats = Vec::with_capacity(self.config.n);
-        let relays: Vec<Option<Relay>> =
-            std::mem::take(&mut *self.relays.lock().expect("relay roster lock"));
-        // signal every relay before joining any, so their workers' read
-        // polls run out together instead of one relay after another
-        for relay in relays.iter().flatten() {
-            relay.shutdown();
-        }
-        for slot in relays {
-            match slot {
-                Some(relay) => match relay.join(self.config.join_timeout) {
-                    Ok(s) => stats.push(s),
-                    Err(e) => {
-                        stats.push(RelayStats::default());
-                        teardown_err.get_or_insert(e);
-                    }
-                },
-                None => stats.push(RelayStats::default()),
-            }
-        }
-        if let Some(receiver) = self.receiver.take() {
-            if let Err(e) = receiver.join(self.config.join_timeout) {
-                teardown_err.get_or_insert(e);
-            }
-        }
-        match teardown_err {
-            Some(e) => Err(e),
-            None => Ok(stats),
-        }
-    }
+        .collect();
+    let metrics = ClusterMetrics::global();
+    metrics.boots.inc();
+    metrics
+        .boot_seconds
+        .observe(boot_start.elapsed().as_secs_f64());
+    let boot_micros = boot_start.elapsed().as_micros() as u64;
+    drop(boot_span);
+    Ok(Network {
+        directory,
+        relays,
+        receiver,
+        tap,
+        boot_micros,
+    })
 }
 
-impl Drop for SharedCluster {
-    fn drop(&mut self) {
-        let _ = self.wind_down();
+/// Sends `arrivals` over the standing network, keeping `phase` current
+/// (handshake → traffic → drain), and awaits every delivery. The
+/// outcome's `stats` and `boot_micros` are left for the caller.
+///
+/// # Errors
+///
+/// [`Error::Timeout`] when not every message was delivered within
+/// `deliver_timeout`, and I/O or strategy errors from sending.
+fn drive(
+    network: &Network,
+    config: &ClusterConfig,
+    arrivals: &[Arrival],
+    phase: &PhaseCell,
+) -> Result<ClusterOutcome> {
+    // the first send is where onion handshakes can first fail, so it
+    // gets its own phase
+    phase.set(Phase::Handshake);
+    let traffic_start = Instant::now();
+    let traffic_span =
+        anonroute_obs::span_with("cluster.traffic", "relay", &[("epoch", config.epoch)]);
+    let mut client = Client::new(
+        Arc::clone(&network.directory),
+        config.dist.clone(),
+        config.path_kind,
+        config.cell_size,
+        Some(network.tap.clone()),
+    )?;
+    // epoch 0 leaves the stream untouched; later epochs re-key every
+    // circuit built over the same relay identities
+    let mut rng = StdRng::seed_from_u64(
+        config.seed ^ 0x517E_C0DE_5EED_0001 ^ config.epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
+    let mut originations = Vec::with_capacity(arrivals.len());
+    for (i, arrival) in arrivals.iter().enumerate() {
+        let msg = MsgId(i as u64);
+        originations.push(Origination {
+            time: network.tap.now(),
+            sender: arrival.sender,
+            msg,
+        });
+        client.send(arrival.sender, msg, &arrival.payload, &mut rng)?;
+        if i == 0 {
+            phase.set(Phase::Traffic);
+        }
+    }
+    // close the client's connections as soon as the last cell is on the
+    // wire
+    drop(client);
+
+    phase.set(Phase::Drain);
+    network
+        .receiver
+        .wait_for(arrivals.len(), config.deliver_timeout);
+    let deliveries = network.receiver.take();
+    if deliveries.len() < arrivals.len() {
+        return Err(Error::Timeout(format!(
+            "only {} of {} messages delivered within {:?}",
+            deliveries.len(),
+            arrivals.len(),
+            config.deliver_timeout
+        )));
+    }
+    let traffic_micros = traffic_start.elapsed().as_micros() as u64;
+    drop(traffic_span);
+    // every hop records its edge before sending, so once every delivery
+    // is in, so is the whole trace
+    Ok(ClusterOutcome {
+        trace: network.tap.snapshot(),
+        deliveries,
+        originations,
+        stats: Vec::new(),
+        boot_micros: 0,
+        traffic_micros,
+    })
+}
+
+/// Winds the network down: signals every relay, then joins each relay
+/// and the receiver, returning per-relay traffic counters.
+///
+/// # Errors
+///
+/// The first join error seen; teardown still proceeds through every
+/// component.
+fn teardown(network: Network, epoch: u64) -> Result<Vec<RelayStats>> {
+    let _teardown_span = anonroute_obs::span_with("cluster.teardown", "relay", &[("epoch", epoch)]);
+    let Network {
+        relays, receiver, ..
+    } = network;
+    // signal every relay before joining any, so their workers' read
+    // polls run out together instead of one relay after another
+    for relay in &relays {
+        relay.shutdown();
+    }
+    let mut first_err: Option<Error> = None;
+    let stats = relays
+        .into_iter()
+        .map(|relay| {
+            relay.join(JOIN_TIMEOUT).unwrap_or_else(|e| {
+                first_err.get_or_insert(e);
+                RelayStats::default()
+            })
+        })
+        .collect();
+    if let Err(e) = receiver.join(JOIN_TIMEOUT) {
+        first_err.get_or_insert(e);
+    }
+    match first_err {
+        Some(e) => Err(e),
+        None => Ok(stats),
     }
 }
 
@@ -787,65 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_match_fresh_cluster_shapes() {
-        let mut base = ClusterConfig::new(6, PathLengthDist::fixed(2));
-        base.seed = 99; // identities differ from the fresh run on purpose
-        let cluster = SharedCluster::boot(&base).unwrap();
-        let phase = PhaseCell::new();
-
-        // a full-width cell and a narrower prefix cell, each checked
-        // against a fresh single-shot cluster with the same parameters
-        for (n_cell, seed, count) in [(6usize, 21u64, 15usize), (4, 5, 9)] {
-            let arrivals = workload(n_cell, count, seed);
-            let mut spec = ClusterConfig::new(n_cell, PathLengthDist::fixed(2));
-            spec.seed = seed;
-            let cell = cluster.run_cell(&spec, &arrivals, &phase).unwrap();
-            let fresh = run_cluster(&spec, &arrivals).unwrap();
-            assert_eq!(shape(&cell.trace), shape(&fresh.trace));
-            assert_eq!(cell.deliveries.len(), fresh.deliveries.len());
-            assert_eq!(cell.originations.len(), count);
-            assert_eq!(cell.boot_micros, 0, "the boot belongs to the cluster");
-            assert_eq!(phase.get(), Phase::Drain);
-        }
-
-        // the same cell twice reproduces its own shape after rebasing
-        let arrivals = workload(6, 10, 77);
-        let mut spec = ClusterConfig::new(6, PathLengthDist::uniform(1, 3).unwrap());
-        spec.seed = 77;
-        spec.epoch = 2;
-        let once = cluster.run_cell(&spec, &arrivals, &phase).unwrap();
-        let twice = cluster.run_cell(&spec, &arrivals, &phase).unwrap();
-        assert_eq!(shape(&once.trace), shape(&twice.trace));
-
-        let stats = cluster.shutdown().unwrap();
-        assert_eq!(stats.len(), 6);
-        assert!(stats.iter().any(|s| s.relayed > 0));
-    }
-
-    #[test]
-    fn killed_relays_leave_the_rest_of_the_network_serving() {
-        let mut config = ClusterConfig::new(5, PathLengthDist::fixed(1));
-        config.seed = 41;
-        let cluster = SharedCluster::boot(&config).unwrap();
-        // a prefix cell that never routes through relay 4
-        let mut spec = ClusterConfig::new(4, PathLengthDist::fixed(1));
-        spec.seed = 8;
-        let phase = PhaseCell::new();
-        let before = cluster.run_cell(&spec, &workload(4, 6, 1), &phase).unwrap();
-        assert_eq!(before.deliveries.len(), 6);
-
-        cluster.kill_relay(4).unwrap();
-        assert!(matches!(cluster.kill_relay(4), Err(Error::Config(_))));
-        assert!(matches!(cluster.kill_relay(9), Err(Error::Config(_))));
-
-        let after = cluster.run_cell(&spec, &workload(4, 6, 2), &phase).unwrap();
-        assert_eq!(after.deliveries.len(), 6);
-        let stats = cluster.shutdown().unwrap();
-        assert_eq!(stats.len(), 5);
-        assert_eq!(stats[4].relayed, 0, "killed relay reports zeroed stats");
-    }
-
-    #[test]
     fn cells_through_a_wedged_relay_fail_within_their_deadlines() {
         // one-hop routes: sender 0's cells all go through relay 1
         let mut config = ClusterConfig::new(2, PathLengthDist::fixed(1));
@@ -855,18 +653,17 @@ mod tests {
         let (elapsed, err, budget) = within(3 * limit, move || {
             let budget = ClusterBudget::new(config.budget_slots());
             let permit = budget.acquire(config.budget_slots());
-            let cluster = SharedCluster::boot(&config).unwrap();
-            let dead = cluster.directory().node(1).unwrap().addr;
-            cluster.kill_relay(1).unwrap();
+            let mut network = boot(&config).unwrap();
+            let killed = network.relays.remove(1);
+            let dead = killed.addr();
+            killed.join(JOIN_TIMEOUT).unwrap();
             // what now listens on the killed relay's port never reads, so
             // the client stalls on the ~8 MB of cells meant for relay 1
             let _stalled = std::net::TcpListener::bind(dead).unwrap();
             let start = Instant::now();
-            let err = cluster
-                .run_cell(&config, &workload(2, 32, 6), &PhaseCell::new())
-                .unwrap_err();
+            let err = drive(&network, &config, &workload(2, 32, 6), &PhaseCell::new()).unwrap_err();
             let elapsed = start.elapsed();
-            cluster.shutdown().unwrap();
+            teardown(network, config.epoch).unwrap();
             drop(permit);
             (elapsed, err, budget)
         });
@@ -876,38 +673,5 @@ mod tests {
         );
         assert!(elapsed < limit, "the cell failed after {elapsed:?}");
         assert_eq!(budget.available(), budget.capacity(), "slots returned");
-    }
-
-    #[test]
-    fn clusters_cross_threads() {
-        // concurrent cells share one &SharedCluster
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedCluster>();
-    }
-
-    #[test]
-    fn cells_reject_invalid_specs() {
-        let cluster =
-            SharedCluster::boot(&ClusterConfig::new(3, PathLengthDist::fixed(1))).unwrap();
-        let ok_spec = |n: usize| ClusterConfig::new(n, PathLengthDist::fixed(1));
-        let phase = PhaseCell::new();
-        assert!(matches!(
-            cluster.run_cell(&ok_spec(0), &[], &phase),
-            Err(Error::Config(_))
-        ));
-        assert!(matches!(
-            cluster.run_cell(&ok_spec(4), &[], &phase),
-            Err(Error::Config(_))
-        ));
-        let bad = vec![Arrival {
-            at: anonroute_sim::SimTime::ZERO,
-            sender: 3,
-            payload: vec![1],
-        }];
-        assert!(matches!(
-            cluster.run_cell(&ok_spec(3), &bad, &phase),
-            Err(Error::Config(_))
-        ));
-        cluster.shutdown().unwrap();
     }
 }

@@ -12,19 +12,23 @@
 //! stops reading costs the workers dropped cells, not the rest of their
 //! lives.
 //!
+//! A relay serves a capped number of connections at once, sized from
+//! its network's `n` ([`crate::max_connections_for`]): the static
+//! [`Directory`]'s, or for a gossiped topology the members its view
+//! holds at each accept, never below [`crate::MAX_CONNECTIONS`]. A full
+//! relay closes its idlest connection to serve a new one.
 //! Shutdown is graceful and bounded: [`Relay::shutdown`] raises a flag
 //! and wakes the blocked `accept`; workers observe the flag within one
 //! read-timeout tick; [`Relay::join`] waits with a deadline and
 //! propagates worker panics as [`Error::WorkerPanic`] instead of hanging
 //! the caller — the discipline the in-process cluster harness (and its
-//! tests) rely on.
+//! tests) rely on. That lifecycle is the crate's one shared server loop.
 
 use std::collections::HashMap;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use anonroute_obs::Registry;
@@ -38,32 +42,25 @@ use rand::{Rng, SeedableRng};
 use crate::authority::NetworkView;
 use crate::circuit;
 use crate::directory::{Directory, DirectoryCell};
-use crate::error::{panic_text, Error, Result};
+use crate::error::{Error, Result};
 use crate::gossip;
 use crate::obs;
 use crate::tap::LinkTap;
-use crate::wire::{self, Frame, ReadOutcome};
-use crate::workers;
+use crate::wire::{self, Frame, ReadOutcome, MAX_STALLS};
+use crate::workers::{max_connections_for, Conn, Server, MAX_CONNECTIONS};
 
-/// Tuning knobs of one relay daemon.
+/// Settings of one relay daemon.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RelayConfig {
     /// Fixed relay-cell size in bytes; cells of any other size are
     /// dropped.
     pub cell_size: usize,
-    /// Read timeout per socket read — the shutdown-poll granularity.
-    pub io_timeout: Duration,
-    /// Consecutive stalled mid-frame reads tolerated before a peer
-    /// connection is declared wedged and dropped.
-    pub max_stalls: u32,
 }
 
 impl Default for RelayConfig {
     fn default() -> Self {
         RelayConfig {
             cell_size: circuit::DEFAULT_CELL_SIZE,
-            io_timeout: Duration::from_millis(50),
-            max_stalls: 100,
         }
     }
 }
@@ -94,11 +91,9 @@ struct Counters {
     dropped: AtomicU64,
     peel_failures: AtomicU64,
     accepted: AtomicU64,
-    /// Worker connections currently open (accept .. socket close).
-    connections: AtomicI64,
-    /// Inbound queue: live (unreaped) worker threads on the accept loop.
-    /// The honest depth for a thread-per-connection daemon — there is no
-    /// buffered queue of cells, connections *are* the backlog.
+    /// Inbound queue: worker connections currently open. The honest
+    /// depth for a thread-per-connection daemon — there is no buffered
+    /// queue of cells, connections *are* the backlog.
     inbound: obs::QueueDepth,
     /// Outbound queue: downstream frame writes currently in progress.
     outbound: obs::QueueDepth,
@@ -141,13 +136,25 @@ impl Topology {
     }
 }
 
-/// Decrements the open-connection gauge when a worker unwinds, panic or
-/// not.
-struct ConnectionGuard(Arc<Counters>);
+/// What every connection worker of one relay shares.
+#[derive(Debug)]
+struct Hop {
+    id: NodeId,
+    identity: NodeIdentity,
+    topology: Topology,
+    tap: LinkTap,
+    counters: Arc<Counters>,
+    outbound: Arc<Outbound>,
+    cell_size: usize,
+}
 
-impl Drop for ConnectionGuard {
+/// Takes a connection off the inbound queue when its worker unwinds,
+/// panic or not.
+struct InboundGuard<'a>(&'a obs::QueueDepth);
+
+impl Drop for InboundGuard<'_> {
     fn drop(&mut self) {
-        self.0.connections.fetch_sub(1, Ordering::Relaxed);
+        self.0.exit();
     }
 }
 
@@ -223,9 +230,11 @@ impl PendingRelay {
 
     /// Starts serving against `directory`, recording forwarded links into
     /// `tap`. `seed` only feeds the junk-byte generators (framing
-    /// padding), never key material.
+    /// padding), never key material. The connection cap is sized from
+    /// the directory ([`crate::max_connections_for`]).
     pub fn serve(self, directory: Arc<Directory>, tap: LinkTap, seed: u64) -> Relay {
-        self.serve_with(Topology::Fixed(directory), tap, seed)
+        let cap = max_connections_for(directory.n());
+        self.serve_with(Topology::Fixed(directory), tap, seed, move || cap)
     }
 
     /// Starts serving against a gossiped topology: routing reads the
@@ -233,7 +242,9 @@ impl PendingRelay {
     /// are merged into `view` (refreshing the cell on change), so the
     /// relay learns the network from its peers instead of a static
     /// file. Pair with a [`crate::gossip::GossipRunner`] sharing the
-    /// same handles.
+    /// same handles. The network's size changes, so the connection cap
+    /// is sized at each accept from the members `view` holds then, and
+    /// is never below [`crate::MAX_CONNECTIONS`].
     pub fn serve_dynamic(
         self,
         cell: DirectoryCell,
@@ -241,43 +252,48 @@ impl PendingRelay {
         tap: LinkTap,
         seed: u64,
     ) -> Relay {
-        self.serve_with(Topology::Dynamic { cell, view }, tap, seed)
+        let members = Arc::clone(&view);
+        let cap = move || {
+            let n = members.lock().expect("network view").len();
+            max_connections_for(n).max(MAX_CONNECTIONS)
+        };
+        self.serve_with(Topology::Dynamic { cell, view }, tap, seed, cap)
     }
 
-    fn serve_with(self, topology: Topology, tap: LinkTap, seed: u64) -> Relay {
+    fn serve_with(
+        self,
+        topology: Topology,
+        tap: LinkTap,
+        seed: u64,
+        cap: impl Fn() -> usize + Send + 'static,
+    ) -> Relay {
         let PendingRelay {
             id,
             identity,
             listener,
             config,
         } = self;
-        let addr = listener
-            .local_addr()
-            .expect("bound listener has an address");
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let counters = Arc::new(Counters::default());
-        let outbound = Arc::new(Outbound::default());
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let counters = Arc::clone(&counters);
-            let outbound = Arc::clone(&outbound);
-            std::thread::spawn(move || {
-                let _done = workers::DoneGuard(done_tx);
-                accept_loop(
-                    listener, id, identity, topology, tap, counters, outbound, shutdown, config,
-                    seed,
-                )
-            })
+        let hop = Hop {
+            id,
+            identity,
+            topology,
+            tap,
+            counters: Arc::new(Counters::default()),
+            outbound: Arc::new(Outbound::default()),
+            cell_size: config.cell_size,
         };
+        let counters = Arc::clone(&hop.counters);
+        let outbound = Arc::clone(&hop.outbound);
+        let server = Server::spawn(listener, format!("relay {id}"), cap, move |stream, conn| {
+            let junk_rng =
+                StdRng::seed_from_u64(seed ^ conn.index().wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            serve_conn(stream, &hop, conn, junk_rng);
+        });
         Relay {
             id,
-            addr,
-            shutdown,
+            server,
             counters,
             outbound,
-            thread,
-            done: done_rx,
         }
     }
 }
@@ -286,12 +302,9 @@ impl PendingRelay {
 #[derive(Debug)]
 pub struct Relay {
     id: NodeId,
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    server: Server,
     counters: Arc<Counters>,
     outbound: Arc<Outbound>,
-    thread: JoinHandle<Result<()>>,
-    done: mpsc::Receiver<()>,
 }
 
 impl Relay {
@@ -302,7 +315,7 @@ impl Relay {
 
     /// The address the relay listens on.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.server.addr()
     }
 
     /// Current traffic counters.
@@ -347,14 +360,7 @@ impl Relay {
             labels,
             move || counters.peel_failures.load(Ordering::Relaxed) as f64,
         );
-        let counters = Arc::clone(&self.counters);
-        registry.gauge_fn(
-            "anonroute_relay_connections",
-            "Worker connections currently open on this relay.",
-            labels,
-            move || counters.connections.load(Ordering::Relaxed) as f64,
-        );
-        let shutdown = Arc::clone(&self.shutdown);
+        let shutdown = self.server.stop_flag();
         registry.gauge_fn(
             "anonroute_relay_shutting_down",
             "1 once shutdown has been requested, else 0.",
@@ -407,10 +413,8 @@ impl Relay {
     /// read their end of file instead of waiting out a read poll.
     /// Idempotent; returns immediately — pair with [`Relay::join`].
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.server.signal();
         self.outbound.close_idle();
-        // wake the accept loop; the connection itself is discarded there
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
     /// Stops the relay and waits for every thread, with a deadline.
@@ -423,115 +427,39 @@ impl Relay {
     /// first error the accept loop itself hit.
     pub fn join(self, timeout: Duration) -> Result<RelayStats> {
         self.shutdown();
-        let Relay {
-            id,
-            counters,
-            thread,
-            done,
-            ..
-        } = self;
-        match done.recv_timeout(timeout) {
-            // a disconnect means the guard dropped — the thread is done
-            Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {}
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                return Err(Error::Timeout(format!(
-                    "relay {id} did not stop within {timeout:?}"
-                )));
-            }
-        }
-        match thread.join() {
-            Ok(Ok(())) => Ok(counters.snapshot()),
-            Ok(Err(e)) => Err(e),
-            Err(p) => Err(Error::WorkerPanic(format!(
-                "relay {id} accept loop: {}",
-                panic_text(p)
-            ))),
-        }
+        self.server.join(timeout)?;
+        Ok(self.counters.snapshot())
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing, not public API
-fn accept_loop(
-    listener: TcpListener,
-    id: NodeId,
-    identity: NodeIdentity,
-    topology: Topology,
-    tap: LinkTap,
-    counters: Arc<Counters>,
-    outbound: Arc<Outbound>,
-    shutdown: Arc<AtomicBool>,
-    config: RelayConfig,
-    seed: u64,
-) -> Result<()> {
-    let label = format!("relay {id}");
-    workers::accept_loop(
-        listener,
-        &shutdown,
-        config.io_timeout,
-        &label,
-        Some(&counters.inbound),
-        |stream, conn_index| {
-            let junk_rng =
-                StdRng::seed_from_u64(seed ^ conn_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let identity = identity.clone();
-            let topology = topology.clone();
-            let tap = tap.clone();
-            let counters = Arc::clone(&counters);
-            counters.accepted.fetch_add(1, Ordering::Relaxed);
-            let shutdown = Arc::clone(&shutdown);
-            let outbound = Arc::clone(&outbound);
-            std::thread::spawn(move || {
-                serve_conn(
-                    stream, id, identity, topology, tap, counters, shutdown, config, junk_rng,
-                    &outbound,
-                )
-            })
-        },
-    )
-}
-
-#[allow(clippy::too_many_arguments)] // internal plumbing, not public API
-fn serve_conn(
-    mut stream: TcpStream,
-    id: NodeId,
-    identity: NodeIdentity,
-    topology: Topology,
-    tap: LinkTap,
-    counters: Arc<Counters>,
-    shutdown: Arc<AtomicBool>,
-    config: RelayConfig,
-    mut junk_rng: StdRng,
-    outbound: &Outbound,
-) {
-    counters.connections.fetch_add(1, Ordering::Relaxed);
-    let _open = ConnectionGuard(Arc::clone(&counters));
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match wire::read_frame(&mut stream, config.max_stalls) {
+/// Serves one inbound connection until end of file, a protocol error, or
+/// shutdown.
+fn serve_conn(mut stream: TcpStream, hop: &Hop, conn: &Conn, mut junk_rng: StdRng) {
+    let counters = &hop.counters;
+    counters.accepted.fetch_add(1, Ordering::Relaxed);
+    counters.inbound.enter();
+    let _open = InboundGuard(&counters.inbound);
+    while !conn.stopping() {
+        let frame = match wire::read_frame(&mut stream, MAX_STALLS) {
             Ok(ReadOutcome::Idle) => continue,
             Ok(ReadOutcome::Eof) => break,
-            Ok(ReadOutcome::Frame(Frame::Cell { msg, cell })) => {
-                let directory = topology.directory();
-                handle_cell(
-                    msg,
-                    &cell,
-                    id,
-                    &identity,
-                    &directory,
-                    &tap,
-                    &counters,
-                    &config,
-                    &mut junk_rng,
-                    outbound,
-                );
+            Ok(ReadOutcome::Frame(frame)) => frame,
+            Err(_) => {
+                // protocol violation or dead socket: drop the connection
+                counters.dropped.fetch_add(1, Ordering::Relaxed);
+                break;
             }
-            Ok(ReadOutcome::Frame(Frame::Deliver { .. })) => {
+        };
+        conn.touch();
+        match frame {
+            Frame::Cell { msg, cell } => {
+                handle_cell(msg, &cell, hop, &hop.topology.directory(), &mut junk_rng);
+            }
+            Frame::Deliver { .. } => {
                 // relays are not the receiver; a DELIVER here is misrouted
                 counters.dropped.fetch_add(1, Ordering::Relaxed);
             }
-            Ok(ReadOutcome::Frame(Frame::Gossip { snapshot })) => match &topology {
+            Frame::Gossip { snapshot } => match &hop.topology {
                 // a gossip push to a statically provisioned relay is
                 // misrouted, like a DELIVER
                 Topology::Fixed(_) => {
@@ -541,36 +469,20 @@ fn serve_conn(
                     gossip::ingest(view, cell, &snapshot);
                 }
             },
-            Err(_) => {
-                // protocol violation or dead socket: drop the connection
-                counters.dropped.fetch_add(1, Ordering::Relaxed);
-                break;
-            }
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)] // internal plumbing, not public API
-fn handle_cell(
-    msg: u64,
-    cell: &[u8],
-    id: NodeId,
-    identity: &NodeIdentity,
-    directory: &Directory,
-    tap: &LinkTap,
-    counters: &Counters,
-    config: &RelayConfig,
-    junk_rng: &mut StdRng,
-    outbound: &Outbound,
-) {
-    if cell.len() != config.cell_size {
+fn handle_cell(msg: u64, cell: &[u8], hop: &Hop, directory: &Directory, junk_rng: &mut StdRng) {
+    let (id, counters) = (hop.id, &hop.counters);
+    if cell.len() != hop.cell_size {
         counters.dropped.fetch_add(1, Ordering::Relaxed);
         return;
     }
     let _cell_span = anonroute_obs::span("relay.cell", "relay");
     let peeled = {
         let _peel_span = anonroute_obs::span("relay.peel", "relay");
-        circuit::peel(identity, cell)
+        circuit::peel(&hop.identity, cell)
     };
     match peeled {
         Ok(Peeled::Forward { next, content }) => {
@@ -579,14 +491,15 @@ fn handle_cell(
                 counters.dropped.fetch_add(1, Ordering::Relaxed);
                 return;
             };
-            let framed = onion::frame(&content, config.cell_size, &mut || junk_rng.gen::<u8>())
+            let framed = onion::frame(&content, hop.cell_size, &mut || junk_rng.gen::<u8>())
                 .expect("peeled content is strictly smaller than the incoming cell");
             // record before sending: per-message tap order = path order
-            tap.record(Endpoint::Node(id), Endpoint::Node(next_id), MsgId(msg));
+            hop.tap
+                .record(Endpoint::Node(id), Endpoint::Node(next_id), MsgId(msg));
             let frame = Frame::Cell { msg, cell: framed };
             let _fwd_span = anonroute_obs::span("relay.forward", "relay");
             counters.outbound.enter();
-            let sent = outbound.send(next_id, info.addr, &frame);
+            let sent = hop.outbound.send(next_id, info.addr, &frame);
             counters.outbound.exit();
             if sent.is_ok() {
                 counters.relayed.fetch_add(1, Ordering::Relaxed);
@@ -595,7 +508,8 @@ fn handle_cell(
             }
         }
         Ok(Peeled::Deliver { payload }) => {
-            tap.record(Endpoint::Node(id), Endpoint::Receiver, MsgId(msg));
+            hop.tap
+                .record(Endpoint::Node(id), Endpoint::Receiver, MsgId(msg));
             let frame = Frame::Deliver {
                 msg,
                 from: id as u16,
@@ -603,7 +517,7 @@ fn handle_cell(
             };
             let _deliver_span = anonroute_obs::span("relay.deliver", "relay");
             counters.outbound.enter();
-            let sent = outbound.send(usize::MAX, directory.receiver(), &frame);
+            let sent = hop.outbound.send(usize::MAX, directory.receiver(), &frame);
             counters.outbound.exit();
             if sent.is_ok() {
                 counters.delivered.fetch_add(1, Ordering::Relaxed);
@@ -747,10 +661,7 @@ mod tests {
     fn relay_peels_and_delivers_over_tcp() {
         let receiver_listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let receiver_addr = receiver_listener.local_addr().unwrap();
-        let config = RelayConfig {
-            cell_size: 512,
-            ..RelayConfig::default()
-        };
+        let config = RelayConfig { cell_size: 512 };
         let pending = PendingRelay::bind(0, identity(0), config).unwrap();
         let directory = Arc::new(
             Directory::new(
@@ -794,12 +705,61 @@ mod tests {
     }
 
     #[test]
+    fn a_full_relay_closes_its_idlest_connections_and_keeps_serving() {
+        let tap = LinkTap::new();
+        let receiver = crate::ReceiverServer::spawn(tap.clone(), 8).unwrap();
+        let config = RelayConfig { cell_size: 512 };
+        let pending = PendingRelay::bind(0, identity(0), config).unwrap();
+        let directory = Arc::new(
+            Directory::new(
+                vec![NodeInfo {
+                    id: 0,
+                    addr: pending.addr(),
+                    public: pending.public(),
+                }],
+                receiver.addr(),
+            )
+            .unwrap(),
+        );
+        let relay = pending.serve(Arc::clone(&directory), tap, 1);
+        let cap = max_connections_for(1);
+        let (flood, closed) = crate::fault::flood(relay.addr(), cap + 28);
+        assert!(
+            closed >= 28,
+            "only {closed} of the 28 connections past the cap of {cap} were closed"
+        );
+
+        // with the flood's sockets still open, a new connection displaces
+        // an idle one and its circuit is carried
+        let mut rng = StdRng::seed_from_u64(9);
+        let public = directory.node(0).unwrap().public;
+        let wire_bytes = circuit::build(&[public], &[0u16], b"during the flood", &mut rng).unwrap();
+        let cell = onion::frame(&wire_bytes, 512, &mut || rng.gen::<u8>()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut msg = 0;
+        while !receiver.wait_for(1, Duration::from_millis(100)) {
+            assert!(Instant::now() < deadline, "the relay never served again");
+            msg += 1;
+            if let Ok(mut conn) = TcpStream::connect(relay.addr()) {
+                let frame = Frame::Cell {
+                    msg,
+                    cell: cell.clone(),
+                };
+                let _ = wire::write_frame(&mut conn, &frame);
+            }
+        }
+        assert_eq!(receiver.take()[0].payload, b"during the flood");
+        let most = relay.counters.inbound.high_water();
+        assert!(most <= cap as i64, "{most} connections open at once");
+        drop(flood);
+        relay.join(Duration::from_secs(5)).unwrap();
+        receiver.join(Duration::from_secs(5)).unwrap();
+    }
+
+    #[test]
     fn garbage_cells_are_dropped_not_fatal() {
         let receiver = TcpListener::bind("127.0.0.1:0").unwrap();
-        let config = RelayConfig {
-            cell_size: 256,
-            ..RelayConfig::default()
-        };
+        let config = RelayConfig { cell_size: 256 };
         let pending = PendingRelay::bind(0, identity(0), config).unwrap();
         let directory = Arc::new(
             Directory::new(
@@ -936,6 +896,40 @@ mod tests {
     }
 
     #[test]
+    fn dynamic_relays_size_their_cap_from_the_members_they_know() {
+        use crate::authority::{NetworkView, RelayDescriptor};
+
+        let receiver = TcpListener::bind("127.0.0.1:0").unwrap();
+        let net_seed = b"daemon-cap";
+        let pending =
+            PendingRelay::bind(0, NodeIdentity::derive(net_seed, 0), RelayConfig::default())
+                .unwrap();
+        let mut view = NetworkView::new(net_seed, receiver.local_addr().unwrap());
+        view.publish(RelayDescriptor::derive(net_seed, 0, pending.addr(), 1).sign(net_seed))
+            .unwrap();
+        let cell = DirectoryCell::new(view.to_directory().unwrap());
+        let view = Arc::new(Mutex::new(view));
+        let relay = pending.serve_dynamic(cell, Arc::clone(&view), LinkTap::new(), 5);
+
+        // one known member: the cap is the floor
+        let (flood, closed) = crate::fault::flood(relay.addr(), MAX_CONNECTIONS + 8);
+        assert!(closed >= 8, "only {closed} of 8 were closed at the floor");
+        drop(flood);
+
+        // once the view holds 40 members, 40 more links all fit
+        for id in 1..40 {
+            let addr = receiver.local_addr().unwrap();
+            let signed = RelayDescriptor::derive(net_seed, id, addr, 1).sign(net_seed);
+            view.lock().unwrap().publish(signed).unwrap();
+        }
+        assert!(max_connections_for(40) >= MAX_CONNECTIONS + 40);
+        let (flood, closed) = crate::fault::flood(relay.addr(), 40);
+        assert_eq!(closed, 0, "links within the view's cap are kept open");
+        drop(flood);
+        relay.join(Duration::from_secs(5)).unwrap();
+    }
+
+    #[test]
     fn send_cached_redials_stale_connections() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
@@ -1026,10 +1020,7 @@ mod tests {
     fn relays_drop_cells_for_a_next_hop_that_never_reads() {
         let stalled = TcpListener::bind("127.0.0.1:0").unwrap();
         let receiver = TcpListener::bind("127.0.0.1:0").unwrap();
-        let config = RelayConfig {
-            cell_size: 1 << 18,
-            ..RelayConfig::default()
-        };
+        let config = RelayConfig { cell_size: 1 << 18 };
         let pending = PendingRelay::bind(0, identity(0), config).unwrap();
         let directory = Arc::new(
             Directory::new(

@@ -5,8 +5,10 @@
 //! send, so it fills their socket buffers and then stalls them exactly
 //! like a peer that accepts and never reads.
 
+use std::io::Read;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs `body` on its own thread and panics if it has not finished
 /// within `limit`, so a wedged socket call fails the test instead of
@@ -24,4 +26,24 @@ pub(crate) fn within<T: Send + 'static>(
         Err(mpsc::RecvTimeoutError::Timeout) => panic!("test body still blocked after {limit:?}"),
         Err(mpsc::RecvTimeoutError::Disconnected) => panic!("test body panicked"),
     }
+}
+
+/// Opens `count` idle connections to `addr` and returns them with how
+/// many read end of file within a second: the ones a server closed.
+pub(crate) fn flood(addr: SocketAddr, count: usize) -> (Vec<TcpStream>, usize) {
+    let socks: Vec<TcpStream> = (0..count)
+        .map(|_| TcpStream::connect(addr).unwrap())
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(1);
+    let closed = socks
+        .iter()
+        .filter(|sock| {
+            let mut sock: &TcpStream = sock;
+            let left = deadline.saturating_duration_since(Instant::now());
+            sock.set_read_timeout(Some(left.max(Duration::from_millis(1))))
+                .unwrap();
+            matches!(sock.read(&mut [0u8; 1]), Ok(0))
+        })
+        .count();
+    (socks, closed)
 }

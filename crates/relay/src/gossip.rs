@@ -2,17 +2,17 @@
 //! to random peers and learn the network from each other.
 //!
 //! Each relay holds a [`NetworkView`] (see [`crate::authority`]) and a
-//! [`GossipRunner`] thread that, every interval:
+//! [`GossipRunner`] thread that, every 500 ms:
 //!
 //! 1. refreshes from the directory authority when one is configured —
 //!    re-publishing its own descriptor (which doubles as the lease
 //!    heartbeat) and merging any newer snapshot;
-//! 2. pushes its current snapshot to `fanout` random live peers as a
+//! 2. pushes its current snapshot to 2 random live peers as a
 //!    [`crate::wire::Frame::Gossip`] frame on the ordinary relay port;
-//! 3. tracks per-peer dial health: a peer that fails
-//!    `max_peer_failures` consecutive dials is dropped from the local
-//!    view and reported `DOWN` to the authority, which is how departed
-//!    relays leave the directory without a graceful goodbye.
+//! 3. tracks per-peer dial health: a peer that fails 3 consecutive
+//!    dials is dropped from the local view and reported `DOWN` to the
+//!    authority, which is how departed relays leave the directory
+//!    without a graceful goodbye.
 //!
 //! Snapshot merging itself is pure and socket-free
 //! ([`NetworkView::merge_snapshot`]), so convergence is property-tested
@@ -34,26 +34,12 @@ use crate::directory::DirectoryCell;
 use crate::obs::DirectoryMetrics;
 use crate::wire::{self, Frame};
 
-/// Tuning for the gossip loop.
-#[derive(Debug, Clone, Copy)]
-pub struct GossipConfig {
-    /// Peers pushed to per round.
-    pub fanout: usize,
-    /// Delay between gossip rounds.
-    pub interval: Duration,
-    /// Consecutive dial failures before a peer is declared down.
-    pub max_peer_failures: u32,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            fanout: 2,
-            interval: Duration::from_millis(500),
-            max_peer_failures: 3,
-        }
-    }
-}
+/// Peers pushed to per round.
+const FANOUT: usize = 2;
+/// Delay between gossip rounds.
+const INTERVAL: Duration = Duration::from_millis(500);
+/// Consecutive dial failures before a peer is declared down.
+const MAX_PEER_FAILURES: u32 = 3;
 
 /// Background gossip loop for one relay. Owns nothing but the thread;
 /// the view and directory cell are shared with the relay daemon so
@@ -75,7 +61,6 @@ impl GossipRunner {
         view: Arc<Mutex<NetworkView>>,
         cell: DirectoryCell,
         authority: Option<AuthorityClient>,
-        config: GossipConfig,
         seed: u64,
     ) -> GossipRunner {
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -92,12 +77,11 @@ impl GossipRunner {
                         &view,
                         &cell,
                         authority.as_ref(),
-                        &config,
                         &mut rng,
                         &mut failures,
                         &mut lease_version,
                     );
-                    thread::sleep(config.interval);
+                    thread::sleep(INTERVAL);
                 }
             })
         };
@@ -134,7 +118,6 @@ fn round(
     view: &Mutex<NetworkView>,
     cell: &DirectoryCell,
     authority: Option<&AuthorityClient>,
-    config: &GossipConfig,
     rng: &mut StdRng,
     failures: &mut HashMap<u64, u32>,
     lease_version: &mut u64,
@@ -153,7 +136,7 @@ fn round(
         }
     }
 
-    // Push our snapshot to `fanout` random live peers.
+    // Push our snapshot to FANOUT random live peers.
     let (snapshot, peers) = {
         let view = view.lock().expect("gossip view");
         let peers: Vec<(u64, std::net::SocketAddr)> = view
@@ -167,7 +150,7 @@ fn round(
     if peers.is_empty() {
         return;
     }
-    for _ in 0..config.fanout.min(peers.len()) {
+    for _ in 0..FANOUT.min(peers.len()) {
         let (peer, addr) = peers[rng.gen_range(0..peers.len())];
         let pushed =
             TcpStream::connect_timeout(&addr, Duration::from_millis(250)).and_then(|mut stream| {
@@ -187,7 +170,7 @@ fn round(
             Err(_) => {
                 let count = failures.entry(peer).or_insert(0);
                 *count += 1;
-                if *count >= config.max_peer_failures {
+                if *count >= MAX_PEER_FAILURES {
                     failures.remove(&peer);
                     metrics.peers_dropped.inc();
                     let mut view = view.lock().expect("gossip view");

@@ -21,11 +21,11 @@
 //! * [`tap`] — the per-link observation tap whose records are simulator
 //!   [`anonroute_sim::TransferRecord`]s, directly consumable by
 //!   `anonroute-adversary`;
-//! * [`cluster`] — the in-process harness: N relays on `127.0.0.1`
-//!   ephemeral ports, seeded traffic from [`anonroute_sim::traffic`],
-//!   bounded graceful teardown — so the measured anonymity degree of
-//!   live TCP traffic is checked against `anonroute-core`'s analytic
-//!   prediction;
+//! * [`cluster`] — the in-process harness: one run boots N relays on
+//!   `127.0.0.1` ephemeral ports, drives seeded traffic from
+//!   [`anonroute_sim::traffic`] through them, and tears them down with a
+//!   deadline — so the measured anonymity degree of live TCP traffic is
+//!   checked against `anonroute-core`'s analytic prediction;
 //! * [`budget`] — relay-slot budgeting so many concurrent clusters (a
 //!   campaign sweep's live cells) share the loopback without exhausting
 //!   ports or file descriptors;
@@ -38,6 +38,13 @@
 //! * [`obs`] — cluster run phases and process-wide aggregate metrics
 //!   over all cluster runs, registered in `anonroute-obs`'s global
 //!   registry.
+//!
+//! The relay daemon, the receiver and the directory authority share one
+//! server lifecycle: one thread per connection up to a connection cap
+//! ([`max_connections_for`] the network's size, at least
+//! [`MAX_CONNECTIONS`] where that size changes), where a new connection
+//! displaces the idlest one, reads that poll a stop flag every 50 ms,
+//! and a shutdown that joins with a deadline.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -69,12 +76,12 @@ pub use circuit::DEFAULT_CELL_SIZE;
 pub use client::Client;
 pub use cluster::{
     cluster_identity, run_cluster, run_cluster_budgeted_observed, ClusterConfig, ClusterOutcome,
-    SharedCluster,
 };
 pub use daemon::{PendingRelay, Relay, RelayConfig, RelayStats};
 pub use directory::{Directory, DirectoryCell, NodeInfo};
 pub use error::{Error, Result};
-pub use gossip::{GossipConfig, GossipRunner};
+pub use gossip::GossipRunner;
 pub use obs::{ClusterMetrics, DirectoryMetrics, Phase, PhaseCell};
 pub use receiver::ReceiverServer;
 pub use tap::LinkTap;
+pub use workers::{max_connections_for, MAX_CONNECTIONS};

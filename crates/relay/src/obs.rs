@@ -80,9 +80,8 @@ impl std::fmt::Display for Phase {
 /// A current-depth / high-water-mark gauge pair for one relay work
 /// queue (inbound worker connections, outbound writes in progress).
 ///
-/// Depth moves with [`enter`](QueueDepth::enter)/[`exit`](QueueDepth::exit)
-/// (or [`set`](QueueDepth::set) for externally counted queues); the high
-/// water mark is CAS-maxed on every raise and never resets, so a scrape
+/// Depth moves with [`enter`](QueueDepth::enter)/[`exit`](QueueDepth::exit);
+/// the high water mark is CAS-maxed on every raise and never resets, so a scrape
 /// after a burst still shows how deep the queue got.
 #[derive(Debug, Default)]
 pub struct QueueDepth {
@@ -99,23 +98,12 @@ impl QueueDepth {
     /// One item entered the queue.
     pub fn enter(&self) {
         let depth = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.raise(depth);
+        self.high_water.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// One item left the queue.
     pub fn exit(&self) {
         self.depth.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Overwrites the depth with an externally counted value (e.g. the
-    /// accept loop's live-worker count after a reap pass).
-    pub fn set(&self, depth: i64) {
-        self.depth.store(depth, Ordering::Relaxed);
-        self.raise(depth);
-    }
-
-    fn raise(&self, depth: i64) {
-        self.high_water.fetch_max(depth, Ordering::Relaxed);
     }
 
     /// The current depth.
@@ -395,10 +383,6 @@ mod tests {
         assert_eq!((q.depth(), q.high_water()), (2, 2));
         q.exit();
         assert_eq!((q.depth(), q.high_water()), (1, 2), "high water sticks");
-        q.set(5);
-        assert_eq!((q.depth(), q.high_water()), (5, 5));
-        q.set(0);
-        assert_eq!((q.depth(), q.high_water()), (0, 5));
     }
 
     #[test]

@@ -34,9 +34,22 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// connection, may take before the send fails. A peer that accepts but
 /// stops reading fills the socket buffers and then holds a writer for at
 /// most this long. It matches the read side's give-up time for a
-/// stalled peer (the default `max_stalls` × `io_timeout`, 100 × 50 ms)
-/// and the authority client's timeout.
+/// stalled peer ([`MAX_STALLS`] × [`IO_TIMEOUT`]) and the authority
+/// client's timeout.
 pub(crate) const SEND_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long one read on a server connection blocks: the tick at which
+/// every relay, receiver and authority worker checks its stop flag.
+pub(crate) const IO_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Consecutive stalled mid-frame reads a worker tolerates before it
+/// declares its peer wedged and drops the connection: 5 s of
+/// [`IO_TIMEOUT`] ticks.
+pub(crate) const MAX_STALLS: u32 = 100;
+
+/// How long winding a cluster down waits for each relay and for the
+/// receiver, and the directory authority's shutdown for its accept loop.
+pub(crate) const JOIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 const TAG_CELL: u8 = 1;
 const TAG_DELIVER: u8 = 2;

@@ -1,30 +1,49 @@
-//! Acceptance: killing a relay mid-run produces real membership events
-//! at the directory authority — the member set shrinks, the version
-//! advances, and the event log carries one join per relay and one leave
-//! for the killed one — and the surviving relays still carry traffic in
-//! the next epoch.
+//! Acceptance: killing a relay daemon produces real membership events at
+//! the directory authority — the killed relay stops accepting, the member
+//! set shrinks, the version advances, and the event log carries one join
+//! per relay and one leave for the killed one.
 
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
-use anonroute_core::PathLengthDist;
+use anonroute_crypto::handshake::NodeIdentity;
 use anonroute_relay::authority::MembershipChange;
 use anonroute_relay::{
-    AuthorityClient, AuthorityServer, ClusterConfig, PhaseCell, RelayDescriptor, SharedCluster,
+    AuthorityClient, AuthorityServer, Directory, LinkTap, NodeInfo, PendingRelay, Relay,
+    RelayConfig, RelayDescriptor,
 };
 
 #[test]
 fn killing_a_relay_produces_real_membership_events() {
     const N: usize = 5;
     let net_seed = b"churn-events-test";
+    // nothing is sent, so the delivery endpoint is never dialed
+    let receiver: SocketAddr = "127.0.0.1:9".parse().unwrap();
 
-    // one standing network, plus a directory authority tracking it
-    let mut config = ClusterConfig::new(N, PathLengthDist::fixed(1));
-    config.seed = 23;
-    let shared = SharedCluster::boot(&config).unwrap();
-    let directory = shared.directory();
-    let server =
-        AuthorityServer::spawn("127.0.0.1:0", net_seed, directory.receiver(), None).unwrap();
+    // N standalone relay daemons, provisioned from the network seed
+    let pending: Vec<PendingRelay> = (0..N)
+        .map(|id| {
+            let identity = NodeIdentity::derive(net_seed, id as u64);
+            PendingRelay::bind(id, identity, RelayConfig::default()).unwrap()
+        })
+        .collect();
+    let nodes: Vec<NodeInfo> = pending
+        .iter()
+        .map(|p| NodeInfo {
+            id: p.id(),
+            addr: p.addr(),
+            public: p.public(),
+        })
+        .collect();
+    let directory = Arc::new(Directory::new(nodes, receiver).unwrap());
+    let mut relays: Vec<Relay> = pending
+        .into_iter()
+        .map(|p| p.serve(Arc::clone(&directory), LinkTap::new(), 23))
+        .collect();
+
+    // a directory authority tracking them
+    let server = AuthorityServer::spawn("127.0.0.1:0", net_seed, receiver, None).unwrap();
     let client = AuthorityClient::new(server.addr());
     for node in directory.nodes() {
         let desc = RelayDescriptor::derive(net_seed, node.id as u64, node.addr, 1);
@@ -33,32 +52,13 @@ fn killing_a_relay_produces_real_membership_events() {
     let joined_version = client.ping().unwrap();
     assert_eq!(server.member_ids(), (0..N as u64).collect::<Vec<_>>());
 
-    // epoch 1: full membership carries traffic
-    let spec = |n: usize, epoch: u64| ClusterConfig {
-        seed: 6,
-        epoch,
-        ..ClusterConfig::new(n, PathLengthDist::fixed(1))
-    };
-    let arrivals = |n: usize| {
-        (0..8)
-            .map(|i| anonroute_sim::traffic::Arrival {
-                at: anonroute_sim::SimTime::ZERO,
-                sender: i % n,
-                payload: vec![i as u8; 8],
-            })
-            .collect::<Vec<_>>()
-    };
-    let epoch0 = shared
-        .run_cell(&spec(N, 0), &arrivals(N), &PhaseCell::new())
-        .unwrap();
-    assert_eq!(epoch0.deliveries.len(), 8);
-
-    // kill the last relay mid-run; its port goes dead, which is exactly
-    // the signal the gossip peer-health check acts on — emulate one
-    // failed dial and the resulting DOWN report
+    // kill the last relay; its port goes dead, which is exactly the
+    // signal the gossip peer-health check acts on — emulate one failed
+    // dial and the resulting DOWN report
     let dead = N - 1;
-    let dead_addr = directory.node(dead).unwrap().addr;
-    shared.kill_relay(dead).unwrap();
+    let killed = relays.pop().unwrap();
+    let dead_addr = killed.addr();
+    killed.join(Duration::from_secs(5)).unwrap();
     assert!(
         TcpStream::connect_timeout(&dead_addr, Duration::from_millis(500)).is_err(),
         "a killed relay must stop accepting"
@@ -82,13 +82,8 @@ fn killing_a_relay_produces_real_membership_events() {
     assert!(events[..N].iter().all(|ev| ev.version <= joined_version));
     assert_eq!(events[N].version, down_version);
 
-    // epoch 2 runs over the surviving prefix with re-keyed circuits
-    let ne = server.member_ids().len();
-    let epoch1 = shared
-        .run_cell(&spec(ne, 1), &arrivals(ne), &PhaseCell::new())
-        .unwrap();
-    assert_eq!(epoch1.deliveries.len(), 8);
-
     server.shutdown();
-    shared.shutdown().unwrap();
+    for relay in relays {
+        relay.join(Duration::from_secs(5)).unwrap();
+    }
 }

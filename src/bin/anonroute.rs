@@ -27,9 +27,9 @@ use anonroute::prelude::*;
 use anonroute::protocols::onion_routing::onion_network;
 use anonroute::protocols::RouteSampler;
 use anonroute::relay::{
-    run_cluster, AuthorityClient, AuthorityServer, Client, ClusterConfig, Directory, DirectoryCell,
-    GossipConfig, GossipRunner, LinkTap, MembershipChange, NetworkView, PendingRelay,
-    ReceiverServer, Relay, RelayConfig, RelayDescriptor, DEFAULT_CELL_SIZE,
+    max_connections_for, run_cluster, AuthorityClient, AuthorityServer, Client, ClusterConfig,
+    Directory, DirectoryCell, GossipRunner, LinkTap, MembershipChange, NetworkView, PendingRelay,
+    ReceiverServer, Relay, RelayConfig, RelayDescriptor, DEFAULT_CELL_SIZE, MAX_CONNECTIONS,
 };
 use anonroute::sim::traffic::UniformTraffic;
 use anonroute::sim::{Endpoint, LatencyModel, MsgId, SimTime, Simulation};
@@ -566,24 +566,39 @@ fn cmd_relay(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("receiver") {
         // the delivery endpoint comes from the static directory file or,
         // in authority mode, from the authority itself — which answers
-        // before any relay has joined
-        let receiver_addr = if flags.contains_key("authority") {
-            authority_client(flags)?
-                .receiver()
-                .map_err(|e| e.to_string())?
+        // before any relay has joined, so there the connection cap
+        // follows the membership, re-read every few seconds
+        let (receiver_addr, max_connections, mut membership) = if flags.contains_key("authority") {
+            let client = authority_client(flags)?;
+            let addr = client.receiver().map_err(|e| e.to_string())?;
+            let view = NetworkView::new(&net_seed_from(flags)?, addr);
+            (addr, MAX_CONNECTIONS, Some((client, view)))
         } else {
-            directory_from(flags)?.0.receiver()
+            let directory = directory_from(flags)?.0;
+            (
+                directory.receiver(),
+                max_connections_for(directory.n()),
+                None,
+            )
         };
-        let server = ReceiverServer::spawn_at(
-            receiver_addr,
-            LinkTap::new(),
-            std::time::Duration::from_millis(200),
-        )
-        .map_err(|e| e.to_string())?;
+        let server = ReceiverServer::spawn_at(receiver_addr, LinkTap::new(), max_connections)
+            .map_err(|e| e.to_string())?;
         println!("receiver listening on {} (ctrl-c to stop)", server.addr());
+        let refresh = std::time::Duration::from_secs(2);
+        let mut next_refresh = std::time::Instant::now();
         let mut seen = 0usize;
         loop {
-            server.wait_for(seen + 1, std::time::Duration::from_secs(3600));
+            server.wait_for(seen + 1, refresh);
+            if let Some((client, view)) = &mut membership {
+                if std::time::Instant::now() >= next_refresh {
+                    next_refresh = std::time::Instant::now() + refresh;
+                    if let Ok(Some(snapshot)) = client.fetch(view.version()) {
+                        let _ = view.merge_snapshot(&snapshot);
+                        let cap = max_connections_for(view.len()).max(MAX_CONNECTIONS);
+                        server.set_max_connections(cap);
+                    }
+                }
+            }
             for d in server.deliveries_since(seen) {
                 seen += 1;
                 if let Endpoint::Node(from) = d.last_hop {
@@ -608,16 +623,8 @@ fn cmd_relay(flags: &Flags) -> Result<(), String> {
         .node(id)
         .ok_or_else(|| format!("--id {id}: not in the directory (n={})", directory.n()))?;
     let identity = NodeIdentity::derive(&net_seed, id as u64);
-    let pending = PendingRelay::bind_to(
-        id,
-        identity,
-        info.addr,
-        RelayConfig {
-            cell_size,
-            ..RelayConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let pending = PendingRelay::bind_to(id, identity, info.addr, RelayConfig { cell_size })
+        .map_err(|e| e.to_string())?;
     let relay = pending.serve(std::sync::Arc::new(directory), LinkTap::new(), seed);
     println!("relay {id} listening on {} (ctrl-c to stop)", relay.addr());
     let _obs = relay_obs(flags, &relay, id)?;
@@ -638,16 +645,8 @@ fn relay_via_authority(flags: &Flags, cell_size: usize, seed: u64) -> Result<(),
     let receiver = client.receiver().map_err(|e| e.to_string())?;
 
     let identity = NodeIdentity::derive(&net_seed, id as u64);
-    let pending = PendingRelay::bind_to(
-        id,
-        identity,
-        listen,
-        RelayConfig {
-            cell_size,
-            ..RelayConfig::default()
-        },
-    )
-    .map_err(|e| e.to_string())?;
+    let pending = PendingRelay::bind_to(id, identity, listen, RelayConfig { cell_size })
+        .map_err(|e| e.to_string())?;
     let addr = pending.addr();
 
     // join: the descriptor version must beat any tombstone or stale
@@ -686,15 +685,7 @@ fn relay_via_authority(flags: &Flags, cell_size: usize, seed: u64) -> Result<(),
         LinkTap::new(),
         seed,
     );
-    let _gossip = GossipRunner::spawn(
-        me,
-        net_seed,
-        view,
-        cell,
-        Some(client),
-        GossipConfig::default(),
-        seed,
-    );
+    let _gossip = GossipRunner::spawn(me, net_seed, view, cell, Some(client), seed);
     println!(
         "relay {id} listening on {} (topology via authority at {}; ctrl-c to stop)",
         relay.addr(),
@@ -1049,8 +1040,8 @@ mod tests {
         use anonroute::relay::NodeInfo;
         let net_seed = b"anonroute-cli-authority-test";
         let tap = LinkTap::new();
-        let receiver = ReceiverServer::spawn(tap.clone(), std::time::Duration::from_millis(100))
-            .expect("receiver");
+        let receiver =
+            ReceiverServer::spawn(tap.clone(), max_connections_for(3)).expect("receiver");
         let pendings: Vec<PendingRelay> = (0..3)
             .map(|id| {
                 PendingRelay::bind(
