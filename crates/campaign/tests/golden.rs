@@ -194,3 +194,58 @@ fn sampled_engine_artifacts_are_byte_identical_to_the_golden_file() {
         "mc/sim CSV values drifted from the golden file"
     );
 }
+
+/// The live engine's grid: one-shot and two-epoch cells over real
+/// loopback TCP relays. The attack reads only who sent to whom and when,
+/// and the cell's seed fixes every route, nonce and junk byte, so the
+/// rendered bytes are as stable as the sampled engines' even though
+/// socket timing varies. A change to the onion layer's cryptography must
+/// leave them alone.
+fn live_golden_grid() -> ScenarioGrid {
+    ScenarioGrid::new()
+        .ns([6])
+        .cs([1])
+        .strategies([StrategySpec::Uniform(1, 2)])
+        .engines([EngineKind::Live])
+        .epochs([1, 2])
+}
+
+fn live_golden_config() -> CampaignConfig {
+    CampaignConfig {
+        threads: 2,
+        seed: 13,
+        live_messages: 40,
+        ..CampaignConfig::default()
+    }
+}
+
+/// The pinned JSONL of [`live_golden_grid`]. Regenerate deliberately
+/// with the `PRINT_GOLDEN` command above.
+const LIVE_GOLDEN_JSONL: &str = r#"{"cell":0,"n":6,"c":1,"path":"simple","strategy":"uniform:1:2","family":"uniform","engine":"live","dynamics":"epochs=1","seed":14180207640020093695,"status":"ok","h_star":1.7,"normalized":0.6576497722987207,"mean_len":1.5,"p_exposed":null,"std_error":0.11291589790636215,"samples":40,"epochs":1,"h_epoch1":null}
+{"cell":1,"n":6,"c":1,"path":"simple","strategy":"uniform:1:2","family":"uniform","engine":"live","dynamics":"epochs=2","seed":6063221543909367921,"status":"ok","h_star":1.404411542132474,"normalized":0.5433005475865393,"mean_len":1.5,"p_exposed":null,"std_error":0.16162430106760978,"samples":20,"epochs":2,"h_epoch1":1.8}
+"#;
+
+/// The pinned CSV of [`live_golden_grid`].
+const LIVE_GOLDEN_CSV: &str = r#"cell,n,c,path,strategy,family,engine,dynamics,seed,status,h_star,normalized,mean_len,p_exposed,std_error,samples,epochs,h_epoch1,error
+0,6,1,simple,uniform:1:2,uniform,live,epochs=1,14180207640020093695,ok,1.7,0.6576497722987207,1.5,,0.11291589790636215,40,1,,
+1,6,1,simple,uniform:1:2,uniform,live,epochs=2,6063221543909367921,ok,1.404411542132474,0.5433005475865393,1.5,,0.16162430106760978,20,2,1.8,
+"#;
+
+#[test]
+fn live_engine_artifacts_are_byte_identical_to_the_golden_file() {
+    let outcome = run(&live_golden_grid(), &live_golden_config());
+    let jsonl = report::render_jsonl(&outcome, false);
+    let csv = report::render_csv(&outcome);
+    if std::env::var_os("PRINT_GOLDEN").is_some() {
+        println!("=== LIVE JSONL ===\n{jsonl}=== LIVE CSV ===\n{csv}");
+    }
+    assert_eq!(outcome.error_count(), 0, "{jsonl}");
+    assert_eq!(
+        jsonl, LIVE_GOLDEN_JSONL,
+        "live JSONL values drifted from the golden file"
+    );
+    assert_eq!(
+        csv, LIVE_GOLDEN_CSV,
+        "live CSV values drifted from the golden file"
+    );
+}
