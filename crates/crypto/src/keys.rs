@@ -3,12 +3,22 @@
 //! The paper's systems predate modern key-exchange; classic Chaum mixes
 //! assume the sender knows a key for every mix. We model that with
 //! symmetric 256-bit master keys per node, provisioned from a deployment
-//! seed via HKDF. Per-packet layer keys are derived from the master key
-//! and the packet nonce, so master keys never encrypt data directly.
+//! seed via HKDF.
+//!
+//! Per-packet layer keys (layer format v2) come from one ChaCha20 block
+//! keyed by the master key under the packet nonce, with block counter 0:
+//! bytes 0..32 are the layer's Poly1305 key, exactly the one-time key
+//! generation of RFC 8439 §2.6, and bytes 32..64 its encryption key. So a
+//! master key never encrypts data itself, and each (master key, nonce)
+//! pair must seal one layer only: a second layer under the same pair
+//! would reuse both the keystream and the one-time MAC key. Layer format
+//! v1 derived both keys by HKDF-SHA-256 and tagged with HMAC-SHA-256; a
+//! v1 cell fails the v2 tag check, and the other way round.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use crate::chacha20;
 use crate::hkdf;
 use crate::hmac::HmacKey;
 
@@ -25,14 +35,16 @@ impl std::fmt::Debug for MasterKey {
 
 impl MasterKey {
     /// Derives the per-packet `(encryption, mac)` key pair bound to a
-    /// packet nonce: one HKDF-Extract, expanded under two labels.
+    /// packet nonce: the two halves of `ChaCha20(master, nonce, 0)`, the
+    /// MAC key first (see the module doc). The nonce must not repeat
+    /// under one master key.
     pub fn layer_keys(&self, nonce: &[u8; 12]) -> ([u8; 32], [u8; 32]) {
-        let prk = HmacKey::new(&hkdf::extract(nonce, &self.0));
-        let mut enc = [0u8; 32];
-        let mut mac = [0u8; 32];
-        hkdf::expand_with(&prk, b"anonroute-onion-enc-v1", &mut enc);
-        hkdf::expand_with(&prk, b"anonroute-onion-mac-v1", &mut mac);
-        (enc, mac)
+        let block = chacha20::block(&self.0, nonce, 0);
+        let (mac, enc) = block.split_at(32);
+        (
+            enc.try_into().expect("32-byte half"),
+            mac.try_into().expect("32-byte half"),
+        )
     }
 }
 
@@ -187,15 +199,33 @@ mod tests {
     }
 
     #[test]
-    fn layer_keys_equal_two_full_derivations() {
+    fn layer_keys_are_the_halves_of_chacha20_block_zero() {
         let k = KeyStore::from_seed(b"layers", 3).key(2);
         for nonce in [[0u8; 12], [7u8; 12], *b"nonce-bytes!"] {
-            let mut enc = [0u8; 32];
-            let mut mac = [0u8; 32];
-            hkdf::derive(&nonce, &k.0, b"anonroute-onion-enc-v1", &mut enc);
-            hkdf::derive(&nonce, &k.0, b"anonroute-onion-mac-v1", &mut mac);
-            assert_eq!(k.layer_keys(&nonce), (enc, mac));
+            let block = chacha20::block(&k.0, &nonce, 0);
+            let (enc, mac) = k.layer_keys(&nonce);
+            assert_eq!(mac[..], block[..32], "MAC key: bytes 0..32");
+            assert_eq!(enc[..], block[32..], "encryption key: bytes 32..64");
         }
+    }
+
+    #[test]
+    fn mac_key_is_the_rfc8439_poly1305_key() {
+        // RFC 8439 section 2.6.2
+        let mut key = [0u8; 32];
+        for (i, b) in key.iter_mut().enumerate() {
+            *b = 0x80 + i as u8;
+        }
+        let nonce = [0, 0, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7];
+        let (_, mac) = MasterKey(key).layer_keys(&nonce);
+        assert_eq!(
+            mac,
+            [
+                0x8a, 0xd5, 0xa0, 0x8b, 0x90, 0x5f, 0x81, 0xcc, 0x81, 0x50, 0x40, 0x27, 0x4a, 0xb2,
+                0x94, 0x71, 0xa8, 0x33, 0xb6, 0x37, 0xe3, 0xfd, 0x0d, 0xa5, 0x08, 0xdb, 0xb8, 0xe2,
+                0xfd, 0xd1, 0xa6, 0x46,
+            ]
+        );
     }
 
     #[test]

@@ -2,13 +2,21 @@
 //!
 //! Self-contained cryptographic substrate for the `anonroute` mix-network
 //! reproduction: SHA-256, HMAC-SHA-256, HKDF, the ChaCha20 stream cipher,
-//! and fixed-size layered **onion cells** in the style of Chaum mixes /
-//! Onion Routing (the systems analyzed by Guan et al., ICDCS 2002).
+//! the Poly1305 one-time authenticator, X25519, and fixed-size layered
+//! **onion cells** in the style of Chaum mixes / Onion Routing (the
+//! systems analyzed by Guan et al., ICDCS 2002).
 //!
 //! Everything is implemented from scratch (no crypto crates are available
 //! in this offline environment) and validated against the official test
-//! vectors: FIPS 180-4 for SHA-256, RFC 4231 for HMAC, RFC 5869 for HKDF
-//! and RFC 8439 for ChaCha20.
+//! vectors: FIPS 180-4 for SHA-256, RFC 4231 for HMAC, RFC 5869 for HKDF,
+//! and RFC 8439 for ChaCha20 (§2.3.2, §2.4.2, A.1), Poly1305 (§2.5.2)
+//! and the Poly1305 key generation (§2.6.2).
+//!
+//! An onion layer runs no SHA-256: its keys are one ChaCha20 block under
+//! the node's master key and the layer nonce, and its tag is Poly1305
+//! ([`keys`], [`onion`]). SHA-256 serves key provisioning ([`keys::KeyStore`]),
+//! the X25519 handshake's key derivation ([`handshake`]) and the relay
+//! directory's signatures.
 //!
 //! SHA-256 compresses blocks with the x86 SHA extensions when the CPU
 //! has them and with portable Rust otherwise; the digests are the same
@@ -54,6 +62,7 @@ pub mod hkdf;
 pub mod hmac;
 pub mod keys;
 pub mod onion;
+pub mod poly1305;
 pub mod sha256;
 pub mod x25519;
 

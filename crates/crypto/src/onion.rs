@@ -8,23 +8,33 @@
 //! from the paper's Section 2): the meaningful prefix shrinks by a constant
 //! per hop and is hidden by random tail junk supplied at framing time.
 //!
-//! ## Layer format
+//! ## Layer format v2
 //!
 //! ```text
 //! wire cell  := nonce(12) ‖ ciphertext              (fixed CELL size)
-//! plaintext  := mac(16) ‖ next(2) ‖ len(2) ‖ content(len)   [+ junk]
+//! plaintext  := tag(16) ‖ next(2) ‖ len(2) ‖ content(len)   [+ junk]
 //! content    := inner wire bytes        when next is a node id
 //!             | payload                 when next = DELIVER
-//! mac        := HMAC-SHA-256(mac_key, next ‖ len ‖ content)[..16]
+//! mac ‖ enc  := ChaCha20(master, nonce, counter 0)        (64 bytes)
+//! tag        := Poly1305(mac, next ‖ len ‖ content)
+//! ciphertext := plaintext ⊕ ChaCha20(enc, nonce, counter 1, 2, …)
 //! ```
+//!
+//! The MAC key is the RFC 8439 §2.6 one-time Poly1305 key of the master
+//! key and nonce (see [`crate::keys`]), so a (master key, nonce) pair
+//! must seal one layer only. The tag is computed before encryption and
+//! encrypted with the rest of the header. Format v1 had the same layout
+//! with HKDF-derived keys and a truncated HMAC-SHA-256 tag; the two do
+//! not interoperate.
 
 use crate::chacha20;
 use crate::error::{Error, Result};
-use crate::hmac::{hmac_sha256, verify_mac};
+use crate::hmac::verify_mac;
 use crate::keys::{KeyStore, MasterKey};
+use crate::poly1305;
 
-/// Per-hop header bytes inside a layer: truncated MAC, next-hop id, length.
-pub const HEADER_LEN: usize = 16 + 2 + 2;
+/// Per-hop header bytes inside a layer: Poly1305 tag, next-hop id, length.
+pub const HEADER_LEN: usize = poly1305::TAG_LEN + 2 + 2;
 /// Nonce bytes prepended to every layer.
 pub const NONCE_LEN: usize = 12;
 /// Total overhead added by one onion layer.
@@ -97,7 +107,8 @@ pub fn build(
     Ok(content)
 }
 
-/// Seals one onion layer: the exact inverse of [`peel`].
+/// Seals one onion layer: the exact inverse of [`peel`]. `nonce` must
+/// not have sealed another layer under `master` (see the module doc).
 ///
 /// [`build`] composes this over a pre-shared [`KeyStore`]; callers that
 /// derive per-hop keys some other way (e.g. the X25519 flow in
@@ -122,13 +133,13 @@ pub fn seal(
     }
     let (enc_key, mac_key) = master.layer_keys(nonce);
     let mut plaintext = Vec::with_capacity(HEADER_LEN + content.len());
-    // mac placeholder
+    // tag placeholder
     plaintext.extend_from_slice(&[0u8; 16]);
     plaintext.extend_from_slice(&next.to_be_bytes());
     plaintext.extend_from_slice(&(content.len() as u16).to_be_bytes());
     plaintext.extend_from_slice(content);
-    let mac = hmac_sha256(&mac_key, &plaintext[16..]);
-    plaintext[..16].copy_from_slice(&mac[..16]);
+    let tag = poly1305::tag(&mac_key, &plaintext[16..]);
+    plaintext[..16].copy_from_slice(&tag);
     chacha20::xor_stream(&enc_key, nonce, 1, &mut plaintext);
     let mut wire = Vec::with_capacity(NONCE_LEN + plaintext.len());
     wire.extend_from_slice(nonce);
@@ -173,8 +184,8 @@ pub fn peel(master: &MasterKey, cell: &[u8]) -> Result<Peeled> {
     let (head, tail) = plain.split_at_mut(end.min(first.len()));
     head.iter_mut().zip(&first).for_each(|(b, k)| *b ^= k);
     chacha20::xor_stream(&enc_key, &nonce, 2, tail);
-    let mac = hmac_sha256(&mac_key, &plain[16..]);
-    if !verify_mac(&mac[..16], &plain[..16]) {
+    let tag = poly1305::tag(&mac_key, &plain[16..]);
+    if !verify_mac(&tag, &plain[..16]) {
         return Err(Error::BadMac);
     }
     plain.drain(..HEADER_LEN);
@@ -434,8 +445,8 @@ mod tests {
         if HEADER_LEN + len > body.len() {
             return Err(Error::BadMac);
         }
-        let mac = hmac_sha256(&mac_key, &body[16..HEADER_LEN + len]);
-        if !verify_mac(&mac[..16], &body[..16]) {
+        let tag = poly1305::tag(&mac_key, &body[16..HEADER_LEN + len]);
+        if !verify_mac(&tag, &body[..16]) {
             return Err(Error::BadMac);
         }
         let content = body[HEADER_LEN..HEADER_LEN + len].to_vec();
