@@ -65,8 +65,11 @@ const MAX_DESC_LEN: usize = 512;
 /// in hex, takes 1,029 bytes; a longer line is answered with `ERR` and
 /// the connection is closed.
 const MAX_REQUEST_LINE: usize = 4096;
-/// How long an authority connection may go without sending a byte
-/// before the authority answers `ERR` and hangs up.
+/// How long an authority connection may take over a request line,
+/// counted from when the authority starts waiting for it until the line's
+/// first byte, and again from that byte until its newline. A connection
+/// over either answers `ERR` and is closed, so a client that trickles a
+/// line a byte at a time holds its worker for at most twice this.
 const IDLE_LIMIT: Duration = Duration::from_secs(10);
 /// Longest first reply line [`AuthorityClient`] reads, newline
 /// included: room for a `SNAP` line carrying a snapshot as large as a
@@ -643,7 +646,7 @@ impl AuthorityServer {
                 "directory authority".into(),
                 || MAX_CONNECTIONS,
                 move |stream, conn| {
-                    let _ = serve_conn(stream, &state, conn);
+                    let _ = serve_conn(stream, &state, conn, IDLE_LIMIT);
                 },
             )
         };
@@ -764,31 +767,40 @@ fn read_line_capped(reader: &mut impl BufRead, cap: usize) -> Result<Option<Stri
 /// Reads the next request line as [`read_line_capped`] does, on a stream
 /// whose reads time out every [`wire::IO_TIMEOUT`]. Before every read it
 /// returns `None` once the server is stopping, so neither an idle client
-/// nor one that trickles bytes holds the worker past a shutdown; it
-/// fails once no byte arrived for [`IDLE_LIMIT`]. A partial line is kept
-/// across reads, and every byte stamps the connection as active.
-fn read_request(reader: &mut impl BufRead, conn: &Conn) -> Result<Option<String>> {
+/// nor one that trickles bytes holds the worker past a shutdown. It
+/// fails once `limit` passed without the line's first byte, or from that
+/// byte without the whole line (see [`IDLE_LIMIT`]). A partial line is
+/// kept across reads, and every byte stamps the connection as active.
+fn read_request(reader: &mut impl BufRead, conn: &Conn, limit: Duration) -> Result<Option<String>> {
     let mut line = Vec::new();
-    let mut last_byte = Instant::now();
+    let mut deadline = Instant::now() + limit;
     loop {
         if conn.stopping() {
             return Ok(None);
         }
+        if Instant::now() >= deadline {
+            return Err(Error::Timeout(format!(
+                "no complete request line within {limit:?}"
+            )));
+        }
         let chunk = match reader.fill_buf() {
             Ok(chunk) => chunk,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if last_byte.elapsed() >= IDLE_LIMIT {
-                    return Err(Error::Io(e));
-                }
-                continue;
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                continue
             }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(e) => return Err(Error::Io(e)),
         };
         if chunk.is_empty() {
             return finish_line(line, MAX_REQUEST_LINE);
         }
-        last_byte = Instant::now();
+        if line.is_empty() {
+            deadline = Instant::now() + limit;
+        }
         conn.touch();
         let room = chunk.len().min(MAX_REQUEST_LINE - line.len());
         let (used, ended) = match chunk[..room].iter().position(|&b| b == b'\n') {
@@ -823,10 +835,15 @@ fn finish_line(mut line: Vec<u8>, cap: usize) -> Result<Option<String>> {
 }
 
 /// Handles one authority connection until EOF, shutdown, or a request
-/// line it cannot read, which is answered with `ERR` before the close.
-/// A reply that the client does not read within [`SEND_DEADLINE`] ends
-/// the connection.
-fn serve_conn(stream: TcpStream, state: &AuthorityState, conn: &Conn) -> Result<()> {
+/// line it cannot read within `limit` (see [`read_request`]), which is
+/// answered with `ERR` before the close. A reply that the client does not
+/// read within [`SEND_DEADLINE`] ends the connection.
+fn serve_conn(
+    stream: TcpStream,
+    state: &AuthorityState,
+    conn: &Conn,
+    limit: Duration,
+) -> Result<()> {
     stream
         .set_write_timeout(Some(SEND_DEADLINE))
         .map_err(Error::Io)?;
@@ -834,7 +851,7 @@ fn serve_conn(stream: TcpStream, state: &AuthorityState, conn: &Conn) -> Result<
     let mut reader = BufReader::new(stream);
     let metrics = DirectoryMetrics::global();
     loop {
-        let line = match read_request(&mut reader, conn) {
+        let line = match read_request(&mut reader, conn, limit) {
             Ok(Some(line)) => line,
             Ok(None) => break,
             Err(e) => {
@@ -1167,6 +1184,61 @@ mod tests {
                 trickler.join().unwrap();
             }
         }
+    }
+
+    #[test]
+    fn a_trickled_request_line_is_cut_off_at_the_limit() {
+        // the server's own worker and reader, under a short limit
+        let limit = Duration::from_millis(300);
+        let state = Arc::new(AuthorityState {
+            view: Mutex::new(NetworkView::new(b"seed", addr(8999))),
+            leases: Mutex::new(HashMap::new()),
+            lease: None,
+        });
+        let server = Server::spawn(
+            TcpListener::bind("127.0.0.1:0").unwrap(),
+            "trickle test".into(),
+            || MAX_CONNECTIONS,
+            move |stream, conn| {
+                let _ = serve_conn(stream, &state, conn, limit);
+            },
+        );
+        let trickler = TcpStream::connect(server.addr()).unwrap();
+        trickler
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let start = Instant::now();
+        let writer = {
+            let mut conn = trickler.try_clone().unwrap();
+            // a byte every 20 ms: far more often than the read tick, so
+            // a limit counted from the last byte would never run out
+            thread::spawn(move || {
+                while conn.write_all(b"P").is_ok() {
+                    thread::sleep(Duration::from_millis(20));
+                }
+            })
+        };
+        // a fresh client is served while the trickler holds its worker
+        let mut fresh = TcpStream::connect(server.addr()).unwrap();
+        fresh.write_all(b"PING\n").unwrap();
+        let mut pong = String::new();
+        BufReader::new(&fresh).read_line(&mut pong).unwrap();
+        assert_eq!(pong, "PONG 0\n");
+
+        let mut reply = String::new();
+        BufReader::new(&trickler).read_line(&mut reply).unwrap();
+        let elapsed = start.elapsed();
+        assert!(
+            reply.starts_with("ERR ") && reply.contains("no complete request line"),
+            "{reply:?}"
+        );
+        assert!(
+            elapsed >= limit && elapsed < limit + Duration::from_secs(2),
+            "cut off after {elapsed:?}"
+        );
+        drop(trickler);
+        writer.join().unwrap();
+        server.join(JOIN_TIMEOUT).unwrap();
     }
 
     #[test]
