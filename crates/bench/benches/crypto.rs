@@ -1,10 +1,10 @@
-//! Benchmarks of the crypto substrate: hash/cipher throughput, the
+//! Benchmarks of the crypto substrate: hash/cipher/MAC throughput, the
 //! per-hop onion costs of the simulated network, and the X25519
 //! handshake of the live relays.
 
 use anonroute_crypto::handshake::{send_layer_key, NodeIdentity};
 use anonroute_crypto::keys::KeyStore;
-use anonroute_crypto::{chacha20, hmac, onion, sha256, x25519};
+use anonroute_crypto::{chacha20, hmac, onion, poly1305, sha256, x25519};
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -33,6 +33,24 @@ fn bench_chacha20(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(4096));
     group.bench_function("xor_4k", |b| {
         b.iter(|| chacha20::xor_stream(black_box(&key), black_box(&nonce), 1, &mut data))
+    });
+    // one block: an onion layer's key derivation, or one keystream block
+    group.throughput(Throughput::Bytes(64));
+    group.bench_function("block", |b| {
+        b.iter(|| chacha20::block(black_box(&key), black_box(&nonce), 0))
+    });
+    group.finish();
+}
+
+/// A Poly1305 tag over 128 bytes, about the authenticated region of a
+/// simulated layer.
+fn bench_poly1305(c: &mut Criterion) {
+    let key = [3u8; 32];
+    let data = [0x5au8; 128];
+    let mut group = c.benchmark_group("poly1305");
+    group.throughput(Throughput::Bytes(128));
+    group.bench_function("tag_128", |b| {
+        b.iter(|| poly1305::tag(black_box(&key), black_box(&data)))
     });
     group.finish();
 }
@@ -143,6 +161,7 @@ criterion_group!(
     bench_sha256,
     bench_hmac,
     bench_chacha20,
+    bench_poly1305,
     bench_onion,
     bench_sim_hop,
     bench_x25519

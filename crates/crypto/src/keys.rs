@@ -11,9 +11,7 @@
 //! generation of RFC 8439 §2.6, and bytes 32..64 its encryption key. So a
 //! master key never encrypts data itself, and each (master key, nonce)
 //! pair must seal one layer only: a second layer under the same pair
-//! would reuse both the keystream and the one-time MAC key. Layer format
-//! v1 derived both keys by HKDF-SHA-256 and tagged with HMAC-SHA-256; a
-//! v1 cell fails the v2 tag check, and the other way round.
+//! would reuse both the keystream and the one-time MAC key.
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -15,7 +15,7 @@
 //! * [`sim`] ([`anonroute_sim`]) — deterministic discrete-event network
 //!   simulator;
 //! * [`crypto`] ([`anonroute_crypto`]) — SHA-256 / HMAC / HKDF / ChaCha20
-//!   and layered onion cells, from scratch;
+//!   / Poly1305 / X25519 and layered onion cells, from scratch;
 //! * [`protocols`] ([`anonroute_protocols`]) — Crowds, Onion Routing,
 //!   Freedom, PipeNet, and a DC-Net baseline;
 //! * [`adversary`] ([`anonroute_adversary`]) — the paper's passive
