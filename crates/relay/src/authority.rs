@@ -1210,8 +1210,8 @@ mod tests {
         let start = Instant::now();
         let writer = {
             let mut conn = trickler.try_clone().unwrap();
-            // a byte every 20 ms: far more often than the read tick, so
-            // a limit counted from the last byte would never run out
+            // a byte every 20 ms: a limit counted from the last byte
+            // would never run out
             thread::spawn(move || {
                 while conn.write_all(b"P").is_ok() {
                     thread::sleep(Duration::from_millis(20));
